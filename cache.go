@@ -48,7 +48,7 @@ const defaultCacheBytes = 256 << 20
 //     via the path B→A→v, and the Wasp repair scan (PrepareWarm)
 //     converges it to exact distances. Seeding is attempted only when
 //     warm starts are compatible with the pool's options (see
-//     Options.WarmStart); incompatible configurations fall back to a
+//     Pool.WarmStartSupported); incompatible configurations fall back to a
 //     cold solve instead of erroring. Directed graphs always solve
 //     cold: distA[B] bounds the A→B direction, not B→A.
 //

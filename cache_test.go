@@ -588,39 +588,21 @@ func TestElapsedAccounting(t *testing.T) {
 	if p50, _ := p.Stats().P50, p.Stats().P99; p50 >= prior {
 		t.Fatalf("latency ring P50 = %v leaked inherited time", p50)
 	}
-
-	// The same contract through the functional API.
-	fres, err := RunContext(context.Background(), g, 0, Options{
-		WarmStart: &Checkpoint{
-			Source:        0,
-			GraphVertices: n,
-			GraphEdges:    g.NumEdges(),
-			Elapsed:       prior,
-			Dist:          append([]uint32(nil), seed...),
-		},
-	})
-	if err != nil {
-		t.Fatalf("RunContext warm: %v", err)
-	}
-	if fres.PriorElapsed != prior || fres.Elapsed < prior {
-		t.Fatalf("RunContext: Elapsed %v / PriorElapsed %v, want cumulative with prior %v",
-			fres.Elapsed, fres.PriorElapsed, prior)
-	}
 }
 
 // TestCacheOverlayMutateNoStaleResults: the mutation analogue of the
-// hot-swap stale-read test above. A mutated overlay advances the
-// content fingerprint, so a pre-mutation cache entry must be
-// unreachable for post-mutation queries even when two pools share one
-// cache under the SAME scope — the keying, not the scope hygiene, is
-// the correctness boundary.
+// hot-swap stale-read test above. A mutated graph advances the content
+// fingerprint, so a pre-mutation cache entry must be unreachable for
+// post-mutation queries even when two pools share one cache under the
+// SAME scope — the keying, not the scope hygiene, is the correctness
+// boundary.
 func TestCacheOverlayMutateNoStaleResults(t *testing.T) {
 	const n = 32
 	cache := NewCache(CacheOptions{})
 	ctx := context.Background()
 
-	overlay := NewOverlay(uchain(n, 1))
-	pre := cachedPool(t, overlay.Snapshot(), cache, PoolOptions{CacheScope: "shared"})
+	g := uchain(n, 1)
+	pre := cachedPool(t, g, cache, PoolOptions{CacheScope: "shared"})
 
 	res, err := pre.Run(ctx, 0)
 	if err != nil {
@@ -638,10 +620,11 @@ func TestCacheOverlayMutateNoStaleResults(t *testing.T) {
 
 	// Same shape, same scope, one weight changed: the next query must
 	// NOT see the cached pre-mutation distances.
-	if _, err := overlay.Mutate([]Mutation{{Kind: MutSetWeight, From: 0, To: 1, W: 5}}); err != nil {
+	mutated, _, err := ApplyMutations(g, []Mutation{{Kind: MutSetWeight, From: 0, To: 1, W: 5}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	post := cachedPool(t, overlay.Snapshot(), cache, PoolOptions{CacheScope: "shared"})
+	post := cachedPool(t, mutated, cache, PoolOptions{CacheScope: "shared"})
 	res, err = post.Run(ctx, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -11,14 +11,31 @@ import (
 // pair it belongs to. Wasp's distance array is monotone — entries only
 // ever decrease, and only to lengths of real paths — so a snapshot
 // captured while workers run is itself a valid upper-bound state, and
-// resuming from it (Session.Resume, Pool.Resume, Options.WarmStart)
+// resuming from it (Session.Resume, Pool.Resume, Registry.Resume)
 // converges to exactly the distances an uninterrupted solve produces.
 //
-// Snapshots come from two places: the periodic CheckpointSink of a
-// supervised session, and LoadCheckpoint reading a file a previous
-// process saved. SaveCheckpoint persists one crash-safely (atomic
-// write-then-rename, fsynced).
+// Resume is the one seeded-solve path. Seeds come from the periodic
+// CheckpointSink of a supervised session, LoadCheckpoint reading a file
+// a previous process saved, a bundle's warm-start artifacts, the
+// cache's nearest-source offsets, and MutationDelta.Seed repairing an
+// exact pre-mutation solution. SaveCheckpoint persists one crash-safely
+// (atomic write-then-rename, fsynced).
 type Checkpoint = checkpoint.Snapshot
+
+var errNilCheckpoint = errors.New("wasp: Resume from nil checkpoint")
+
+// seedMatches is the one check that cp can seed a solve on g: it must
+// be non-nil and match g's shape and, when the snapshot carries one,
+// g's weight-covering content fingerprint.
+func seedMatches(g *Graph, cp *Checkpoint) error {
+	if cp == nil {
+		return errNilCheckpoint
+	}
+	if err := cp.Matches(g.NumVertices(), g.NumEdges(), g.Directed()); err != nil {
+		return err
+	}
+	return cp.MatchesWeights(g.WeightFingerprint())
+}
 
 // SaveCheckpoint writes cp to path crash-safely: a reader — including
 // a process restarted after a kill — sees either the previous complete

@@ -206,39 +206,36 @@ func TestWarmStartValidation(t *testing.T) {
 		Dist:          base.Dist,
 	}
 
+	ctx := context.Background()
+
+	// Option sets whose sessions cannot seed a solve (the one-shot
+	// fallback path).
 	for name, bad := range map[string]wasp.Options{
-		"wrong algorithm": {Algorithm: wasp.AlgoDijkstra, WarmStart: cp},
-		"pendant pruning": {PendantPruning: true, WarmStart: cp},
+		"wrong algorithm": {Algorithm: wasp.AlgoDijkstra},
+		"pendant pruning": {PendantPruning: true},
 	} {
-		if _, err := wasp.Run(g, src, bad); err == nil {
+		sess, err := wasp.NewSession(g, bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Resume(ctx, cp); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := wasp.Run(other, wasp.Vertex(cp.Source), wasp.Options{WarmStart: cp}); err == nil {
+	otherSess, err := wasp.NewSession(other, wasp.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := otherSess.Resume(ctx, cp); err == nil {
 		t.Error("mismatched graph: accepted")
 	}
-	if _, err := wasp.Run(g, src+1, wasp.Options{WarmStart: cp}); err == nil {
-		t.Error("mismatched source: accepted")
-	}
-
-	// NewSession-level rejections.
-	if _, err := wasp.NewSession(g, wasp.Options{WarmStart: cp}); err == nil {
-		t.Error("NewSession accepted a per-solve WarmStart")
+	if _, err := otherSess.Resume(ctx, nil); err == nil {
+		t.Error("Resume accepted a nil checkpoint")
 	}
 	if _, err := wasp.NewSession(g, wasp.Options{
 		Algorithm: wasp.AlgoDijkstra, StallTimeout: time.Second,
 	}); err == nil {
 		t.Error("NewSession accepted supervision on a non-wasp algorithm")
-	}
-	sess, err := wasp.NewSession(g, wasp.Options{PendantPruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Resume(context.Background(), cp); err == nil {
-		t.Error("Resume accepted the fallback session path")
-	}
-	if _, err := sess.Resume(context.Background(), nil); err == nil {
-		t.Error("Resume accepted a nil checkpoint")
 	}
 
 	// And the happy path: a valid warm start through the public API is
@@ -251,7 +248,11 @@ func TestWarmStartValidation(t *testing.T) {
 		Elapsed:       time.Millisecond,
 		Dist:          upperBoundOf(base.Dist, src, 3),
 	}
-	res, err := wasp.Run(g, src, wasp.Options{Workers: 2, WarmStart: warm, Verify: true})
+	sess, err := wasp.NewSession(g, wasp.Options{Workers: 2, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Resume(ctx, warm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,8 @@ func TestCheckpointTrackerLifecycle(t *testing.T) {
 	}
 }
 
-// TestParseCkptName: both file layouts parse, garbage does not.
+// TestParseCkptName: the ckpt-<graph>-<source> layout parses; graph-less
+// names and garbage do not.
 func TestParseCkptName(t *testing.T) {
 	for _, tc := range []struct {
 		base  string
@@ -100,7 +101,7 @@ func TestParseCkptName(t *testing.T) {
 	}{
 		{"ckpt-road-usa-17.wsck", "road-usa", 17, true},
 		{"ckpt-g-0.wsck", "g", 0, true},
-		{"ckpt-42.wsck", "", 42, true}, // pre-registry layout
+		{"ckpt-42.wsck", "", 0, false}, // no graph name
 		{"ckpt-road-usa-.wsck", "", 0, false},
 		{"ckpt-.wsck", "", 0, false},
 		{"other-1.wsck", "", 0, false},
@@ -116,10 +117,9 @@ func TestParseCkptName(t *testing.T) {
 
 // TestRecoverCheckpoints: a restarted server resumes valid leftover
 // files through the registry and deletes them; corrupt files, files
-// for unregistered graphs and fingerprint-mismatched files are removed
-// — logged and counted, never a daemon failure. Legacy graph-less
-// files are adopted by the unique fingerprint match. /stats reflects
-// all of it.
+// for unregistered graphs, fingerprint-mismatched files and graph-less
+// file names are removed — logged and counted, never a daemon failure.
+// /stats reflects all of it.
 func TestRecoverCheckpoints(t *testing.T) {
 	g := testGraph()
 	dir := t.TempDir()
@@ -130,19 +130,20 @@ func TestRecoverCheckpoints(t *testing.T) {
 	})
 	s := &server{reg: reg, ckpt: tracker}
 
-	// Resumable: the current layout and a legacy graph-less file.
+	// Resumable: the ckpt-<graph>-<source> layout.
 	if err := wasp.SaveCheckpoint(tracker.path("test", 0), testCheckpoint(g)); err != nil {
 		t.Fatal(err)
 	}
-	legacy := testCheckpoint(g)
-	legacy.Source = 1
-	legacy.Dist = []uint32{wasp.Infinity, 0, wasp.Infinity, wasp.Infinity}
-	if err := wasp.SaveCheckpoint(filepath.Join(dir, "ckpt-1.wsck"), legacy); err != nil {
+	// Droppable: a valid snapshot under a graph-less name (not adopted),
+	// corrupt bytes, an unregistered graph, and a fingerprint that no
+	// longer matches the graph's deployed shape.
+	graphless := testCheckpoint(g)
+	graphless.Source = 1
+	graphless.Dist = []uint32{wasp.Infinity, 0, wasp.Infinity, wasp.Infinity}
+	if err := wasp.SaveCheckpoint(filepath.Join(dir, "ckpt-1.wsck"), graphless); err != nil {
 		t.Fatal(err)
 	}
-	// Droppable: corrupt bytes, an unregistered graph, and a
-	// fingerprint that no longer matches the graph's deployed shape.
-	corrupt := filepath.Join(dir, "ckpt-2.wsck")
+	corrupt := filepath.Join(dir, "ckpt-test-2.wsck")
 	if err := os.WriteFile(corrupt, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +162,8 @@ func TestRecoverCheckpoints(t *testing.T) {
 
 	s.recoverCheckpoints(context.Background())
 
-	if n := tracker.recovered.Load(); n != 2 {
-		t.Fatalf("recovered = %d, want 2", n)
+	if n := tracker.recovered.Load(); n != 1 {
+		t.Fatalf("recovered = %d, want 1", n)
 	}
 	if n := tracker.skipped.Load(); n != 2 {
 		t.Fatalf("skipped = %d, want 2 (ghost graph + stale fingerprint)", n)
@@ -179,7 +180,7 @@ func TestRecoverCheckpoints(t *testing.T) {
 	ts := newHTTPServer(t, s)
 	var st statsResponse
 	getJSON(t, ts.URL+"/stats", http.StatusOK, &st)
-	if st.Recovered != 2 || st.RecoverySkipped != 2 || st.Completed != 2 {
+	if st.Recovered != 1 || st.RecoverySkipped != 2 || st.Completed != 1 {
 		t.Fatalf("stats after recovery = %+v", st)
 	}
 }

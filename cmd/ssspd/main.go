@@ -16,9 +16,9 @@
 // Endpoints:
 //
 //	/sssp?source=N[&target=M][&graph=G]  solve from N on G; d(M) optional
-//	/healthz                 readiness: 200 while serving, 503 otherwise
 //	/healthz/live            liveness: 200 while the process runs
-//	/healthz/ready           readiness with per-graph lifecycle states
+//	/healthz/ready           readiness: 200 while serving, 503 otherwise,
+//	                         with per-graph lifecycle states
 //	/stats[?graph=G]         pool depth, shed/degraded counts, p50/p99
 //	/metrics                 Prometheus text exposition
 //
@@ -297,9 +297,7 @@ func parseCkptName(base string) (graph string, src uint32, ok bool) {
 	}
 	i := strings.LastIndexByte(stem, '-')
 	if i < 0 {
-		// Pre-registry layout: ckpt-<source>.wsck, no graph name.
-		n, err := strconv.ParseUint(stem, 10, 32)
-		return "", uint32(n), err == nil
+		return "", 0, false
 	}
 	n, err := strconv.ParseUint(stem[i+1:], 10, 32)
 	if err != nil {
@@ -424,11 +422,6 @@ func (s *server) recoverCheckpoints(ctx context.Context) {
 			_ = os.Remove(f)
 			continue
 		}
-		if graph == "" {
-			// Legacy single-graph file: adopt it if exactly one
-			// registered graph matches its fingerprint.
-			graph = s.adoptCheckpoint(cp)
-		}
 		if err := s.matchCheckpoint(graph, cp); err != nil {
 			log.Printf("recovery: skipping %s: %v", f, err)
 			_ = os.Remove(f)
@@ -439,12 +432,10 @@ func (s *server) recoverCheckpoints(ctx context.Context) {
 		res, err := s.reg.Resume(ctx, graph, cp)
 		completed := err == nil && res != nil && res.Complete
 		s.ckpt.release(graph, cp.Source, completed)
-		if completed {
-			// release removed the canonical (graph, source) file; a
-			// legacy-named file needs removing under its own name.
-			if canon := s.ckpt.path(graph, cp.Source); canon != f {
-				_ = os.Remove(f)
-			}
+		if canon := s.ckpt.path(graph, cp.Source); completed && canon != f {
+			// release removed the (graph, stored source) file; a file
+			// whose name disagrees with its stored source is spent too.
+			_ = os.Remove(f)
 		}
 		if err != nil {
 			log.Printf("recovery: %s source %d: %v", graph, cp.Source, err)
@@ -463,30 +454,13 @@ func (s *server) recoverCheckpoints(ctx context.Context) {
 // distances onto the new wiring.
 func (s *server) matchCheckpoint(graph string, cp *wasp.Checkpoint) error {
 	st, ok := s.reg.Status(graph)
-	if !ok || graph == "" {
+	if !ok {
 		return fmt.Errorf("graph %q is not registered", graph)
 	}
 	if err := cp.Matches(st.Vertices, st.Edges, st.Directed); err != nil {
 		return err
 	}
 	return cp.MatchesWeights(st.WeightFP)
-}
-
-// adoptCheckpoint finds the registered graph a graph-less legacy
-// checkpoint belongs to: the unique fingerprint match, or "" when the
-// match is absent or ambiguous.
-func (s *server) adoptCheckpoint(cp *wasp.Checkpoint) string {
-	var match string
-	for _, name := range s.reg.Graphs() {
-		st, ok := s.reg.Status(name)
-		if ok && cp.Matches(st.Vertices, st.Edges, st.Directed) == nil {
-			if match != "" {
-				return "" // ambiguous
-			}
-			match = name
-		}
-	}
-	return match
 }
 
 func (s *server) routes() *http.ServeMux {
@@ -496,7 +470,6 @@ func (s *server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/sssp", s.handleSSSP)
 	mux.HandleFunc("/graph", s.handleGraphMutate)
-	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/healthz/live", s.handleLive)
 	mux.HandleFunc("/healthz/ready", s.handleReady)
 	mux.HandleFunc("/stats", s.handleStats)
@@ -592,6 +565,12 @@ func (s *server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		Relaxations: res.Progress.Relaxations,
 	}
 	if target != nil {
+		// target was range-checked against the version Status reported;
+		// a hot reload may have swapped in a smaller graph since.
+		if *target >= len(res.Dist) {
+			http.Error(w, fmt.Sprintf("target must be in [0, %d)", len(res.Dist)), http.StatusBadRequest)
+			return
+		}
 		d := res.Dist[*target]
 		resp.Target, resp.Distance = target, &d
 	}
@@ -726,20 +705,6 @@ func (s *server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 		resp.Vertices, resp.Edges = st.Vertices, st.Edges
 	}
 	writeJSON(w, resp)
-}
-
-// handleHealthz is the back-compat readiness probe: 200 while at least
-// one graph is servable, 503 while draining or empty.
-func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	if !s.reg.Servable() {
-		http.Error(w, "no graph servable", http.StatusServiceUnavailable)
-		return
-	}
-	fmt.Fprintln(w, "ok")
 }
 
 // handleLive is the liveness probe: the process is up and handling
@@ -970,7 +935,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// drain flips the server to draining (healthz 503, no new queries) and
+// drain flips the server to draining (/healthz/ready 503, no new queries) and
 // closes the registry within ctx: in-flight solves finish or deadline
 // out.
 func (s *server) drain(ctx context.Context) error {
@@ -1192,7 +1157,7 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Graceful drain: stop admitting (healthz flips to 503 for load
+	// Graceful drain: stop admitting (/healthz/ready flips to 503 for load
 	// balancers), let in-flight requests finish or deadline out, then
 	// exit 0. A second signal kills the process the default way.
 	stop()

@@ -3,9 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,15 +108,84 @@ func TestServeBadArgs(t *testing.T) {
 	}
 }
 
-// TestServeDrain: drain flips healthz to 503, rejects new queries with
-// 503, closes the pool, and leaks no goroutines — the in-process half
-// of the SIGTERM acceptance criterion (the CI smoke test covers the
-// real-signal half).
+// TestServeTargetAcrossShrinkingReload: /sssp range-checks target
+// against the Status it read before the solve, and a hot reload may
+// swap in a smaller graph in between. Reloads alternate the graph
+// between 8 and 4 vertices under target=7 traffic: every answer must be
+// 200 or 400 — an index past the result would panic the handler and
+// drop the connection.
+func TestServeTargetAcrossShrinkingReload(t *testing.T) {
+	path := func(n int) *wasp.Graph {
+		edges := make([]wasp.Edge, 0, n-1)
+		for i := 0; i < n-1; i++ {
+			edges = append(edges, wasp.Edge{From: wasp.Vertex(i), To: wasp.Vertex(i + 1), W: 1})
+		}
+		return wasp.FromEdges(n, true, edges)
+	}
+	big, small := path(8), path(4)
+	reg := newRegistry(t, "test", big, wasp.RegistryOptions{
+		Options: wasp.Options{Workers: 1},
+		Pool:    wasp.PoolOptions{Sessions: 2, QueueDepth: 64, QueueWait: 10 * time.Second},
+	})
+	ts := newHTTPServer(t, &server{reg: reg})
+
+	stop := make(chan struct{})
+	reloaded := make(chan struct{})
+	go func() {
+		defer close(reloaded)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			g := small
+			if i%2 == 1 {
+				g = big
+			}
+			if err := reg.LoadGraph(context.Background(), "test", g); err != nil {
+				t.Errorf("reload: %v", err)
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// 500 requests per client hit the reload window every run
+			// when the guard is removed.
+			for i := 0; i < 500; i++ {
+				resp, err := http.Get(ts.URL + "/sssp?source=0&target=7")
+				if err != nil {
+					t.Errorf("request %d dropped: %v", i, err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("request %d: status %d, want 200 or 400", i, resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-reloaded
+}
+
+// TestServeDrain: drain flips /healthz/ready to 503, rejects new
+// queries with 503, closes the pool, and leaks no goroutines — the
+// in-process half of the SIGTERM acceptance criterion (the CI smoke
+// test covers the real-signal half).
 func TestServeDrain(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s, ts := newTestServer(t, wasp.PoolOptions{Sessions: 2, QueueDepth: 2})
 
-	getJSON(t, ts.URL+"/healthz", http.StatusOK, nil)
+	getJSON(t, ts.URL+"/healthz/ready", http.StatusOK, nil)
 	getJSON(t, ts.URL+"/sssp?source=0", http.StatusOK, nil)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -123,7 +194,7 @@ func TestServeDrain(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 
-	getJSON(t, ts.URL+"/healthz", http.StatusServiceUnavailable, nil)
+	getJSON(t, ts.URL+"/healthz/ready", http.StatusServiceUnavailable, nil)
 	getJSON(t, ts.URL+"/sssp?source=0", http.StatusServiceUnavailable, nil)
 	var st statsResponse
 	getJSON(t, ts.URL+"/stats", http.StatusOK, &st)

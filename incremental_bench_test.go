@@ -128,7 +128,11 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := sess.RunIncremental(ctx, src, delta, prior)
+				cp, err := delta.Seed(src, prior)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := sess.Resume(ctx, cp)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -140,7 +144,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalApply isolates the overlay rebuild itself —
+// BenchmarkIncrementalApply isolates the ApplyMutations rebuild itself —
 // validating the batch and merging it into a fresh canonical CSR —
 // the fixed cost every mutation pays before any repair runs.
 func BenchmarkIncrementalApply(b *testing.B) {

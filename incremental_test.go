@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // ---------------------------------------------------------------------------
@@ -130,6 +129,25 @@ func firstDiff(a, b []uint32) int {
 	return -1
 }
 
+// repair is the incremental solve under test: a fresh session on the
+// delta's post-mutation graph resumes from the repair seed of prior.
+func repair(t testing.TB, delta *MutationDelta, opt Options, source Vertex, prior []uint32) *Result {
+	t.Helper()
+	sess, err := NewSession(delta.Graph(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := delta.Seed(source, prior)
+	if err != nil {
+		t.Fatalf("Seed: %v", err)
+	}
+	res, err := sess.Resume(context.Background(), cp)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	return res
+}
+
 // ---------------------------------------------------------------------------
 // Satellite 1: the differential battery. Random mutation streams,
 // incremental repair bit-identical to a fresh solve after every batch,
@@ -161,35 +179,29 @@ func TestIncrementalDifferential(t *testing.T) {
 					t.Parallel()
 					r := rand.New(rand.NewSource(int64(len(mode))*31 + int64(pol.p)*7 + 5))
 					const n = 160
-					overlay := NewOverlay(incrGraph(r, n, directed))
+					g := incrGraph(r, n, directed)
 					opt := Options{Algorithm: AlgoWasp, Workers: 4, Steal: pol.p}
 					source := Vertex(0)
 
-					prior := append([]uint32(nil), oracleDist(t, overlay.Snapshot(), source)...)
+					prior := append([]uint32(nil), oracleDist(t, g, source)...)
 					for round := 0; round < rounds; round++ {
-						batch := incrBatch(r, overlay.Snapshot(), mode, 1+r.Intn(5))
+						batch := incrBatch(r, g, mode, 1+r.Intn(5))
 						if len(batch) == 0 {
 							continue
 						}
-						delta, err := overlay.Mutate(batch)
+						ng, delta, err := ApplyMutations(g, batch)
 						if err != nil {
 							t.Fatalf("round %d: %v", round, err)
 						}
-						sess, err := NewSession(overlay.Snapshot(), opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						res, err := sess.RunIncremental(context.Background(), source, delta, prior)
-						if err != nil {
-							t.Fatalf("round %d: RunIncremental: %v", round, err)
-						}
+						g = ng
+						res := repair(t, delta, opt, source, prior)
 						if !res.Complete {
 							t.Fatalf("round %d: incremental solve incomplete", round)
 						}
-						want := oracleDist(t, overlay.Snapshot(), source)
+						want := oracleDist(t, g, source)
 						if i := firstDiff(res.Dist, want); i >= 0 {
-							t.Fatalf("round %d (%s, gen %d): incremental dist[%d] = %d, fresh solve %d",
-								round, mode, delta.Generation(), i, res.Dist[i], want[i])
+							t.Fatalf("round %d (%s): incremental dist[%d] = %d, fresh solve %d",
+								round, mode, i, res.Dist[i], want[i])
 						}
 						prior = append(prior[:0], res.Dist...)
 					}
@@ -209,27 +221,20 @@ func FuzzIncremental(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, size uint8, directed bool) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		const n = 64
-		overlay := NewOverlay(incrGraph(r, n, directed))
+		g := incrGraph(r, n, directed)
 		source := Vertex(0)
-		prior := oracleDist(t, overlay.Snapshot(), source)
+		prior := oracleDist(t, g, source)
 
-		batch := incrBatch(r, overlay.Snapshot(), "mixed", 1+int(size%8))
+		batch := incrBatch(r, g, "mixed", 1+int(size%8))
 		if len(batch) == 0 {
 			t.Skip("no applicable mutations")
 		}
-		delta, err := overlay.Mutate(batch)
+		ng, delta, err := ApplyMutations(g, batch)
 		if err != nil {
 			t.Fatalf("mutate: %v", err)
 		}
-		sess, err := NewSession(overlay.Snapshot(), Options{Algorithm: AlgoWasp, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sess.RunIncremental(context.Background(), source, delta, prior)
-		if err != nil {
-			t.Fatalf("RunIncremental: %v", err)
-		}
-		want := oracleDist(t, overlay.Snapshot(), source)
+		res := repair(t, delta, Options{Algorithm: AlgoWasp, Workers: 2}, source, prior)
+		want := oracleDist(t, ng, source)
 		if i := firstDiff(res.Dist, want); i >= 0 {
 			t.Fatalf("incremental dist[%d] = %d, fresh solve %d", i, res.Dist[i], want[i])
 		}
@@ -279,19 +284,11 @@ func TestMetamorphicNonImprovingInsert(t *testing.T) {
 			t.Fatal("no insertable non-improving edge found")
 		}
 
-		overlay := NewOverlay(g)
-		delta, err := overlay.Mutate([]Mutation{{Kind: MutInsert, From: u, To: v, W: w}})
+		_, delta, err := ApplyMutations(g, []Mutation{{Kind: MutInsert, From: u, To: v, W: w}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := NewSession(overlay.Snapshot(), Options{Algorithm: AlgoWasp, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sess.RunIncremental(context.Background(), source, delta, prior)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := repair(t, delta, Options{Algorithm: AlgoWasp, Workers: 4}, source, prior)
 		if i := firstDiff(res.Dist, prior); i >= 0 {
 			t.Fatalf("directed=%v: non-improving insert changed dist[%d]: %d -> %d", directed, i, prior[i], res.Dist[i])
 		}
@@ -333,8 +330,7 @@ func TestMetamorphicNonTreeDeleteNoop(t *testing.T) {
 			t.Fatal("no slack edge found")
 		}
 
-		overlay := NewOverlay(g)
-		delta, err := overlay.Mutate([]Mutation{{Kind: MutDelete, From: pick.From, To: pick.To}})
+		_, delta, err := ApplyMutations(g, []Mutation{{Kind: MutDelete, From: pick.From, To: pick.To}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,14 +338,7 @@ func TestMetamorphicNonTreeDeleteNoop(t *testing.T) {
 			t.Fatalf("directed=%v: deleting slack edge (%d,%d) invalidated %d vertices (err %v), want 0",
 				directed, pick.From, pick.To, inv, err)
 		}
-		sess, err := NewSession(overlay.Snapshot(), Options{Algorithm: AlgoWasp, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sess.RunIncremental(context.Background(), source, delta, prior)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := repair(t, delta, Options{Algorithm: AlgoWasp, Workers: 4}, source, prior)
 		if i := firstDiff(res.Dist, prior); i >= 0 {
 			t.Fatalf("directed=%v: slack-edge delete changed dist[%d]: %d -> %d", directed, i, prior[i], res.Dist[i])
 		}
@@ -382,32 +371,24 @@ func TestMetamorphicInverseRestores(t *testing.T) {
 			}
 		}
 
-		overlay := NewOverlay(g)
 		run := func(delta *MutationDelta, seed []uint32) []uint32 {
 			t.Helper()
-			sess, err := NewSession(overlay.Snapshot(), Options{Algorithm: AlgoWasp, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-				res, err := sess.RunIncremental(context.Background(), source, delta, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := repair(t, delta, Options{Algorithm: AlgoWasp, Workers: 4}, source, seed)
 			return append([]uint32(nil), res.Dist...)
 		}
 
-		d1, err := overlay.Mutate(batch)
+		mg, d1, err := ApplyMutations(g, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mid := run(d1, prior)
-		d2, err := overlay.Mutate(inverse)
+		restored, d2, err := ApplyMutations(mg, inverse)
 		if err != nil {
 			t.Fatal(err)
 		}
 		back := run(d2, mid)
 
-		if got := overlay.Snapshot().WeightFingerprint(); got != origFP {
+		if got := restored.WeightFingerprint(); got != origFP {
 			t.Fatalf("directed=%v: batch+inverse fingerprint %x != original %x", directed, got, origFP)
 		}
 		if i := firstDiff(back, prior); i >= 0 {
@@ -417,137 +398,9 @@ func TestMetamorphicInverseRestores(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// API contract tests: Session/Pool/Overlay validation, and the
-// registry's mutate-and-swap lifecycle.
+// The registry's mutate-and-swap lifecycle. Seed and Resume validation
+// rows live in the serving-path table (serving_paths_test.go).
 // ---------------------------------------------------------------------------
-
-func TestRunIncrementalValidation(t *testing.T) {
-	g := chain(8, 1)
-	overlay := NewOverlay(g)
-	delta, err := overlay.Mutate([]Mutation{{Kind: MutSetWeight, From: 0, To: 1, W: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prior := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
-	ctx := context.Background()
-
-	sess, err := NewSession(overlay.Snapshot(), Options{Algorithm: AlgoWasp, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.RunIncremental(ctx, 0, nil, prior); err == nil {
-		t.Error("nil delta accepted")
-	}
-	if _, err := sess.RunIncremental(ctx, 0, delta, prior[:4]); err == nil {
-		t.Error("short prior accepted")
-	}
-	if _, err := sess.RunIncremental(ctx, 3, delta, prior); err == nil {
-		t.Error("prior with nonzero source distance accepted")
-	}
-
-	// A session on the PRE-mutation graph must reject the delta.
-	stale, err := NewSession(g, Options{Algorithm: AlgoWasp, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stale.RunIncremental(ctx, 0, delta, prior); err == nil {
-		t.Error("pre-mutation session accepted a post-mutation delta")
-	}
-
-	// The happy path converges to the mutated graph's distances.
-	res, err := sess.RunIncremental(ctx, 0, delta, prior)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracleDist(t, overlay.Snapshot(), 0)
-	if i := firstDiff(res.Dist, want); i >= 0 {
-		t.Fatalf("dist[%d] = %d, want %d", i, res.Dist[i], want[i])
-	}
-}
-
-func TestPoolRunIncremental(t *testing.T) {
-	g := chain(16, 2)
-	overlay := NewOverlay(g)
-	prior := oracleDist(t, g, 0)
-
-	delta, err := overlay.Mutate([]Mutation{
-		{Kind: MutSetWeight, From: 0, To: 1, W: 9},
-		{Kind: MutInsert, From: 0, To: 3, W: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPool(overlay.Snapshot(), Options{Algorithm: AlgoWasp, Workers: 2},
-		PoolOptions{Sessions: 1, QueueDepth: 8, QueueWait: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = pool.Close(ctx)
-	}()
-	res, err := pool.RunIncremental(context.Background(), 0, delta, prior)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracleDist(t, overlay.Snapshot(), 0)
-	if i := firstDiff(res.Dist, want); i >= 0 {
-		t.Fatalf("dist[%d] = %d, want %d", i, res.Dist[i], want[i])
-	}
-
-	// A pool still serving the pre-mutation graph must reject the delta.
-	stalePool, err := NewPool(g, Options{Algorithm: AlgoWasp, Workers: 2},
-		PoolOptions{Sessions: 1, QueueDepth: 8, QueueWait: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = stalePool.Close(ctx)
-	}()
-	if _, err := stalePool.RunIncremental(context.Background(), 0, delta, prior); err == nil {
-		t.Error("pre-mutation pool accepted a post-mutation delta")
-	}
-}
-
-func TestOverlayConcurrentSnapshots(t *testing.T) {
-	overlay := NewOverlay(chain(64, 1))
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			g := overlay.Snapshot()
-			// A snapshot is immutable: its edge count and fingerprint
-			// must be internally consistent no matter how many batches
-			// land concurrently.
-			if g.NumVertices() != 64 {
-				panic("snapshot vertex count changed")
-			}
-			_ = g.WeightFingerprint()
-			_ = oracleDist(t, g, 0)
-		}
-	}()
-	w := Weight(2)
-	for i := 0; i < 20; i++ {
-		if _, err := overlay.Mutate([]Mutation{{Kind: MutSetWeight, From: 0, To: 1, W: w}}); err != nil {
-			t.Fatal(err)
-		}
-		w++
-	}
-	close(stop)
-	<-done
-	if got := overlay.Generation(); got != 20 {
-		t.Fatalf("generation = %d, want 20", got)
-	}
-}
 
 func TestRegistryMutate(t *testing.T) {
 	r := testRegistry(t)

@@ -103,8 +103,7 @@ func TestWarmStartExactAllPolicies(t *testing.T) {
 						warm[i] = graph.Infinity
 					}
 				}
-				opt := Options{Workers: 4, Policy: policy, WarmStart: warm}
-				res := Run(g, src, opt)
+				res := NewSolver(g, Options{Workers: 4, Policy: policy}).SolveFrom(src, warm, nil)
 				if err := verify.Equal(res.Dist, ref); err != nil {
 					t.Fatalf("policy %v seed %d keep %v: %v", policy, seed, keep, err)
 				}

@@ -108,13 +108,6 @@ type Options struct {
 	// Workers workers.
 	Trace *trace.Log
 
-	// WarmStart, when non-nil, seeds the solve from a prior upper-bound
-	// distance snapshot of the same (graph, source) pair instead of
-	// from scratch — Run routes through Solver.SolveFrom. Must have
-	// exactly NumVertices entries. Ignored by NewSolver (a warm start
-	// is per solve, passed to SolveFrom).
-	WarmStart []uint32
-
 	// Cancel, when non-nil, is polled at chunk and bucket boundaries:
 	// once tripped, workers drain and Run returns a partial Result
 	// with Complete unset. A non-nil token also arms panic

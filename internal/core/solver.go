@@ -43,7 +43,6 @@ type Solver struct {
 func NewSolver(g *graph.Graph, opt Options) *Solver {
 	opt = opt.withDefaults()
 	opt.Cancel = nil
-	opt.WarmStart = nil // per solve, passed to SolveFrom
 	p := opt.Workers
 	m := opt.Metrics
 	if m == nil || len(m.Workers) < p {

@@ -20,13 +20,9 @@ import (
 // algorithm (paper Algorithm 1). It is the one-shot entry point: a
 // fresh Solver is built and used once. Callers solving many sources
 // over one graph should build a Solver (or a wasp.Session) and reuse
-// it — see solver.go.
+// it — see solver.go, which also holds the warm-started SolveFrom.
 func Run(g *graph.Graph, source graph.Vertex, opt Options) *Result {
-	cancel := opt.Cancel
-	if opt.WarmStart != nil {
-		return NewSolver(g, opt).SolveFrom(source, opt.WarmStart, cancel)
-	}
-	return NewSolver(g, opt).Solve(source, cancel)
+	return NewSolver(g, opt).Solve(source, opt.Cancel)
 }
 
 // worker is one Wasp thread's state: its shared current bucket (deque +

@@ -1,34 +1,31 @@
 package wasp
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
 	"wasp/internal/graph"
 )
 
 // Incremental SSSP on mutating graphs.
 //
-// An Overlay wraps an immutable base graph and evolves it by applying
-// mutation batches; every batch produces a brand-new immutable snapshot
-// (readers are lock-free, holding whatever snapshot they loaded) plus a
-// MutationDelta describing exactly which arcs got cheaper or more
-// expensive. The delta is the bridge to incremental solving: combined
-// with exact distances from before the batch it yields a warm-start
-// checkpoint for the post-mutation graph, which Session.RunIncremental
-// and Pool.RunIncremental feed to the PrepareWarm repair scan instead
-// of solving from scratch.
+// ApplyMutations evolves an immutable graph by one mutation batch: it
+// returns a brand-new immutable graph plus a MutationDelta describing
+// exactly which arcs got cheaper or more expensive. The delta is the
+// bridge to incremental solving: combined with exact distances from
+// before the batch, MutationDelta.Seed yields a warm-start checkpoint
+// for the post-mutation graph, which Session.Resume, Pool.Resume and
+// Registry.Resume feed to the PrepareWarm repair scan instead of
+// solving from scratch. Registry.Mutate is the serving-side verb built
+// on the same two calls.
 //
 // Soundness rests on two invariants, both enforced here rather than
 // trusted:
 //
-//  1. Snapshots advance the content fingerprint. ApplyMutations
+//  1. Mutated graphs advance the content fingerprint. ApplyMutations
 //     rebuilds a canonical CSR, so the mutated graph's
 //     WeightFingerprint differs whenever any weight differs — the
 //     cache, checkpoint validation, and the auditor all key on it, so
 //     a pre-mutation result can never be served for a post-mutation
-//     graph (or vice versa).
+//     graph (or vice versa), and a repair seed handed to a solver of
+//     the wrong graph is rejected by Resume.
 //  2. Repair seeds are valid upper bounds. Decreased arcs keep every
 //     old distance an upper bound; increased or deleted arcs trigger
 //     cone invalidation (MutationDelta.Seed) that resets every vertex
@@ -51,11 +48,10 @@ const (
 type Mutation = graph.Mutation
 
 // MutationDelta records one applied batch: the pre- and post-mutation
-// snapshots plus the arc-level weight changes needed to repair prior
-// solves. Obtain one from Overlay.Mutate or ApplyMutations.
+// graphs plus the arc-level weight changes needed to repair prior
+// solves. Obtain one from ApplyMutations or Registry.Mutate.
 type MutationDelta struct {
 	delta *graph.Delta
-	gen   uint64
 }
 
 // ApplyMutations applies a batch to g and returns the mutated graph
@@ -71,15 +67,8 @@ func ApplyMutations(g *Graph, batch []Mutation) (*Graph, *MutationDelta, error) 
 	return ng, &MutationDelta{delta: d}, nil
 }
 
-// Base returns the pre-mutation snapshot.
-func (d *MutationDelta) Base() *Graph { return d.delta.Old }
-
-// Graph returns the post-mutation snapshot.
+// Graph returns the post-mutation graph.
 func (d *MutationDelta) Graph() *Graph { return d.delta.New }
-
-// Generation returns the overlay generation that produced this delta,
-// or 0 for deltas from the standalone ApplyMutations.
-func (d *MutationDelta) Generation() uint64 { return d.gen }
 
 // Increased returns the number of arcs that got more expensive
 // (including deleted arcs). Zero means the batch was decrease-only and
@@ -93,14 +82,16 @@ func (d *MutationDelta) Decreased() int { return len(d.delta.Decreased) }
 // Seed turns exact pre-mutation distances from source into a
 // warm-start checkpoint for the post-mutation graph. prior MUST be the
 // complete, exact distance array of a finished solve from source on
-// Base() — a cached complete result qualifies; a mid-run snapshot or a
-// mere upper bound does NOT, because cone invalidation decides which
-// vertices to reset by testing arc tightness against prior, and that
-// test is only meaningful for exact labels.
+// the pre-mutation graph — a cached complete result qualifies; a
+// mid-run snapshot or a mere upper bound does NOT, because cone
+// invalidation decides which vertices to reset by testing arc
+// tightness against prior, and that test is only meaningful for exact
+// labels.
 //
 // The checkpoint is stamped with the post-mutation graph's shape and
-// weight fingerprint, so Session.Resume and Pool.Resume accept it for
-// the new graph and reject it anywhere else.
+// weight fingerprint, so Resume accepts it for the new graph and
+// rejects it anywhere else: Resume(ctx, delta.Seed(source, prior)) is
+// the incremental solve.
 func (d *MutationDelta) Seed(source Vertex, prior []uint32) (*Checkpoint, error) {
 	seed, _, err := d.delta.RepairSeed(source, prior)
 	if err != nil {
@@ -124,59 +115,4 @@ func (d *MutationDelta) Seed(source Vertex, prior []uint32) (*Checkpoint, error)
 func (d *MutationDelta) Invalidated(source Vertex, prior []uint32) (int, error) {
 	_, n, err := d.delta.RepairSeed(source, prior)
 	return n, err
-}
-
-// Overlay is a mutable view over immutable graph snapshots. Mutations
-// are serialized; Snapshot is wait-free and may be called concurrently
-// with Mutate — readers simply keep solving against the snapshot they
-// loaded.
-type Overlay struct {
-	mu  sync.Mutex
-	cur atomic.Pointer[graph.Graph]
-	gen atomic.Uint64
-}
-
-// NewOverlay wraps base as generation 0 of a mutable overlay.
-func NewOverlay(base *Graph) *Overlay {
-	if base == nil {
-		panic("wasp: NewOverlay on nil graph")
-	}
-	o := &Overlay{}
-	o.cur.Store(base)
-	return o
-}
-
-// Snapshot returns the current immutable snapshot.
-func (o *Overlay) Snapshot() *Graph { return o.cur.Load() }
-
-// Generation returns how many batches have been applied.
-func (o *Overlay) Generation() uint64 { return o.gen.Load() }
-
-// Mutate applies a batch atomically: concurrent readers see either the
-// old snapshot or the new one, never a partial batch. On error the
-// overlay is unchanged.
-func (o *Overlay) Mutate(batch []Mutation) (*MutationDelta, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	ng, d, err := graph.ApplyMutations(o.cur.Load(), batch)
-	if err != nil {
-		return nil, err
-	}
-	o.cur.Store(ng)
-	return &MutationDelta{delta: d, gen: o.gen.Add(1)}, nil
-}
-
-// matchesGraph reports whether g is the delta's post-mutation graph
-// (same snapshot, or an identical rebuild of it).
-func (d *MutationDelta) matchesGraph(g *Graph) error {
-	ng := d.delta.New
-	if g == ng {
-		return nil
-	}
-	if g.NumVertices() != ng.NumVertices() || g.NumEdges() != ng.NumEdges() ||
-		g.Directed() != ng.Directed() || g.WeightFingerprint() != ng.WeightFingerprint() {
-		return fmt.Errorf("wasp: graph does not match the delta's post-mutation snapshot (fingerprint %x vs %x)",
-			g.WeightFingerprint(), ng.WeightFingerprint())
-	}
-	return nil
 }

@@ -287,20 +287,7 @@ func (p *Pool) Run(ctx context.Context, source Vertex) (*Result, error) {
 	if int(source) >= p.g.NumVertices() {
 		return nil, fmt.Errorf("wasp: source %d out of range for %d vertices", source, p.g.NumVertices())
 	}
-	lvl := p.governorAdmit()
-	if lvl == BrownoutShed {
-		return nil, ErrOverloaded
-	}
-	if p.cache != nil {
-		// The closed check must precede the cache: a hit needs no
-		// session, but serving one from a closed pool would break the
-		// contract that Run refuses forever once Close has begun.
-		if p.isClosed() {
-			return nil, ErrPoolClosed
-		}
-		return p.cache.getOrSolve(ctx, p, source, nil, lvl >= BrownoutCacheOnly)
-	}
-	return p.admitAndSolve(ctx, source, nil)
+	return p.serve(ctx, source, nil)
 }
 
 // Resume is Run warm-started from a checkpoint: the query enters the
@@ -313,54 +300,35 @@ func (p *Pool) Run(ctx context.Context, source Vertex) (*Result, error) {
 // already-cached result for the checkpoint's source is returned
 // directly (the cache holds complete exact distances, strictly ahead
 // of any resumable snapshot); otherwise the checkpoint seeds the solve
-// as usual.
+// as usual. A MutationDelta.Seed repair seed carries the post-mutation
+// fingerprint, so its result is cached under the new graph's identity.
 func (p *Pool) Resume(ctx context.Context, cp *Checkpoint) (*Result, error) {
-	if cp == nil {
-		return nil, fmt.Errorf("wasp: Resume from nil checkpoint")
-	}
-	if err := cp.Matches(p.g.NumVertices(), p.g.NumEdges(), p.g.Directed()); err != nil {
+	if err := seedMatches(p.g, cp); err != nil {
 		return nil, err
 	}
-	if err := cp.MatchesWeights(p.g.WeightFingerprint()); err != nil {
-		return nil, err
-	}
+	return p.serve(ctx, Vertex(cp.Source), cp)
+}
+
+// serve is the front door Run and Resume share: governor admission,
+// then the cache (when attached) or straight to a session. warm, when
+// non-nil, is a validated checkpoint to seed the solve from.
+func (p *Pool) serve(ctx context.Context, source Vertex, warm *Checkpoint) (*Result, error) {
 	lvl := p.governorAdmit()
 	if lvl == BrownoutShed {
 		return nil, ErrOverloaded
 	}
-	if p.cache != nil {
-		if p.isClosed() {
-			return nil, ErrPoolClosed
-		}
-		// A Resume always carries its own seed, so reuse-only admission
-		// never sheds it — getOrSolve sheds only seedless cold misses.
-		return p.cache.getOrSolve(ctx, p, Vertex(cp.Source), cp, lvl >= BrownoutCacheOnly)
+	if p.cache == nil {
+		return p.admitAndSolve(ctx, source, warm)
 	}
-	return p.admitAndSolve(ctx, Vertex(cp.Source), cp)
-}
-
-// RunIncremental solves the pool's (post-mutation) graph from source
-// by repairing prior, the exact distances of a finished pre-mutation
-// solve from the same source (see Session.RunIncremental). The repair
-// seed carries the post-mutation fingerprint, so on a cache-backed
-// pool the result is stored — and looked up — under the new graph's
-// identity; pre-mutation cache entries are unreachable by
-// construction.
-func (p *Pool) RunIncremental(ctx context.Context, source Vertex, delta *MutationDelta, prior []uint32) (*Result, error) {
-	if delta == nil {
-		return nil, fmt.Errorf("wasp: RunIncremental with nil delta")
+	// The closed check must precede the cache: a hit needs no session,
+	// but serving one from a closed pool would break the contract that
+	// Run refuses forever once Close has begun.
+	if p.isClosed() {
+		return nil, ErrPoolClosed
 	}
-	if err := delta.matchesGraph(p.g); err != nil {
-		return nil, err
-	}
-	if err := p.WarmStartSupported(); err != nil {
-		return nil, err
-	}
-	cp, err := delta.Seed(source, prior)
-	if err != nil {
-		return nil, err
-	}
-	return p.Resume(ctx, cp)
+	// A seeded query is never shed by reuse-only admission —
+	// getOrSolve sheds only seedless cold misses.
+	return p.cache.getOrSolve(ctx, p, source, warm, lvl >= BrownoutCacheOnly)
 }
 
 // governorAdmit feeds the governor one admission attempt and returns
@@ -387,8 +355,8 @@ func (p *Pool) governorAdmit() BrownoutLevel {
 // instead of surfacing the error a direct Resume would.
 func (p *Pool) WarmStartSupported() error { return warmStartSupported(p.opt) }
 
-// admitAndSolve is the shared body of Run and Resume: warm, when
-// non-nil, is a validated checkpoint to seed the solve from.
+// admitAndSolve takes an admission ticket and a session and solves:
+// warm, when non-nil, is a validated checkpoint to seed the solve from.
 func (p *Pool) admitAndSolve(ctx context.Context, source Vertex, warm *Checkpoint) (*Result, error) {
 	// Admission: take a ticket or shed. The mutex orders the closed
 	// check, the ticket grab and the wg.Add against Close, so Close

@@ -788,12 +788,32 @@ func (r *Registry) closedOr(err error) error {
 // version: a reload never surfaces ErrPoolClosed to a Run caller while
 // the graph stays registered.
 func (r *Registry) Run(ctx context.Context, name string, source Vertex) (*Result, error) {
+	return r.serve(ctx, name, source, nil)
+}
+
+// Resume routes a checkpointed solve to the named graph, the
+// registry-level Pool.Resume: the checkpoint must belong to the active
+// version's graph (the pool checks shape and content fingerprint), so
+// a checkpoint taken against a version that has since been replaced
+// fails fast instead of converging to garbage. Results are translated
+// to original ids like Run, and a hot swap re-routes like Run.
+func (r *Registry) Resume(ctx context.Context, name string, cp *Checkpoint) (*Result, error) {
+	if cp == nil {
+		return nil, errNilCheckpoint // a nil cp would route as Run
+	}
+	return r.serve(ctx, name, 0, cp)
+}
+
+// serve is the routing loop Run and Resume share: resolve the active
+// version, query it, and re-route when a hot swap closed its pool
+// between routing and admission.
+func (r *Registry) serve(ctx context.Context, name string, source Vertex, cp *Checkpoint) (*Result, error) {
 	for {
 		v, pool, err := r.activeVersion(name)
 		if err != nil {
 			return nil, err
 		}
-		res, err := r.runOn(ctx, v, pool, source)
+		res, err := r.runOn(ctx, v, pool, source, cp)
 		if errors.Is(err, ErrPoolClosed) {
 			cur, _, cerr := r.activeVersion(name)
 			if cerr != nil {
@@ -811,67 +831,40 @@ func (r *Registry) Run(ctx context.Context, name string, source Vertex) (*Result
 	}
 }
 
-// runOn executes one query on a specific version, handling relabeling
-// and warm-start artifacts.
-func (r *Registry) runOn(ctx context.Context, v *graphVersion, pool *Pool, source Vertex) (*Result, error) {
-	if int(source) >= v.g.NumVertices() {
-		return nil, fmt.Errorf("wasp: source %d out of range for %d vertices", source, v.g.NumVertices())
-	}
+// runOn executes one query on a specific version: cp, when non-nil,
+// is the caller's seed (Resume); otherwise source is an original id,
+// translated in and answered from the version's bundle warm-start
+// artifact when one exists. Relabeled results are translated back.
+func (r *Registry) runOn(ctx context.Context, v *graphVersion, pool *Pool, source Vertex, cp *Checkpoint) (*Result, error) {
 	if pool == nil {
-		return nil, ErrPoolClosed // retired while routing; Run retries
+		return nil, ErrPoolClosed // retired while routing; serve retries
 	}
-	mapped := source
-	if v.perm != nil {
-		mapped = v.perm[source]
+	if cp == nil {
+		if int(source) >= v.g.NumVertices() {
+			return nil, fmt.Errorf("wasp: source %d out of range for %d vertices", source, v.g.NumVertices())
+		}
+		if v.perm != nil {
+			source = v.perm[source]
+		}
+		// Bundle warm-start artifacts are an internally triggered warm
+		// start: when the deployment's options cannot accept a seed
+		// (non-Wasp algorithm, pendant pruning), degrade to a cold solve
+		// — the artifact is an accelerator, never a requirement.
+		if warm, ok := v.warm[uint32(source)]; ok && pool.WarmStartSupported() == nil {
+			cp = warm
+		}
 	}
 	var res *Result
 	var err error
-	// Bundle warm-start artifacts are an internally triggered warm
-	// start: when the deployment's options cannot accept a seed
-	// (non-Wasp algorithm, pendant pruning), degrade to a cold solve —
-	// the artifact is an accelerator, never a requirement.
-	if cp, ok := v.warm[uint32(mapped)]; ok && pool.WarmStartSupported() == nil {
+	if cp != nil {
 		res, err = pool.Resume(ctx, cp)
 	} else {
-		res, err = pool.Run(ctx, mapped)
+		res, err = pool.Run(ctx, source)
 	}
 	if res != nil && v.perm != nil && res.Dist != nil {
 		res.Dist = ApplyPermutation(res.Dist, v.perm)
 	}
 	return res, err
-}
-
-// Resume routes a checkpointed solve to the named graph, the
-// registry-level Pool.Resume: the checkpoint must match the active
-// version's graph shape (Checkpoint.Matches runs inside the pool), so
-// a checkpoint taken against a version that has since been replaced by
-// a differently-shaped graph fails fast instead of converging to
-// garbage. Results are translated to original ids like Run.
-func (r *Registry) Resume(ctx context.Context, name string, cp *Checkpoint) (*Result, error) {
-	for {
-		v, pool, err := r.activeVersion(name)
-		if err != nil {
-			return nil, err
-		}
-		if pool == nil {
-			return nil, ErrPoolClosed
-		}
-		res, err := pool.Resume(ctx, cp)
-		if errors.Is(err, ErrPoolClosed) {
-			cur, _, cerr := r.activeVersion(name)
-			if cerr != nil {
-				return nil, cerr
-			}
-			if cur != v {
-				continue
-			}
-			return nil, r.closedOr(err)
-		}
-		if res != nil && v.perm != nil && res.Dist != nil {
-			res.Dist = ApplyPermutation(res.Dist, v.perm)
-		}
-		return res, err
-	}
 }
 
 // Graphs returns the registered graph names, unordered.

@@ -1,0 +1,389 @@
+package wasp_test
+
+// The serving-path differential table: every way a query can be
+// answered — cold, exact cache hit, coalesced singleflight follower,
+// nearest-source warm start, bundle warm start, relabeled deployment,
+// repair-seeded Resume after a mutation, and deadline degradation — on
+// directed and undirected graphs, through each layer (Session, Pool,
+// Registry) where the path exists. Exact answers must match the
+// Dijkstra oracle bit for bit; degraded answers must pass the
+// upper-bound certificate.
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"wasp"
+	"wasp/internal/baseline/dijkstra"
+	"wasp/internal/verify"
+)
+
+const servingN = 200
+
+var (
+	allLayers     = []string{"session", "pool", "registry"}
+	sharedLayers  = []string{"pool", "registry"}
+	registryLayer = []string{"registry"}
+)
+
+func TestServingPaths(t *testing.T) {
+	paths := []struct {
+		name           string
+		layers         []string
+		undirectedOnly bool // the path exists on undirected graphs only
+		check          func(t *testing.T, layer string, g *wasp.Graph)
+	}{
+		{"cold", allLayers, false, servingCold},
+		{"hit", sharedLayers, false, servingHit},
+		{"coalesced", sharedLayers, false, servingCoalesced},
+		{"nearest-warm", sharedLayers, true, servingNearestWarm},
+		{"bundle-warm", registryLayer, false, servingBundleWarm},
+		{"relabeled", registryLayer, false, servingRelabeled},
+		{"repair-seeded", allLayers, false, servingRepairSeeded},
+		{"seed-rejected", allLayers, false, servingSeedRejected},
+		{"degraded", allLayers, false, servingDegraded},
+	}
+	for _, p := range paths {
+		for _, layer := range p.layers {
+			for _, directed := range []bool{true, false} {
+				if directed && p.undirectedOnly {
+					continue
+				}
+				name := p.name + "/" + layer + "/undirected"
+				if directed {
+					name = p.name + "/" + layer + "/directed"
+				}
+				t.Run(name, func(t *testing.T) {
+					p.check(t, layer, servingGraph(directed))
+				})
+			}
+		}
+	}
+}
+
+// servingGraph is a random graph with a weighted spine from vertex 0,
+// so most vertices are reachable and distances are nontrivial.
+func servingGraph(directed bool) *wasp.Graph {
+	r := rand.New(rand.NewSource(17))
+	var edges []wasp.Edge
+	for i := 1; i < servingN-5; i++ {
+		edges = append(edges, wasp.Edge{From: wasp.Vertex(i - 1), To: wasp.Vertex(i), W: 1 + uint32(r.Intn(20))})
+	}
+	for i := 0; i < 2*servingN; i++ {
+		u, v := wasp.Vertex(r.Intn(servingN)), wasp.Vertex(r.Intn(servingN))
+		if u != v {
+			edges = append(edges, wasp.Edge{From: u, To: v, W: 1 + uint32(r.Intn(30))})
+		}
+	}
+	return wasp.FromEdges(servingN, directed, edges)
+}
+
+// servingFront is one serving layer reduced to its two solve verbs.
+type servingFront struct {
+	run    func(context.Context, wasp.Vertex) (*wasp.Result, error)
+	resume func(context.Context, *wasp.Checkpoint) (*wasp.Result, error)
+}
+
+// frontConfig carries the per-path extras a layer is built with.
+type frontConfig struct {
+	cache   *wasp.Cache
+	onSolve func(wasp.SolveObservation)
+	bundle  func(*wasp.Bundle) // registry only: artifacts added before Load
+}
+
+func newFront(t *testing.T, layer string, g *wasp.Graph, fc frontConfig) servingFront {
+	t.Helper()
+	opt := wasp.Options{Workers: 2}
+	pconf := wasp.PoolOptions{Sessions: 2, QueueDepth: 16, QueueWait: 10 * time.Second, OnSolve: fc.onSolve}
+	closeCtx := func() (context.Context, context.CancelFunc) {
+		return context.WithTimeout(context.Background(), 10*time.Second)
+	}
+	switch layer {
+	case "session":
+		sess, err := wasp.NewSession(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return servingFront{run: sess.Run, resume: sess.Resume}
+	case "pool":
+		pconf.Cache = fc.cache
+		p, err := wasp.NewPool(g, opt, pconf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			ctx, cancel := closeCtx()
+			defer cancel()
+			_ = p.Close(ctx)
+		})
+		return servingFront{run: p.Run, resume: p.Resume}
+	case "registry":
+		r := wasp.NewRegistry(wasp.RegistryOptions{
+			Options:      opt,
+			Pool:         pconf,
+			Cache:        fc.cache,
+			SmokeTimeout: 5 * time.Second,
+			DrainTimeout: 10 * time.Second,
+		})
+		t.Cleanup(func() {
+			ctx, cancel := closeCtx()
+			defer cancel()
+			_ = r.Close(ctx)
+		})
+		b := &wasp.Bundle{Manifest: wasp.BundleManifest{Name: "g", Version: 1}, Graph: g}
+		if fc.bundle != nil {
+			fc.bundle(b)
+		}
+		if err := r.Load(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+		return servingFront{
+			run: func(ctx context.Context, src wasp.Vertex) (*wasp.Result, error) {
+				return r.Run(ctx, "g", src)
+			},
+			resume: func(ctx context.Context, cp *wasp.Checkpoint) (*wasp.Result, error) {
+				return r.Resume(ctx, "g", cp)
+			},
+		}
+	}
+	t.Fatalf("unknown layer %q", layer)
+	return servingFront{}
+}
+
+// requireExact fails unless res is a complete answer bit-identical to
+// the Dijkstra oracle on g from src.
+func requireExact(t *testing.T, res *wasp.Result, err error, g *wasp.Graph, src wasp.Vertex) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete {
+		t.Fatal("exact path returned an incomplete result")
+	}
+	if err := verify.Equal(res.Dist, dijkstra.Distances(g, src)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitUntil polls cond for up to 5 seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if cond() {
+			return
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}
+
+func servingCold(t *testing.T, layer string, g *wasp.Graph) {
+	f := newFront(t, layer, g, frontConfig{})
+	res, err := f.run(context.Background(), 0)
+	requireExact(t, res, err, g, 0)
+}
+
+func servingHit(t *testing.T, layer string, g *wasp.Graph) {
+	cache := wasp.NewCache(wasp.CacheOptions{})
+	f := newFront(t, layer, g, frontConfig{cache: cache})
+	ctx := context.Background()
+	if _, err := f.run(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.run(ctx, 0)
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats %+v, want 1 hit / 1 miss", st)
+	}
+	requireExact(t, res, err, g, 0)
+}
+
+func servingCoalesced(t *testing.T, layer string, g *wasp.Graph) {
+	cache := wasp.NewCache(wasp.CacheOptions{})
+	release := make(chan struct{})
+	// OnSolve runs before the flight publishes, so blocking in it holds
+	// the leader's flight open while the follower arrives.
+	f := newFront(t, layer, g, frontConfig{cache: cache, onSolve: func(wasp.SolveObservation) { <-release }})
+	ctx := context.Background()
+
+	var wg sync.WaitGroup
+	var leaderErr, followerErr error
+	var follower *wasp.Result
+	wg.Add(2)
+	go func() { defer wg.Done(); _, leaderErr = f.run(ctx, 0) }()
+	waitUntil(t, "leader miss", func() bool { return cache.Stats().Misses == 1 })
+	go func() { defer wg.Done(); follower, followerErr = f.run(ctx, 0) }()
+	waitUntil(t, "follower coalesced", func() bool { return cache.Stats().Coalesced == 1 })
+	close(release)
+	wg.Wait()
+	if leaderErr != nil {
+		t.Fatal(leaderErr)
+	}
+	requireExact(t, follower, followerErr, g, 0)
+}
+
+func servingNearestWarm(t *testing.T, layer string, g *wasp.Graph) {
+	cache := wasp.NewCache(wasp.CacheOptions{})
+	f := newFront(t, layer, g, frontConfig{cache: cache})
+	ctx := context.Background()
+	if _, err := f.run(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.run(ctx, 3)
+	if st := cache.Stats(); st.WarmStarts != 1 {
+		t.Fatalf("cache stats %+v, want 1 warm start", st)
+	}
+	requireExact(t, res, err, g, 3)
+}
+
+// upperBoundSeed knocks every third vertex of exact distances back to
+// Infinity: a valid mid-solve upper-bound state.
+func upperBoundSeed(dist []uint32, src wasp.Vertex) []uint32 {
+	out := append([]uint32(nil), dist...)
+	for i := range out {
+		if i%3 == 0 && wasp.Vertex(i) != src {
+			out[i] = wasp.Infinity
+		}
+	}
+	return out
+}
+
+func servingBundleWarm(t *testing.T, layer string, g *wasp.Graph) {
+	const prior = time.Hour
+	f := newFront(t, layer, g, frontConfig{bundle: func(b *wasp.Bundle) {
+		b.Checkpoints = []*wasp.Checkpoint{{
+			Source:        0,
+			GraphVertices: g.NumVertices(),
+			GraphEdges:    g.NumEdges(),
+			Directed:      g.Directed(),
+			WeightFP:      g.WeightFingerprint(),
+			Elapsed:       prior,
+			Dist:          upperBoundSeed(dijkstra.Distances(g, 0), 0),
+		}}
+	}})
+	res, err := f.run(context.Background(), 0)
+	requireExact(t, res, err, g, 0)
+	if res.PriorElapsed != prior {
+		t.Fatalf("PriorElapsed = %v, want %v: the bundle checkpoint did not seed the solve", res.PriorElapsed, prior)
+	}
+}
+
+func servingRelabeled(t *testing.T, layer string, g *wasp.Graph) {
+	f := newFront(t, layer, g, frontConfig{bundle: func(b *wasp.Bundle) {
+		b.Graph, b.Relabel = wasp.RelabelByDegree(g)
+	}})
+	for _, src := range []wasp.Vertex{0, 7} {
+		res, err := f.run(context.Background(), src)
+		requireExact(t, res, err, g, src)
+	}
+}
+
+// servingMutation returns a mixed batch valid against g: one weight
+// raise, one delete and one insert, on distinct vertex pairs.
+func servingMutation(t *testing.T, g *wasp.Graph) []wasp.Mutation {
+	t.Helper()
+	touched := map[[2]wasp.Vertex]bool{}
+	touch := func(u, v wasp.Vertex) bool {
+		if touched[[2]wasp.Vertex{u, v}] || touched[[2]wasp.Vertex{v, u}] {
+			return false
+		}
+		touched[[2]wasp.Vertex{u, v}] = true
+		return true
+	}
+	var batch []wasp.Mutation
+	for _, u := range []wasp.Vertex{0, 10} {
+		nbrs, ws := g.OutNeighbors(u)
+		for i, v := range nbrs {
+			if !touch(u, v) {
+				continue
+			}
+			if u == 0 {
+				batch = append(batch, wasp.Mutation{Kind: wasp.MutSetWeight, From: u, To: v, W: ws[i] + 7})
+			} else {
+				batch = append(batch, wasp.Mutation{Kind: wasp.MutDelete, From: u, To: v})
+			}
+			break
+		}
+	}
+	for v := wasp.Vertex(servingN - 1); v > 2; v-- {
+		_, fwd := g.FindEdge(2, v)
+		_, back := g.FindEdge(v, 2)
+		if !fwd && !back && touch(2, v) {
+			batch = append(batch, wasp.Mutation{Kind: wasp.MutInsert, From: 2, To: v, W: 1})
+			break
+		}
+	}
+	if len(batch) != 3 {
+		t.Fatalf("built %d of 3 mutations", len(batch))
+	}
+	return batch
+}
+
+func servingRepairSeeded(t *testing.T, layer string, g *wasp.Graph) {
+	ng, delta, err := wasp.ApplyMutations(g, servingMutation(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := delta.Seed(0, dijkstra.Distances(g, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFront(t, layer, ng, frontConfig{})
+	res, err := f.resume(context.Background(), cp)
+	requireExact(t, res, err, ng, 0)
+}
+
+// servingSeedRejected: a seed that cannot belong to the serving graph
+// fails fast — a nil checkpoint, a malformed prior, or a repair seed
+// for the post-mutation graph handed to a layer still serving the
+// pre-mutation one.
+func servingSeedRejected(t *testing.T, layer string, g *wasp.Graph) {
+	_, delta, err := wasp.ApplyMutations(g, servingMutation(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := dijkstra.Distances(g, 0)
+	if _, err := delta.Seed(0, prior[:4]); err == nil {
+		t.Error("Seed accepted a short prior")
+	}
+	if _, err := delta.Seed(3, prior); err == nil {
+		t.Error("Seed accepted a prior with a nonzero source distance")
+	}
+	cp, err := delta.Seed(0, prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := newFront(t, layer, g, frontConfig{})
+	ctx := context.Background()
+	if _, err := stale.resume(ctx, nil); err == nil {
+		t.Error("Resume accepted a nil checkpoint")
+	}
+	if _, err := stale.resume(ctx, cp); err == nil {
+		t.Error("pre-mutation graph accepted a post-mutation repair seed")
+	}
+}
+
+func servingDegraded(t *testing.T, layer string, g *wasp.Graph) {
+	f := newFront(t, layer, g, frontConfig{})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res, err := f.run(ctx, 0)
+	if layer == "session" {
+		// A bare session reports the expiry; the pool layers turn it into
+		// a degraded success.
+		if !errors.Is(err, wasp.ErrCancelled) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want ErrCancelled wrapping DeadlineExceeded", err)
+		}
+	} else if err != nil {
+		t.Fatalf("degraded query returned error %v", err)
+	}
+	if res == nil || res.Complete {
+		t.Fatalf("result %+v, want a partial snapshot", res)
+	}
+	if err := verify.UpperBound(g, 0, res.Dist); err != nil {
+		t.Fatal(err)
+	}
+}

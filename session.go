@@ -68,9 +68,6 @@ func NewSession(g *Graph, opt Options) (*Session, error) {
 	if opt.Algorithm < 0 || opt.Algorithm >= numAlgorithms {
 		return nil, fmt.Errorf("wasp: unknown algorithm %d", opt.Algorithm)
 	}
-	if opt.WarmStart != nil {
-		return nil, fmt.Errorf("wasp: Options.WarmStart is per solve — use Session.Resume (or RunContext)")
-	}
 	supervised := (opt.CheckpointInterval > 0 && opt.CheckpointSink != nil) || opt.StallTimeout > 0
 	if supervised && (opt.Algorithm != AlgoWasp || opt.PendantPruning) {
 		return nil, fmt.Errorf("wasp: checkpoint/stall supervision requires AlgoWasp without PendantPruning")
@@ -128,56 +125,25 @@ func (s *Session) Run(ctx context.Context, source Vertex) (*Result, error) {
 // Resume solves from the checkpoint's source, warm-started from its
 // upper-bound distances: the snapshot loads as the initial state and
 // workers rebuild the frontier with a repair scan over violated
-// triangle inequalities, so the work the checkpoint already paid for
-// is kept and the solve converges to exactly the distances an
-// uninterrupted run produces. The checkpoint must belong to the
-// session's graph (checked against both the shape triple and, when the
-// snapshot carries one, the weight-covering content fingerprint).
-// Resume requires the preallocated Wasp path — the same configurations
+// triangle inequalities, so the work the seed already paid for is kept
+// and the solve converges to exactly the distances a cold run
+// produces. Any upper-bound seed qualifies — a crash checkpoint, a
+// bundle artifact, or MutationDelta.Seed's repair of an exact
+// pre-mutation solution. The checkpoint must belong to the session's
+// graph (checked against both the shape triple and, when the snapshot
+// carries one, the weight-covering content fingerprint). Resume
+// requires the preallocated Wasp path — the same configurations
 // NewSession accepts supervision for. Result.Elapsed continues from
 // cp.Elapsed rather than restarting the clock; Result.PriorElapsed
 // records the inherited portion.
 func (s *Session) Resume(ctx context.Context, cp *Checkpoint) (*Result, error) {
-	if cp == nil {
-		return nil, fmt.Errorf("wasp: Resume from nil checkpoint")
+	if err := seedMatches(s.g, cp); err != nil {
+		return nil, err
 	}
 	if err := warmStartSupported(s.opt); err != nil {
 		return nil, err
 	}
-	if s.solver == nil {
-		return nil, fmt.Errorf("wasp: Resume requires AlgoWasp without PendantPruning")
-	}
-	if err := cp.Matches(s.g.NumVertices(), s.g.NumEdges(), s.g.Directed()); err != nil {
-		return nil, err
-	}
-	if err := cp.MatchesWeights(s.g.WeightFingerprint()); err != nil {
-		return nil, err
-	}
 	return s.run(ctx, Vertex(cp.Source), cp)
-}
-
-// RunIncremental solves the session's (post-mutation) graph from
-// source by repairing prior — the exact distance array of a finished
-// solve from the same source on the delta's pre-mutation graph —
-// instead of starting cold. The delta's post-mutation snapshot must be
-// the session's graph. Distances converge to exactly what a fresh
-// solve produces; only the work differs: decrease-only batches
-// re-relax just the affected cone, increase/delete batches first
-// invalidate the cut cone (MutationDelta.Seed) and repair from its
-// frontier. Requires the same preallocated Wasp configuration as
-// Resume.
-func (s *Session) RunIncremental(ctx context.Context, source Vertex, delta *MutationDelta, prior []uint32) (*Result, error) {
-	if delta == nil {
-		return nil, fmt.Errorf("wasp: RunIncremental with nil delta")
-	}
-	if err := delta.matchesGraph(s.g); err != nil {
-		return nil, err
-	}
-	cp, err := delta.Seed(source, prior)
-	if err != nil {
-		return nil, err
-	}
-	return s.Resume(ctx, cp)
 }
 
 // run is the shared body of Run and Resume: warm, when non-nil, is a

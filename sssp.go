@@ -181,18 +181,6 @@ type Options struct {
 	// source itself is pendant or the graph is directed.
 	PendantPruning bool
 
-	// WarmStart, when non-nil, seeds the solve from a checkpoint of an
-	// earlier, interrupted solve of the same (graph, source) pair
-	// instead of starting from scratch: distances load as upper bounds
-	// and workers rebuild the frontier with a repair scan over violated
-	// triangle inequalities, converging to exactly the distances an
-	// uninterrupted run produces. AlgoWasp only, incompatible with
-	// PendantPruning; the checkpoint must match the graph (see
-	// Checkpoint.Matches) and the run's source must equal
-	// WarmStart.Source. Session users resume via Session.Resume
-	// instead of this field.
-	WarmStart *Checkpoint
-
 	// CheckpointInterval, with CheckpointSink, enables periodic
 	// checkpointing on a supervised Session: every interval the running
 	// solve's upper-bound state is snapshotted — workers keep running;
@@ -277,9 +265,9 @@ type Result struct {
 	Dist []uint32
 	// Elapsed is the cumulative wall-clock time paid for these
 	// distances, excluding graph construction and verification. For a
-	// warm-started solve (Options.WarmStart, Session.Resume, or a
-	// cache-internal nearest-source seed) it includes the prior wall
-	// time the seed checkpoint had already accumulated; subtract
+	// warm-started solve (any Resume, or a cache-internal seed) it
+	// includes the prior wall time the seed checkpoint had already
+	// accumulated; subtract
 	// PriorElapsed for the time spent inside this process. Pool latency
 	// stats and SolveObservation.Elapsed record only the in-process
 	// portion.
@@ -372,9 +360,6 @@ func RunContext(ctx context.Context, g *Graph, source Vertex, opt Options) (*Res
 		return nil, fmt.Errorf("wasp: source %d out of range for %d vertices", source, g.NumVertices())
 	}
 	opt = opt.withDefaults()
-	if err := validateWarmStart(g, source, opt); err != nil {
-		return nil, err
-	}
 	var m *metrics.Set
 	var tl *trace.Log
 	if opt.Observer != nil {
@@ -395,40 +380,15 @@ func RunContext(ctx context.Context, g *Graph, source Vertex, opt Options) (*Res
 // from a prior distance array at all: warm starts are a Wasp-only
 // facility (the repair scan lives in the Wasp solver) and incompatible
 // with PendantPruning (the pruned core is a different graph than the
-// one a snapshot describes). Every warm-seeding path — the public
-// Options.WarmStart field, Session.Resume, and the cache's internal
-// nearest-source seeding — consults this one helper, so no path can
-// smuggle a seed past the compatibility rules.
+// one a snapshot describes). Every warm-seeding path — Session.Resume
+// and the cache's internal nearest-source seeding — consults this one
+// helper, so no path can smuggle a seed past the compatibility rules.
 func warmStartSupported(opt Options) error {
 	if opt.Algorithm != AlgoWasp {
-		return fmt.Errorf("wasp: WarmStart requires AlgoWasp, not %s", opt.Algorithm)
+		return fmt.Errorf("wasp: warm start requires AlgoWasp, not %s", opt.Algorithm)
 	}
 	if opt.PendantPruning {
-		return fmt.Errorf("wasp: WarmStart is incompatible with PendantPruning")
-	}
-	return nil
-}
-
-// validateWarmStart checks the Options.WarmStart contract: a supported
-// option set (see warmStartSupported), snapshot and graph agree in
-// both shape and content fingerprint, and the run resumes the
-// snapshot's own source.
-func validateWarmStart(g *Graph, source Vertex, opt Options) error {
-	cp := opt.WarmStart
-	if cp == nil {
-		return nil
-	}
-	if err := warmStartSupported(opt); err != nil {
-		return err
-	}
-	if err := cp.Matches(g.NumVertices(), g.NumEdges(), g.Directed()); err != nil {
-		return err
-	}
-	if err := cp.MatchesWeights(g.WeightFingerprint()); err != nil {
-		return err
-	}
-	if Vertex(cp.Source) != source {
-		return fmt.Errorf("wasp: resuming source %d from a checkpoint of source %d", source, cp.Source)
+		return fmt.Errorf("wasp: warm start is incompatible with PendantPruning")
 	}
 	return nil
 }
@@ -467,10 +427,6 @@ func runContext(ctx context.Context, g *Graph, source Vertex, opt Options, m *me
 
 	switch opt.Algorithm {
 	case AlgoWasp:
-		var warm []uint32
-		if opt.WarmStart != nil {
-			warm = opt.WarmStart.Dist
-		}
 		r := core.Run(g, source, core.Options{
 			Delta:           opt.Delta,
 			Workers:         opt.Workers,
@@ -484,7 +440,6 @@ func runContext(ctx context.Context, g *Graph, source Vertex, opt Options, m *me
 			Metrics:         m,
 			Trace:           tl,
 			Timing:          opt.Observer != nil && opt.Observer.cfg.Timing,
-			WarmStart:       warm,
 			Cancel:          tok,
 		})
 		res.Dist = r.Dist
@@ -558,14 +513,6 @@ func runContext(ctx context.Context, g *Graph, source Vertex, opt Options, m *me
 		pruned.Restore(res.Dist)
 	}
 	res.Elapsed = time.Since(start)
-	if opt.WarmStart != nil {
-		// A resumed solve's clock continues from the checkpoint: Elapsed
-		// is the total paid for these distances, not just the tail.
-		// PriorElapsed records the inherited portion so latency stats
-		// can separate this-process time from prior-process time.
-		res.PriorElapsed = opt.WarmStart.Elapsed
-		res.Elapsed += res.PriorElapsed
-	}
 	res.fillProgress(m)
 
 	if m != nil {
