@@ -32,14 +32,12 @@ type AuditorOptions struct {
 	// goroutine (Async) or the serving goroutine (sync) — keep it
 	// brief and never call back into the auditor.
 	OnFailure func(AuditFailure)
-	// Workers is the fan-out of each certificate's edge scan
-	// (default GOMAXPROCS).
-	Workers int
-	// QueueDepth bounds the async audit queue (default 64). Sampled
-	// results beyond it are dropped, not queued unboundedly — an
-	// audit backlog must never become a memory leak.
-	QueueDepth int
 }
+
+// auditQueueDepth bounds the async audit queue. Sampled results beyond
+// it are dropped, not queued unboundedly — an audit backlog must never
+// become a memory leak.
+const auditQueueDepth = 64
 
 // AuditFailure describes one certificate violation on a served result.
 type AuditFailure struct {
@@ -117,14 +115,9 @@ type Auditor struct {
 }
 
 // NewAuditor returns an Auditor with opt applied. An Async auditor
-// owns a background goroutine; Close releases it.
+// owns a background goroutine; Close releases it. Each certificate's
+// edge scan fans out over GOMAXPROCS workers.
 func NewAuditor(opt AuditorOptions) *Auditor {
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.QueueDepth <= 0 {
-		opt.QueueDepth = 64
-	}
 	a := &Auditor{opt: opt}
 	if opt.SampleRate > 0 {
 		a.stride = uint64(math.Round(1 / opt.SampleRate))
@@ -132,9 +125,9 @@ func NewAuditor(opt AuditorOptions) *Auditor {
 			a.stride = 1
 		}
 	}
-	a.scratch = verify.NewScratch(opt.Workers)
+	a.scratch = verify.NewScratch(runtime.GOMAXPROCS(0))
 	if opt.Async {
-		a.jobs = make(chan auditJob, opt.QueueDepth)
+		a.jobs = make(chan auditJob, auditQueueDepth)
 		a.wg.Add(1)
 		go a.drain()
 	}
@@ -184,7 +177,7 @@ func (a *Auditor) maybeAudit(g *Graph, scope string, source Vertex, dist []uint3
 // audits, so steady-state certification allocates nothing.
 func (a *Auditor) drain() {
 	defer a.wg.Done()
-	scratch := verify.NewScratch(a.opt.Workers)
+	scratch := verify.NewScratch(runtime.GOMAXPROCS(0))
 	for job := range a.jobs {
 		a.settle(job, a.certify(scratch, job))
 	}

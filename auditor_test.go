@@ -164,7 +164,8 @@ func TestPoolAuditsServedResults(t *testing.T) {
 // injected distance flip on a served result fails its sampled audit,
 // the registry quarantines the active version — queries return
 // ErrQuarantined, the cache scope is invalidated, the version is kept
-// out of rollback history — and reloading the graph heals it.
+// out of rollback history — a heal whose candidate fails to build
+// leaves it quarantined, and reloading the graph heals it.
 func TestRegistryAuditQuarantine(t *testing.T) {
 	cache := NewCache(CacheOptions{MaxBytes: 1 << 20})
 	events := make(chan RegistryEvent, 16)
@@ -172,8 +173,13 @@ func TestRegistryAuditQuarantine(t *testing.T) {
 		Pool:         PoolOptions{Sessions: 1, QueueDepth: 16, QueueWait: 5 * time.Second},
 		Cache:        cache,
 		Audit:        &AuditorOptions{SampleRate: 1}, // sync: deterministic for the test
-		SmokeTimeout: 5 * time.Second,
 		DrainTimeout: 10 * time.Second,
+		ConfigureOptions: func(_ string, version uint64, opt Options) Options {
+			if version == 2 {
+				opt.Algorithm = Algorithm(-1) // v2's pool cannot be built
+			}
+			return opt
+		},
 		OnEvent: func(ev RegistryEvent) {
 			select {
 			case events <- ev:
@@ -232,6 +238,22 @@ func TestRegistryAuditQuarantine(t *testing.T) {
 	}
 	waitEvent(EventQuarantined)
 
+	// A heal whose candidate fails to build must not disguise the
+	// outage: the graph stays quarantined, nothing is servable, and
+	// queries keep getting ErrQuarantined, not a closed pool.
+	if err := r.Load(ctx, chainBundle("line", 2, 16, 3)); err == nil {
+		t.Fatal("Load of an unbuildable candidate succeeded")
+	}
+	if st, _ := r.Status("line"); st.State != GraphQuarantined {
+		t.Fatalf("state after failed heal = %q, want %q", st.State, GraphQuarantined)
+	}
+	if r.Servable() {
+		t.Fatal("Servable() after a failed heal, with nothing serving")
+	}
+	if _, err := r.Run(ctx, "line", 0); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("Run after failed heal: %v, want ErrQuarantined", err)
+	}
+
 	// Reloading the same version is a heal, not a no-op: faults are off,
 	// so the graph serves again and the (invalidated) cache cannot
 	// replay the corrupt result.
@@ -264,7 +286,6 @@ func TestRegistryAuditCleanRunNoFailures(t *testing.T) {
 	r := NewRegistry(RegistryOptions{
 		Pool:         PoolOptions{Sessions: 2, QueueDepth: 16, QueueWait: 5 * time.Second},
 		Audit:        &AuditorOptions{SampleRate: 1},
-		SmokeTimeout: 5 * time.Second,
 		DrainTimeout: 10 * time.Second,
 	})
 	defer func() {

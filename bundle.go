@@ -14,7 +14,8 @@ import (
 // applied. See internal/bundle for the format specification.
 type Bundle = bundle.Bundle
 
-// BundleManifest names, versions and shape-fingerprints a bundle.
+// BundleManifest names and versions a bundle and pins its graph's
+// shape and content fingerprint.
 type BundleManifest = bundle.Manifest
 
 // ReadBundle decodes and fully validates a bundle from r. A bundle
@@ -22,8 +23,8 @@ type BundleManifest = bundle.Manifest
 // structure validated, artifacts bound to the graph's fingerprint.
 func ReadBundle(r io.Reader) (*Bundle, error) { return bundle.Read(r) }
 
-// WriteBundle validates and encodes b to w. Zero manifest shape
-// fields are filled from the graph.
+// WriteBundle validates and encodes b to w. Zero manifest shape and
+// fingerprint fields are filled from the graph.
 func WriteBundle(w io.Writer, b *Bundle) error { return bundle.Write(w, b) }
 
 // LoadBundle reads and validates the bundle file at path.

@@ -10,16 +10,13 @@ import (
 )
 
 // CacheOptions configures a Cache. The zero value caches up to 256 MiB
-// of distance arrays with nearest-source warm starts enabled.
+// of distance arrays.
 type CacheOptions struct {
 	// MaxBytes is the memory budget for cached distance arrays
 	// (default 256 MiB). The least-recently-used entry is evicted when
 	// an insert would exceed it; a single result larger than the whole
 	// budget is served but never stored.
 	MaxBytes int64
-	// DisableWarm turns off nearest-source warm seeding: misses always
-	// solve cold. Exact-hit serving and singleflight are unaffected.
-	DisableWarm bool
 }
 
 // defaultCacheBytes is CacheOptions.MaxBytes when unset.
@@ -82,33 +79,17 @@ type Cache struct {
 }
 
 // cacheKey identifies one cached result. The scope partitions entries
-// by deployment (the Registry uses "name@version"); the graphFP pins
-// the exact graph content so two scopes — or two graphs behind bare
-// pools sharing one cache — can never alias each other's results
-// unless the graphs are bit-identical, in which case sharing is
-// correct.
+// by deployment (the Registry uses "name@version"); fp, the graph's
+// content fingerprint (Graph.WeightFingerprint — it hashes
+// directedness, the vertex count and the full CSR, so it covers the
+// shape too), pins the exact graph content so two scopes — or two
+// graphs behind bare pools sharing one cache — can never alias each
+// other's results unless the graphs are bit-identical, in which case
+// sharing is correct.
 type cacheKey struct {
 	scope  string
-	fp     graphFP
+	fp     uint64
 	source uint32
-}
-
-// graphFP is the cache's graph identity: the shape triple plus the
-// weight-covering content fingerprint.
-type graphFP struct {
-	vertices int
-	edges    int64
-	directed bool
-	weights  uint64
-}
-
-func fingerprintOf(g *Graph) graphFP {
-	return graphFP{
-		vertices: g.NumVertices(),
-		edges:    g.NumEdges(),
-		directed: g.Directed(),
-		weights:  g.WeightFingerprint(),
-	}
 }
 
 // cacheEntry is one stored result. Immutable after insert — hits and
@@ -172,7 +153,7 @@ func NewCache(opt CacheOptions) *Cache {
 // are served as usual, but a miss that would solve cold — the most
 // expensive class of query — sheds with ErrOverloaded instead.
 func (c *Cache) getOrSolve(ctx context.Context, p *Pool, source Vertex, callerWarm *Checkpoint, reuseOnly bool) (*Result, error) {
-	key := cacheKey{scope: p.cacheScope, fp: p.fp, source: uint32(source)}
+	key := cacheKey{scope: p.cacheScope, fp: p.g.WeightFingerprint(), source: uint32(source)}
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
@@ -240,7 +221,7 @@ func (c *Cache) getOrSolve(ctx context.Context, p *Pool, source Vertex, callerWa
 		delete(c.flights, key)
 		store := err == nil && res != nil && res.Complete && !f.noStore.Load()
 		if store {
-			c.insertLocked(key, res)
+			c.insertLocked(p.g, key, res)
 		}
 		c.mu.Unlock()
 		f.res, f.err = res, err
@@ -260,11 +241,11 @@ func (c *Cache) getOrSolve(ctx context.Context, p *Pool, source Vertex, callerWa
 // from it: seed[v] = distA[v] + distA[B], clamped at Infinity, with
 // seed[B] = 0 — every entry an upper bound on the true distance via
 // the detour through A. Returns nil (cold solve) when warm seeding is
-// unsupported by the pool's options, disabled, the graph is directed,
-// or no finite-proximity entry exists. Called with c.mu held; the O(n)
-// seed construction runs on the immutable entry after release.
+// unsupported by the pool's options, the graph is directed, or no
+// finite-proximity entry exists. Called with c.mu held; the O(n) seed
+// construction runs on the immutable entry after release.
 func (c *Cache) nearestSeedLocked(p *Pool, key cacheKey) *Checkpoint {
-	if c.conf.DisableWarm || key.fp.directed || warmStartSupported(p.opt) != nil {
+	if p.g.Directed() || warmStartSupported(p.opt) != nil {
 		return nil
 	}
 	var best *cacheEntry
@@ -287,14 +268,7 @@ func (c *Cache) nearestSeedLocked(p *Pool, key cacheKey) *Checkpoint {
 		seed[i] = satAdd32(dv, bestD)
 	}
 	seed[key.source] = 0
-	return &Checkpoint{
-		Source:        key.source,
-		GraphVertices: key.fp.vertices,
-		GraphEdges:    key.fp.edges,
-		Directed:      key.fp.directed,
-		WeightFP:      key.fp.weights,
-		Dist:          seed,
-	}
+	return stamp(p.g, key.source, seed)
 }
 
 // satAdd32 adds two distances, saturating at Infinity (so an
@@ -306,10 +280,11 @@ func satAdd32(a, b uint32) uint32 {
 	return Infinity
 }
 
-// insertLocked stores a completed result under key and evicts from the
-// LRU tail until the budget holds. Called with c.mu held; res is the
-// leader's detached result — its distances are copied, not aliased.
-func (c *Cache) insertLocked(key cacheKey, res *Result) {
+// insertLocked stores a completed result of a solve on g under key and
+// evicts from the LRU tail until the budget holds. Called with c.mu
+// held; res is the leader's detached result — its distances are
+// copied, not aliased.
+func (c *Cache) insertLocked(g *Graph, key cacheKey, res *Result) {
 	size := int64(4*len(res.Dist)) + entryOverhead
 	if size > c.conf.MaxBytes {
 		return // larger than the whole budget: serve, don't store
@@ -321,21 +296,14 @@ func (c *Cache) insertLocked(key cacheKey, res *Result) {
 		return
 	}
 	ent := &cacheEntry{
-		key: key,
-		cp: &Checkpoint{
-			Source:        key.source,
-			GraphVertices: key.fp.vertices,
-			GraphEdges:    key.fp.edges,
-			Directed:      key.fp.directed,
-			WeightFP:      key.fp.weights,
-			Elapsed:       res.Elapsed,
-			Dist:          append([]uint32(nil), res.Dist...),
-		},
+		key:   key,
+		cp:    stamp(g, key.source, append([]uint32(nil), res.Dist...)),
 		algo:  res.Algorithm,
 		steps: res.Steps,
 		prog:  res.Progress,
 		size:  size,
 	}
+	ent.cp.Elapsed = res.Elapsed
 	ent.sum = distSum(ent.cp.Dist)
 	c.entries[key] = c.lru.PushFront(ent)
 	c.bytes += size
@@ -426,7 +394,7 @@ func (c *Cache) InvalidateScope(scope string) int {
 // hash no longer matches are skipped — a rotted distance array must
 // not seed a repair. The returned checkpoints are live cache data:
 // read-only for the caller.
-func (c *Cache) harvestScope(scope string, fp graphFP) []*Checkpoint {
+func (c *Cache) harvestScope(scope string, fp uint64) []*Checkpoint {
 	c.mu.Lock()
 	ents := make([]*cacheEntry, 0, len(c.entries))
 	for el := c.lru.Front(); el != nil; el = el.Next() {

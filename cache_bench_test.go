@@ -24,7 +24,7 @@ import (
 // Low-diameter expanders do not reward warm seeding — even an exact
 // seed's repair scan costs as much as their cold solve — which is why
 // the rung is measured on a road network, the workload class result
-// caching targets, and why CacheOptions.DisableWarm exists. The size
+// caching targets. The size
 // matters too: below ~2^18 vertices the solver's fixed bucket-sweep
 // overhead drowns the saved relaxations.
 func cacheBenchWorkload(b *testing.B) (*wasp.Graph, wasp.Vertex) {

@@ -192,7 +192,6 @@ func TestCacheWarmFallsBackCold(t *testing.T) {
 		{"dijkstra", uchain(64, 2), Options{Algorithm: AlgoDijkstra}, CacheOptions{}},
 		{"pendant pruning", uchain(64, 2), Options{PendantPruning: true}, CacheOptions{}},
 		{"directed graph", chain(64, 2), Options{Workers: 2}, CacheOptions{}},
-		{"warm disabled", uchain(64, 2), Options{Workers: 2}, CacheOptions{DisableWarm: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -234,12 +233,13 @@ func TestCacheWarmFallsBackCold(t *testing.T) {
 }
 
 // TestCacheLRUEviction: the memory budget holds by evicting the least
-// recently used entry, and an evicted query misses again.
+// recently used entry, and an evicted query misses again. The graph is
+// directed, so every miss solves cold.
 func TestCacheLRUEviction(t *testing.T) {
 	n := 16
 	entrySize := int64(4*n) + 160 // mirrors the cache's accounting
-	g := uchain(n, 1)
-	cache := NewCache(CacheOptions{MaxBytes: 2*entrySize + 10, DisableWarm: true})
+	g := chain(n, 1)
+	cache := NewCache(CacheOptions{MaxBytes: 2*entrySize + 10})
 	p := cachedPool(t, g, cache, PoolOptions{})
 	ctx := context.Background()
 
@@ -562,6 +562,7 @@ func TestElapsedAccounting(t *testing.T) {
 		Source:        0,
 		GraphVertices: n,
 		GraphEdges:    g.NumEdges(),
+		WeightFP:      g.WeightFingerprint(),
 		Elapsed:       prior,
 		Dist:          seed,
 	}
@@ -656,7 +657,6 @@ func TestCacheRegistryMutateWarmHarvest(t *testing.T) {
 	cache := NewCache(CacheOptions{})
 	r := NewRegistry(RegistryOptions{
 		Pool:         PoolOptions{Sessions: 2, QueueDepth: 64, QueueWait: 5 * time.Second},
-		SmokeTimeout: 5 * time.Second,
 		DrainTimeout: 10 * time.Second,
 		Cache:        cache,
 	})

@@ -25,16 +25,27 @@ type Checkpoint = checkpoint.Snapshot
 var errNilCheckpoint = errors.New("wasp: Resume from nil checkpoint")
 
 // seedMatches is the one check that cp can seed a solve on g: it must
-// be non-nil and match g's shape and, when the snapshot carries one,
-// g's weight-covering content fingerprint.
+// be non-nil and carry g's shape and weight-covering content
+// fingerprint.
 func seedMatches(g *Graph, cp *Checkpoint) error {
 	if cp == nil {
 		return errNilCheckpoint
 	}
-	if err := cp.Matches(g.NumVertices(), g.NumEdges(), g.Directed()); err != nil {
-		return err
+	return cp.Matches(g.NumVertices(), g.NumEdges(), g.Directed(), g.WeightFingerprint())
+}
+
+// stamp wraps dist as a checkpoint of a solve from source on g, stamped
+// with g's shape and content fingerprint — the identity seedMatches
+// checks. Callers fill Elapsed and Relaxations when they know them.
+func stamp(g *Graph, source uint32, dist []uint32) *Checkpoint {
+	return &Checkpoint{
+		Source:        source,
+		GraphVertices: g.NumVertices(),
+		GraphEdges:    g.NumEdges(),
+		Directed:      g.Directed(),
+		WeightFP:      g.WeightFingerprint(),
+		Dist:          dist,
 	}
-	return cp.MatchesWeights(g.WeightFingerprint())
 }
 
 // SaveCheckpoint writes cp to path crash-safely: a reader — including

@@ -68,7 +68,7 @@ func TestSessionPeriodicCheckpointAndResume(t *testing.T) {
 	}
 
 	cp := got[len(got)-1]
-	if err := cp.Matches(g.NumVertices(), g.NumEdges(), g.Directed()); err != nil {
+	if err := cp.Matches(g.NumVertices(), g.NumEdges(), g.Directed(), g.WeightFingerprint()); err != nil {
 		t.Fatalf("emitted checkpoint does not match its own graph: %v", err)
 	}
 	if cp.Source != uint32(src) || cp.Settled() == 0 || cp.Elapsed <= 0 {
@@ -203,6 +203,7 @@ func TestWarmStartValidation(t *testing.T) {
 		GraphVertices: g.NumVertices(),
 		GraphEdges:    g.NumEdges(),
 		Directed:      g.Directed(),
+		WeightFP:      g.WeightFingerprint(),
 		Dist:          base.Dist,
 	}
 
@@ -245,6 +246,7 @@ func TestWarmStartValidation(t *testing.T) {
 		GraphVertices: g.NumVertices(),
 		GraphEdges:    g.NumEdges(),
 		Directed:      g.Directed(),
+		WeightFP:      g.WeightFingerprint(),
 		Elapsed:       time.Millisecond,
 		Dist:          upperBoundOf(base.Dist, src, 3),
 	}
@@ -290,6 +292,7 @@ func TestPoolResume(t *testing.T) {
 		GraphVertices: g.NumVertices(),
 		GraphEdges:    g.NumEdges(),
 		Directed:      g.Directed(),
+		WeightFP:      g.WeightFingerprint(),
 		Dist:          upperBoundOf(base.Dist, src, 2),
 	}
 	res, err := pool.Resume(context.Background(), cp)

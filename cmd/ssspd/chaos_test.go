@@ -55,6 +55,7 @@ func chaosCheckpoint(g *wasp.Graph) *wasp.Checkpoint {
 		GraphVertices: g.NumVertices(),
 		GraphEdges:    g.NumEdges(),
 		Directed:      g.Directed(),
+		WeightFP:      g.WeightFingerprint(),
 		Elapsed:       time.Millisecond,
 		Relaxations:   10,
 		Dist:          dist,

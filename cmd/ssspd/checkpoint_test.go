@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -27,6 +29,7 @@ func testCheckpoint(g *wasp.Graph) *wasp.Checkpoint {
 		GraphVertices: g.NumVertices(),
 		GraphEdges:    g.NumEdges(),
 		Directed:      g.Directed(),
+		WeightFP:      g.WeightFingerprint(),
 		Elapsed:       5 * time.Millisecond,
 		Relaxations:   1,
 		Dist:          []uint32{0, 1, wasp.Infinity, wasp.Infinity},
@@ -135,8 +138,9 @@ func TestRecoverCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Droppable: a valid snapshot under a graph-less name (not adopted),
-	// corrupt bytes, an unregistered graph, and a fingerprint that no
-	// longer matches the graph's deployed shape.
+	// corrupt bytes, a stream without a content fingerprint, an
+	// unregistered graph, and a fingerprint that no longer matches the
+	// graph's deployed shape.
 	graphless := testCheckpoint(g)
 	graphless.Source = 1
 	graphless.Dist = []uint32{wasp.Infinity, 0, wasp.Infinity, wasp.Infinity}
@@ -147,6 +151,11 @@ func TestRecoverCheckpoints(t *testing.T) {
 	if err := os.WriteFile(corrupt, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	noFP := tracker.path("test", 1)
+	if err := wasp.SaveCheckpoint(noFP, testCheckpoint(g)); err != nil {
+		t.Fatal(err)
+	}
+	stripFingerprint(t, noFP)
 	ghost := tracker.path("ghost", 0)
 	if err := wasp.SaveCheckpoint(ghost, testCheckpoint(g)); err != nil {
 		t.Fatal(err)
@@ -170,7 +179,7 @@ func TestRecoverCheckpoints(t *testing.T) {
 	}
 	for _, f := range []string{
 		tracker.path("test", 0), filepath.Join(dir, "ckpt-1.wsck"),
-		corrupt, ghost, mismatched,
+		corrupt, noFP, ghost, mismatched,
 	} {
 		if _, err := os.Stat(f); !os.IsNotExist(err) {
 			t.Errorf("%s not removed after recovery", f)
@@ -182,6 +191,23 @@ func TestRecoverCheckpoints(t *testing.T) {
 	getJSON(t, ts.URL+"/stats", http.StatusOK, &st)
 	if st.Recovered != 1 || st.RecoverySkipped != 2 || st.Completed != 1 {
 		t.Fatalf("stats after recovery = %+v", st)
+	}
+}
+
+// stripFingerprint rewrites the WSCK file at path as a stream written
+// before the content fingerprint was required: flag bit 1 clear, the
+// 8 fingerprint bytes at [56:64] gone, and a CRC that still verifies.
+func stripFingerprint(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append(append([]byte(nil), data[:56]...), data[64:len(data)-4]...)
+	legacy[8] &^= 1 << 1
+	legacy = binary.LittleEndian.AppendUint32(legacy, crc32.ChecksumIEEE(legacy[4:]))
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -47,7 +47,7 @@
 // solves in the background — from the last published upper-bound
 // state, converging to exact distances — while serving fresh queries.
 // A checkpoint whose fingerprint no longer matches its graph (the
-// graph was redeployed with a different shape while the daemon was
+// graph was redeployed with different content while the daemon was
 // down) is skipped and removed, never a startup failure. Disk faults
 // never hurt serving: transient save/read errors retry with jittered
 // backoff, ENOSPC flips checkpointing into a self-healing disabled
@@ -387,11 +387,12 @@ func (c *ckptTracker) ageMS() float64 {
 // retried forever, and none of them fails the daemon:
 //
 //   - unreadable/corrupt files (a kill can land mid-write of the
-//     temporary, never of the published file — but disks lie);
+//     temporary, never of the published file — but disks lie), and
+//     streams without a content fingerprint;
 //   - files naming a graph that is no longer registered;
-//   - files whose fingerprint mismatches their graph's current shape —
-//     the graph was redeployed as a different version while the daemon
-//     was down, and resuming old distances onto it would be garbage.
+//   - files whose shape or content fingerprint mismatches their graph's
+//     current version — the graph was redeployed while the daemon was
+//     down, and resuming old distances onto it would be garbage.
 //
 // Completed recoveries remove their spent file; failed resumes keep it
 // for the next restart.
@@ -447,20 +448,16 @@ func (s *server) recoverCheckpoints(ctx context.Context) {
 	}
 }
 
-// matchCheckpoint verifies cp's fingerprint against the named graph's
-// currently served shape — and, when both sides carry one, the
-// weight-covering content fingerprint, so a same-shape redeploy with
-// different weights drops the stale file instead of resuming garbage
-// distances onto the new wiring.
+// matchCheckpoint verifies cp against the named graph's currently
+// served shape and weight-covering content fingerprint, so a
+// same-shape redeploy with different weights drops the stale file
+// instead of resuming garbage distances onto the new wiring.
 func (s *server) matchCheckpoint(graph string, cp *wasp.Checkpoint) error {
 	st, ok := s.reg.Status(graph)
 	if !ok {
 		return fmt.Errorf("graph %q is not registered", graph)
 	}
-	if err := cp.Matches(st.Vertices, st.Edges, st.Directed); err != nil {
-		return err
-	}
-	return cp.MatchesWeights(st.WeightFP)
+	return cp.Matches(st.Vertices, st.Edges, st.Directed, st.WeightFP)
 }
 
 func (s *server) routes() *http.ServeMux {
@@ -584,12 +581,14 @@ type mutationRequest struct {
 }
 
 // mutationOp is one edge operation: op is "insert", "delete" or
-// "set-weight"; weight is required except for deletes.
+// "set-weight"; weight is required except for deletes. Vertex ids
+// decode as uint32, so a negative id or one beyond the vertex id
+// range fails the body decode instead of wrapping onto another vertex.
 type mutationOp struct {
-	Op     string  `json:"op"`
-	From   int64   `json:"from"`
-	To     int64   `json:"to"`
-	Weight *uint32 `json:"weight,omitempty"`
+	Op     string      `json:"op"`
+	From   wasp.Vertex `json:"from"`
+	To     wasp.Vertex `json:"to"`
+	Weight *uint32     `json:"weight,omitempty"`
 }
 
 // mutationResponse reports an applied batch: the version now serving
@@ -650,10 +649,6 @@ func (s *server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("mutation %d: unknown op %q (want insert, delete or set-weight)", i, m.Op), http.StatusBadRequest)
 			return
 		}
-		if m.From < 0 || m.To < 0 {
-			http.Error(w, fmt.Sprintf("mutation %d: negative vertex id", i), http.StatusBadRequest)
-			return
-		}
 		var weight uint32
 		if kind != wasp.MutDelete {
 			if m.Weight == nil {
@@ -662,7 +657,7 @@ func (s *server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 			}
 			weight = *m.Weight
 		}
-		batch[i] = wasp.Mutation{Kind: kind, From: wasp.Vertex(m.From), To: wasp.Vertex(m.To), W: weight}
+		batch[i] = wasp.Mutation{Kind: kind, From: m.From, To: m.To, W: weight}
 		kinds[kind]++
 	}
 

@@ -168,6 +168,8 @@ func TestDaemonGraphMutateErrors(t *testing.T) {
 		{"unknown-op", "/graph?graph=g", `{"mutations":[{"op":"upsert","from":0,"to":1,"weight":1}]}`, http.StatusBadRequest},
 		{"missing-weight", "/graph?graph=g", `{"mutations":[{"op":"insert","from":0,"to":5}]}`, http.StatusBadRequest},
 		{"negative-vertex", "/graph?graph=g", `{"mutations":[{"op":"delete","from":-1,"to":1}]}`, http.StatusBadRequest},
+		// 2^32 must not wrap onto vertex 0 and re-weight edge (0,1).
+		{"vertex-above-uint32", "/graph?graph=g", `{"mutations":[{"op":"set-weight","from":4294967296,"to":1,"weight":100}]}`, http.StatusBadRequest},
 		{"absent-edge", "/graph?graph=g", `{"mutations":[{"op":"delete","from":0,"to":9}]}`, http.StatusUnprocessableEntity},
 		{"duplicate-edge", "/graph?graph=g", `{"mutations":[{"op":"delete","from":0,"to":1},{"op":"set-weight","from":0,"to":1,"weight":2}]}`, http.StatusUnprocessableEntity},
 		{"unknown-graph", "/graph?graph=nope", `{"mutations":[{"op":"delete","from":0,"to":1}]}`, http.StatusNotFound},

@@ -6,9 +6,9 @@
 // rejected safely: every section is length-framed and CRC-checked
 // (mirroring the checkpoint codec), allocation never trusts a header
 // beyond the bytes actually present, and Read validates the whole
-// artifact set — graph structure, manifest↔graph shape fingerprint,
-// checkpoint↔graph fingerprints, permutation bijectivity — before any
-// of it is handed to solver workers.
+// artifact set — graph structure, manifest↔graph shape and content
+// fingerprint, checkpoint↔graph fingerprints, permutation bijectivity —
+// before any of it is handed to solver workers.
 //
 // Layout (all integers little-endian):
 //
@@ -76,11 +76,11 @@ var (
 	ErrInvalid   = errors.New("bundle: validation failed")
 )
 
-// Manifest names and versions the bundle and pins the shape of the
-// graph it must contain. Writers may leave the shape fields zero —
-// Write fills them from the graph — but on disk they are mandatory:
-// Read rejects a bundle whose manifest and graph sections disagree, so
-// a manifest spliced onto the wrong graph cannot activate.
+// Manifest names and versions the bundle and pins the identity of the
+// graph it must contain. Writers may leave the shape and fingerprint
+// fields zero — Write fills them from the graph — but on disk they are
+// mandatory: Read rejects a bundle whose manifest and graph sections
+// disagree, so a manifest spliced onto the wrong graph cannot activate.
 type Manifest struct {
 	// Name is the graph's registry key. Required, and stable across
 	// versions of the same logical graph.
@@ -99,12 +99,11 @@ type Manifest struct {
 	Directed bool  `json:"directed"`
 
 	// WeightFP is the graph section's content fingerprint
-	// (graph.WeightFingerprint: wiring + weights). Shape alone cannot
-	// distinguish two versions that differ only in edge weights — the
-	// stale-read hazard once fingerprints key result caches and
-	// warm-start artifacts. Zero ("unknown") is accepted on decode so
-	// legacy bundles keep loading; Write always fills it.
-	WeightFP uint64 `json:"weight_fp,omitempty"`
+	// (graph.WeightFingerprint: wiring + weights), the graph's identity.
+	// Shape alone cannot distinguish two versions that differ only in
+	// edge weights — the stale-read hazard once fingerprints key result
+	// caches and warm-start artifacts. Required on disk; Write fills it.
+	WeightFP uint64 `json:"weight_fp"`
 }
 
 // Bundle is a decoded (or to-be-encoded) graph deployment.
@@ -143,19 +142,15 @@ func (b *Bundle) Validate() error {
 		return fmt.Errorf("%w: bundle %q: manifest fingerprint (%d vertices, %d edges, directed=%v) does not match graph (%d, %d, %v)",
 			ErrInvalid, b.Manifest.Name, b.Manifest.Vertices, b.Manifest.Edges, b.Manifest.Directed, n, m, dir)
 	}
-	// Content check beyond shape: a manifest (or checkpoint) carrying a
-	// nonzero fingerprint must match this graph's actual wiring+weights;
-	// zero means "legacy, shape-checked only" and passes.
+	// Content check beyond shape: the manifest and every checkpoint must
+	// carry this graph's actual wiring+weights fingerprint.
 	fp := b.Graph.WeightFingerprint()
-	if b.Manifest.WeightFP != 0 && b.Manifest.WeightFP != fp {
-		return fmt.Errorf("%w: bundle %q: manifest content fingerprint %016x does not match graph %016x (same shape, different wiring or weights)",
+	if b.Manifest.WeightFP != fp {
+		return fmt.Errorf("%w: bundle %q: manifest content fingerprint %016x does not match graph %016x",
 			ErrInvalid, b.Manifest.Name, b.Manifest.WeightFP, fp)
 	}
 	for i, cp := range b.Checkpoints {
-		if err := cp.Matches(n, m, dir); err != nil {
-			return fmt.Errorf("%w: bundle %q: checkpoint %d: %w", ErrInvalid, b.Manifest.Name, i, err)
-		}
-		if err := cp.MatchesWeights(fp); err != nil {
+		if err := cp.Matches(n, m, dir, fp); err != nil {
 			return fmt.Errorf("%w: bundle %q: checkpoint %d: %w", ErrInvalid, b.Manifest.Name, i, err)
 		}
 	}
@@ -209,11 +204,11 @@ func validateName(name string) error {
 	return nil
 }
 
-// Normalize fills the manifest's shape fingerprint from the graph when
-// all three fields are zero — the convenience for bundles assembled in
-// memory — and the content fingerprint whenever it is unset. A
-// partially-set or disagreeing fingerprint is left alone for Validate
-// to reject.
+// Normalize fills the manifest's shape from the graph when all three
+// fields are zero and the content fingerprint whenever it is zero — the
+// convenience for bundles assembled in memory. A partially-set or
+// disagreeing identity is left alone for Validate to reject. Read does
+// not normalize: a manifest on disk must carry both.
 func (b *Bundle) Normalize() {
 	if b.Graph == nil {
 		return
@@ -228,10 +223,10 @@ func (b *Bundle) Normalize() {
 	}
 }
 
-// Write encodes the bundle to w. The manifest's shape fields are
-// filled from the graph when zero; the assembled bundle is validated
-// before a byte is written, so Write never produces a bundle Read would
-// reject.
+// Write encodes the bundle to w. The manifest's shape and fingerprint
+// fields are filled from the graph when zero; the assembled bundle is
+// validated before a byte is written, so Write never produces a bundle
+// Read would reject.
 func Write(w io.Writer, b *Bundle) error {
 	b.Normalize()
 	if err := b.Validate(); err != nil {

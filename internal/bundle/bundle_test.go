@@ -3,6 +3,7 @@ package bundle
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,6 +31,7 @@ func testBundle(t *testing.T) *Bundle {
 		GraphVertices: g.NumVertices(),
 		GraphEdges:    g.NumEdges(),
 		Directed:      g.Directed(),
+		WeightFP:      g.WeightFingerprint(),
 		Dist:          []uint32{0, 1, 2, 4},
 	}
 	return &Bundle{
@@ -156,11 +158,32 @@ func TestRejectBadPermutation(t *testing.T) {
 	}
 }
 
+// frame assembles a two-section bundle image by hand — manifest JSON
+// and a WSPG graph payload with valid CRCs — bypassing Write's
+// normalization and validation, so Read alone judges the contents.
+func frame(t *testing.T, manifest, graphPayload []byte) []byte {
+	t.Helper()
+	var data bytes.Buffer
+	var hdr [12]byte
+	copy(hdr[0:4], Magic)
+	hdr[4] = Version
+	hdr[8] = 2 // two sections
+	data.Write(hdr[:])
+	if err := writeSection(&data, secManifest, manifest); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeSection(&data, secGraph, graphPayload); err != nil {
+		t.Fatal(err)
+	}
+	return data.Bytes()
+}
+
 // TestRejectBadWeights: a graph section whose weights reach Infinity is
 // structurally invalid — a hand-built WSPG payload must not smuggle the
 // "unreachable" sentinel past the loader as an edge weight. The bundle
-// is framed by hand (valid CRCs, valid manifest) so that only the
-// structural validation layer can object.
+// is framed by hand (valid CRCs, a manifest matching the graph's shape
+// and fingerprint) so that only the structural validation layer can
+// object.
 func TestRejectBadWeights(t *testing.T) {
 	g := graph.FromEdges(2, true, []graph.Edge{{From: 0, To: 1, W: 1}})
 	gbad := graph.FromEdges(2, true, []graph.Edge{{From: 0, To: 1, W: 7}})
@@ -188,20 +211,13 @@ func TestRejectBadWeights(t *testing.T) {
 		payload[j+k] = 0xff
 	}
 
-	manifest := []byte(`{"name":"bad","version":1,"vertices":2,"edges":1,"directed":true}`)
-	var data bytes.Buffer
-	var hdr [12]byte
-	copy(hdr[0:4], Magic)
-	hdr[4] = Version
-	hdr[8] = 2 // two sections
-	data.Write(hdr[:])
-	if err := writeSection(&data, secManifest, manifest); err != nil {
+	saturated, err := graph.ReadBinary(bytes.NewReader(payload))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSection(&data, secGraph, payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(bytes.NewReader(data.Bytes())); !errors.Is(err, ErrInvalid) {
+	manifest := []byte(fmt.Sprintf(`{"name":"bad","version":1,"vertices":2,"edges":1,"directed":true,"weight_fp":%d}`,
+		saturated.WeightFingerprint()))
+	if _, err := Read(bytes.NewReader(frame(t, manifest, payload))); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("saturated weight: %v, want ErrInvalid", err)
 	}
 }
@@ -313,15 +329,27 @@ func TestRejectSameShapeDifferentWeights(t *testing.T) {
 		t.Fatalf("foreign-weights manifest: %v, want ErrInvalid", err)
 	}
 
-	// Legacy artifacts (fingerprint zero, "unknown") keep loading: shape
-	// is all they can promise, and shape matches.
+	// A checkpoint without a fingerprint cannot name its graph, so it
+	// cannot ride in any bundle even when the shape matches.
 	bLegacy := &Bundle{
 		Manifest:    Manifest{Name: "g", Version: 2},
 		Graph:       gB,
 		Checkpoints: []*checkpoint.Snapshot{cpOn(gB, 0)},
 	}
-	if err := Write(&bytes.Buffer{}, bLegacy); err != nil {
-		t.Fatalf("legacy zero-fingerprint checkpoint rejected: %v", err)
+	if err := Write(&bytes.Buffer{}, bLegacy); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("zero-fingerprint checkpoint: %v, want ErrInvalid", err)
+	}
+
+	// On disk the manifest must carry weight_fp: Read does not fill it,
+	// and a manifest without one is rejected even though its shape
+	// matches the graph section.
+	var gbuf bytes.Buffer
+	if err := graph.WriteBinary(&gbuf, gB); err != nil {
+		t.Fatal(err)
+	}
+	noFP := []byte(`{"name":"g","version":2,"vertices":4,"edges":4,"directed":true}`)
+	if _, err := Read(bytes.NewReader(frame(t, noFP, gbuf.Bytes()))); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("manifest without weight_fp: %v, want ErrInvalid", err)
 	}
 }
 

@@ -26,6 +26,7 @@ func FuzzBundleDecode(f *testing.F) {
 			GraphVertices: 3,
 			GraphEdges:    2,
 			Directed:      true,
+			WeightFP:      g.WeightFingerprint(),
 			Dist:          []uint32{0, 2, graph.Infinity},
 		}},
 		Relabel: []graph.Vertex{2, 0, 1},

@@ -9,22 +9,22 @@
 //
 //	[0:4]    magic "WSCK"
 //	[4:8]    format version (currently 1)
-//	[8:12]   flags (bit 0: graph is directed)
+//	[8:12]   flags (bit 0: graph is directed; bit 1: fingerprint present)
 //	[12:16]  source vertex
 //	[16:24]  graph vertex count
 //	[24:32]  graph edge count
 //	[32:40]  elapsed solve time, nanoseconds
 //	[40:48]  relaxations attempted
 //	[48:56]  distance entry count n (must equal the vertex count)
-//	[56:64]  graph content fingerprint (present only when flag bit 1 set)
+//	[56:64]  graph content fingerprint (required: flag bit 1 must be set)
 //	then the distance array (4n bytes) followed by a CRC-32 (IEEE)
 //	trailer over every byte after the magic.
 //
 // The content fingerprint (graph.WeightFingerprint: wiring + weights,
-// not just shape) was added behind flag bit 1 so legacy streams — and
-// new streams of snapshots whose producer did not know the graph —
-// decode unchanged with WeightFP 0, meaning "unknown, shape-checked
-// only".
+// not just shape) is the snapshot's graph identity. Flag bit 1 marks it
+// present; every producer sets it, Encode refuses a snapshot without
+// one, and Decode rejects a stream whose flag bit 1 is clear — a
+// snapshot that cannot name its graph cannot safely seed a solve.
 //
 // The checksum covers everything after the magic, so a flipped bit in
 // header, payload or trailer is detected; the magic itself gates the
@@ -50,14 +50,14 @@ const Magic = "WSCK"
 // newer; older versions would be migrated here if the format evolves.
 const Version = 1
 
-const headerSize = 56
+const headerSize = 64
 
 // Header flag bits.
 const (
 	// flagDirected (bit 0): the graph is directed.
 	flagDirected = 1 << 0
-	// flagWeightFP (bit 1): an 8-byte graph content fingerprint follows
-	// the fixed header. Absent on legacy streams (WeightFP 0 on decode).
+	// flagWeightFP (bit 1): the header carries the graph content
+	// fingerprint at [56:64]. Required on every stream.
 	flagWeightFP = 1 << 1
 )
 
@@ -74,20 +74,20 @@ var (
 
 // Snapshot is a decoded (or to-be-encoded) solve checkpoint: the
 // upper-bound distance array plus the identity of the solve it belongs
-// to. GraphVertices/GraphEdges/Directed fingerprint the graph so a
-// resume against the wrong input fails fast instead of converging to
-// garbage (the warm-start contract requires the same graph).
+// to. WeightFP identifies the graph, so a resume against the wrong
+// input fails fast instead of converging to garbage (the warm-start
+// contract requires the same graph); GraphVertices/GraphEdges/Directed
+// repeat its shape so a mismatch reads as more than two hex numbers.
 type Snapshot struct {
 	Source        uint32
 	GraphVertices int
 	GraphEdges    int64
 	Directed      bool
 	// WeightFP is the content fingerprint of the graph the snapshot was
-	// taken on (graph.WeightFingerprint: wiring + weights). Zero means
-	// "unknown" — legacy snapshots and hand-assembled ones fingerprint
-	// by shape only. When nonzero it distinguishes two same-shape graphs
-	// that differ only in edge weights, the case the shape triple above
-	// cannot catch; see MatchesWeights.
+	// taken on (graph.WeightFingerprint: wiring + weights). It is
+	// required — Encode refuses zero — and it distinguishes two
+	// same-shape graphs that differ only in edge weights, the case the
+	// shape triple above cannot catch; see Matches.
 	WeightFP uint64
 	// Elapsed is the solve wall time already spent when the snapshot
 	// was captured; a resumed solve adds to it rather than restarting
@@ -112,9 +112,13 @@ func (s *Snapshot) Settled() int {
 	return n
 }
 
-// Matches verifies the snapshot belongs to a graph with the given
-// shape, returning a descriptive error when it does not.
-func (s *Snapshot) Matches(numVertices int, numEdges int64, directed bool) error {
+// Matches verifies the snapshot belongs to the graph with the given
+// shape and content fingerprint (graph.WeightFingerprint), returning a
+// descriptive error when it does not. It is the one check that a
+// snapshot may seed a solve on a graph: the fingerprint is the
+// identity, and the shape checks before it explain the common
+// mismatches in words.
+func (s *Snapshot) Matches(numVertices int, numEdges int64, directed bool, weightFP uint64) error {
 	switch {
 	case s.GraphVertices != numVertices:
 		return fmt.Errorf("checkpoint: graph has %d vertices, snapshot was taken on %d",
@@ -128,25 +132,12 @@ func (s *Snapshot) Matches(numVertices int, numEdges int64, directed bool) error
 	case len(s.Dist) != numVertices:
 		return fmt.Errorf("checkpoint: snapshot has %d distance entries for %d vertices",
 			len(s.Dist), numVertices)
-	}
-	if int(s.Source) >= numVertices {
+	case int(s.Source) >= numVertices:
 		return fmt.Errorf("checkpoint: source %d out of range for %d vertices",
 			s.Source, numVertices)
-	}
-	return nil
-}
-
-// MatchesWeights verifies the snapshot's graph content fingerprint
-// against fp (graph.WeightFingerprint of the graph being resumed on).
-// A zero on either side means "unknown" and passes — legacy snapshots
-// stay loadable — so this is a complement to Matches, not a substitute:
-// shape is always checked, content only when both sides know it. The
-// check it adds is exactly the stale-read hazard shape cannot see: two
-// versions of a graph differing only in edge weights.
-func (s *Snapshot) MatchesWeights(fp uint64) error {
-	if s.WeightFP != 0 && fp != 0 && s.WeightFP != fp {
-		return fmt.Errorf("checkpoint: graph content fingerprint %016x, snapshot was taken on %016x (same shape, different wiring or weights)",
-			fp, s.WeightFP)
+	case s.WeightFP != weightFP:
+		return fmt.Errorf("checkpoint: graph content fingerprint %016x, snapshot was taken on %016x",
+			weightFP, s.WeightFP)
 	}
 	return nil
 }
@@ -160,21 +151,15 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	if len(s.Dist) != s.GraphVertices {
 		return fmt.Errorf("checkpoint: %d distance entries for %d vertices", len(s.Dist), s.GraphVertices)
 	}
-	var hdr [headerSize + 8]byte
+	if s.WeightFP == 0 {
+		return errors.New("checkpoint: snapshot has no graph content fingerprint")
+	}
+	var hdr [headerSize]byte
 	copy(hdr[0:4], Magic)
 	binary.LittleEndian.PutUint32(hdr[4:8], Version)
-	var flags uint32
+	flags := uint32(flagWeightFP)
 	if s.Directed {
 		flags |= flagDirected
-	}
-	// The fingerprint extension is emitted only when known, so a
-	// WeightFP-less snapshot encodes byte-identically to the legacy
-	// format (the golden-format pin holds).
-	hdrLen := headerSize
-	if s.WeightFP != 0 {
-		flags |= flagWeightFP
-		binary.LittleEndian.PutUint64(hdr[56:64], s.WeightFP)
-		hdrLen += 8
 	}
 	binary.LittleEndian.PutUint32(hdr[8:12], flags)
 	binary.LittleEndian.PutUint32(hdr[12:16], s.Source)
@@ -183,10 +168,11 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	binary.LittleEndian.PutUint64(hdr[32:40], uint64(s.Elapsed.Nanoseconds()))
 	binary.LittleEndian.PutUint64(hdr[40:48], uint64(s.Relaxations))
 	binary.LittleEndian.PutUint64(hdr[48:56], uint64(len(s.Dist)))
+	binary.LittleEndian.PutUint64(hdr[56:64], s.WeightFP)
 
 	crc := crc32.NewIEEE()
-	crc.Write(hdr[4:hdrLen])
-	if _, err := w.Write(hdr[:hdrLen]); err != nil {
+	crc.Write(hdr[4:])
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 
@@ -232,6 +218,13 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if flags&^uint32(flagDirected|flagWeightFP) != 0 {
 		return nil, fmt.Errorf("%w: unknown flag bits %#x", ErrMalformed, flags)
 	}
+	if flags&flagWeightFP == 0 {
+		return nil, fmt.Errorf("%w: no graph content fingerprint (flag bit 1 clear)", ErrMalformed)
+	}
+	weightFP := binary.LittleEndian.Uint64(hdr[56:64])
+	if weightFP == 0 {
+		return nil, fmt.Errorf("%w: fingerprint flag set with zero fingerprint", ErrMalformed)
+	}
 	nVerts := binary.LittleEndian.Uint64(hdr[16:24])
 	nEdges := binary.LittleEndian.Uint64(hdr[24:32])
 	distLen := binary.LittleEndian.Uint64(hdr[48:56])
@@ -245,19 +238,6 @@ func Decode(r io.Reader) (*Snapshot, error) {
 
 	crc := crc32.NewIEEE()
 	crc.Write(hdr[4:])
-
-	var weightFP uint64
-	if flags&flagWeightFP != 0 {
-		var ext [8]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return nil, fmt.Errorf("%w: fingerprint extension: %v", ErrTruncated, err)
-		}
-		crc.Write(ext[:])
-		weightFP = binary.LittleEndian.Uint64(ext[:])
-		if weightFP == 0 {
-			return nil, fmt.Errorf("%w: fingerprint flag set with zero fingerprint", ErrMalformed)
-		}
-	}
 
 	const maxChunk = 1 << 20 // entries per read: bounds allocation growth
 	dist := []uint32{}

@@ -21,6 +21,7 @@ func sample() *Snapshot {
 		GraphVertices: 5,
 		GraphEdges:    7,
 		Directed:      true,
+		WeightFP:      0xdeadbeefcafef00d,
 		Elapsed:       1500 * time.Millisecond,
 		Relaxations:   42,
 		Dist:          []uint32{10, 20, graph.Infinity, 0, 30},
@@ -44,7 +45,8 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got.Source != want.Source || got.GraphVertices != want.GraphVertices ||
 		got.GraphEdges != want.GraphEdges || got.Directed != want.Directed ||
-		got.Elapsed != want.Elapsed || got.Relaxations != want.Relaxations {
+		got.WeightFP != want.WeightFP || got.Elapsed != want.Elapsed ||
+		got.Relaxations != want.Relaxations {
 		t.Fatalf("metadata mismatch: got %+v want %+v", got, want)
 	}
 	if len(got.Dist) != len(want.Dist) {
@@ -65,7 +67,7 @@ func TestRoundTripLarge(t *testing.T) {
 	// boundaries so the streaming paths are exercised, not just the
 	// single-chunk fast case.
 	n := 1<<20 + 1<<14 + 17
-	s := &Snapshot{GraphVertices: n, GraphEdges: 0, Dist: make([]uint32, n)}
+	s := &Snapshot{GraphVertices: n, GraphEdges: 0, WeightFP: 1, Dist: make([]uint32, n)}
 	for i := range s.Dist {
 		s.Dist[i] = uint32(i * 2654435761)
 	}
@@ -80,22 +82,38 @@ func TestRoundTripLarge(t *testing.T) {
 	}
 }
 
-// TestGoldenFormat pins the on-disk byte layout. If this test breaks,
-// the format changed: bump Version and add a migration, do not just
-// update the hex.
+// legacyHex is a version-1 stream written before the content
+// fingerprint was required: flag bit 1 clear, no fingerprint, payload
+// at byte 56. Decode must refuse it.
+const legacyHex = "5753434b" + // "WSCK"
+	"01000000" + // version 1
+	"01000000" + // flags: directed, no fingerprint
+	"03000000" + // source 3
+	"0500000000000000" + // 5 vertices
+	"0700000000000000" + // 7 edges
+	"002f685900000000" + // 1.5s in ns
+	"2a00000000000000" + // 42 relaxations
+	"0500000000000000" + // 5 dist entries
+	"0a000000" + "14000000" + "ffffffff" + "00000000" + "1e000000" +
+	"564cbc49" // crc32 IEEE over bytes [4:76)
+
+// TestGoldenFormat pins the on-disk byte layout every producer writes.
+// If this test breaks, the format changed: bump Version and add a
+// migration, do not just update the hex.
 func TestGoldenFormat(t *testing.T) {
 	got := hex.EncodeToString(encode(t, sample()))
 	want := "5753434b" + // "WSCK"
 		"01000000" + // version 1
-		"01000000" + // flags: directed
+		"03000000" + // flags: directed, fingerprint present
 		"03000000" + // source 3
 		"0500000000000000" + // 5 vertices
 		"0700000000000000" + // 7 edges
 		"002f685900000000" + // 1.5s in ns
 		"2a00000000000000" + // 42 relaxations
 		"0500000000000000" + // 5 dist entries
+		"0df0fecaefbeadde" + // content fingerprint 0xdeadbeefcafef00d
 		"0a000000" + "14000000" + "ffffffff" + "00000000" + "1e000000" +
-		"564cbc49" // crc32 IEEE over bytes [4:76)
+		"13264d89" // crc32 IEEE over bytes [4:84)
 	if got != want {
 		t.Fatalf("encoding changed:\n got %s\nwant %s", got, want)
 	}
@@ -120,7 +138,7 @@ func TestDecodeErrors(t *testing.T) {
 	})
 	t.Run("flipped payload byte", func(t *testing.T) {
 		b := bytes.Clone(valid)
-		b[58] ^= 0x40
+		b[headerSize+2] ^= 0x40
 		if _, err := Decode(bytes.NewReader(b)); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("err = %v, want ErrChecksum", err)
 		}
@@ -167,6 +185,17 @@ func TestDecodeErrors(t *testing.T) {
 			t.Fatalf("err = %v, want ErrMalformed or ErrTruncated", err)
 		}
 	})
+	t.Run("fingerprint-less legacy stream", func(t *testing.T) {
+		// Intact CRC, known version: only the missing fingerprint is
+		// wrong, and that alone must refuse the stream.
+		b, err := hex.DecodeString(legacyHex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(bytes.NewReader(b)); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("err = %v, want ErrMalformed", err)
+		}
+	})
 }
 
 func TestEncodeRejectsInconsistentSnapshot(t *testing.T) {
@@ -175,17 +204,23 @@ func TestEncodeRejectsInconsistentSnapshot(t *testing.T) {
 	if err := s.Encode(&bytes.Buffer{}); err == nil {
 		t.Fatal("Encode accepted len(Dist) != GraphVertices")
 	}
+	s = sample()
+	s.WeightFP = 0
+	if err := s.Encode(&bytes.Buffer{}); err == nil {
+		t.Fatal("Encode accepted a snapshot without a content fingerprint")
+	}
 }
 
 func TestMatches(t *testing.T) {
 	s := sample()
-	if err := s.Matches(5, 7, true); err != nil {
-		t.Fatalf("Matches on identical shape: %v", err)
+	fp := s.WeightFP
+	if err := s.Matches(5, 7, true, fp); err != nil {
+		t.Fatalf("Matches on identical graph: %v", err)
 	}
 	for name, check := range map[string]error{
-		"vertices": s.Matches(6, 7, true),
-		"edges":    s.Matches(5, 8, true),
-		"directed": s.Matches(5, 7, false),
+		"vertices": s.Matches(6, 7, true, fp),
+		"edges":    s.Matches(5, 8, true, fp),
+		"directed": s.Matches(5, 7, false, fp),
 	} {
 		if check == nil {
 			t.Errorf("Matches ignored a %s mismatch", name)
@@ -193,8 +228,30 @@ func TestMatches(t *testing.T) {
 	}
 	bad := sample()
 	bad.Source = 5
-	if bad.Matches(5, 7, true) == nil {
+	if bad.Matches(5, 7, true, fp) == nil {
 		t.Error("Matches accepted out-of-range source")
+	}
+}
+
+// TestMatchesWeights covers the content-fingerprint half of Matches: on
+// an identical shape only an identical fingerprint passes, and a zero
+// fingerprint on either side is a mismatch, not a wildcard.
+func TestMatchesWeights(t *testing.T) {
+	s := sample()
+	fp := s.WeightFP
+	if err := s.Matches(5, 7, true, fp); err != nil {
+		t.Fatalf("identical fingerprints: %v", err)
+	}
+	if err := s.Matches(5, 7, true, fp+1); err == nil {
+		t.Error("Matches accepted differing fingerprints")
+	}
+	if err := s.Matches(5, 7, true, 0); err == nil {
+		t.Error("Matches accepted a graph without a fingerprint")
+	}
+	noFP := sample()
+	noFP.WeightFP = 0
+	if err := noFP.Matches(5, 7, true, fp); err == nil {
+		t.Error("Matches accepted a snapshot without a fingerprint")
 	}
 }
 
@@ -254,12 +311,11 @@ func TestLoadCorruptFile(t *testing.T) {
 }
 
 func TestWeightFPRoundTrip(t *testing.T) {
-	legacyLen := len(encode(t, sample()))
 	want := sample()
-	want.WeightFP = 0xdeadbeefcafef00d
+	want.WeightFP = 0x0123456789abcdef
 	b := encode(t, want)
-	if len(b) != legacyLen+8 {
-		t.Fatalf("fingerprinted stream is %d bytes, want legacy %d + 8", len(b), legacyLen)
+	if n := headerSize + 4*len(want.Dist) + 4; len(b) != n {
+		t.Fatalf("stream is %d bytes, want header %d + payload + trailer = %d", len(b), headerSize, n)
 	}
 	got, err := Decode(bytes.NewReader(b))
 	if err != nil {
@@ -278,8 +334,8 @@ func TestWeightFPRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The extension is covered by the checksum and the truncation guard
-	// like every other byte.
+	// The fingerprint is covered by the checksum and the truncation
+	// guard like every other byte.
 	t.Run("truncation at every length", func(t *testing.T) {
 		for cut := 0; cut < len(b); cut++ {
 			if _, err := Decode(bytes.NewReader(b[:cut])); !errors.Is(err, ErrTruncated) {
@@ -289,58 +345,23 @@ func TestWeightFPRoundTrip(t *testing.T) {
 	})
 	t.Run("flipped fingerprint byte", func(t *testing.T) {
 		c := bytes.Clone(b)
-		c[headerSize+3] ^= 0x10
+		c[56+3] ^= 0x10
 		if _, err := Decode(bytes.NewReader(c)); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("err = %v, want ErrChecksum", err)
 		}
 	})
 }
 
-func TestWeightFPLegacyDecodesToZero(t *testing.T) {
-	// A snapshot that does not know its graph encodes byte-identically
-	// to the legacy format (TestGoldenFormat pins the bytes) and decodes
-	// with WeightFP 0 — "unknown, shape-checked only".
-	got, err := Decode(bytes.NewReader(encode(t, sample())))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got.WeightFP != 0 {
-		t.Fatalf("WeightFP = %016x, want 0 on a legacy stream", got.WeightFP)
-	}
-}
-
 func TestWeightFPFlagWithZeroFingerprintRejected(t *testing.T) {
-	s := sample()
-	s.WeightFP = 0xdeadbeefcafef00d
-	b := encode(t, s)
-	// Zero the extension and rewrite the trailer so only the semantic
+	b := encode(t, sample())
+	// Zero the fingerprint and rewrite the trailer so only the semantic
 	// check — flag set but fingerprint zero — can fire, not the CRC.
-	for i := headerSize; i < headerSize+8; i++ {
+	for i := 56; i < headerSize; i++ {
 		b[i] = 0
 	}
 	crc := crc32.ChecksumIEEE(b[4 : len(b)-4])
 	binary.LittleEndian.PutUint32(b[len(b)-4:], crc)
 	if _, err := Decode(bytes.NewReader(b)); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
-	}
-}
-
-func TestMatchesWeights(t *testing.T) {
-	s := sample()
-	if err := s.MatchesWeights(0); err != nil {
-		t.Fatalf("unknown vs unknown: %v", err)
-	}
-	if err := s.MatchesWeights(42); err != nil {
-		t.Fatalf("unknown snapshot vs known graph: %v", err)
-	}
-	s.WeightFP = 42
-	if err := s.MatchesWeights(0); err != nil {
-		t.Fatalf("known snapshot vs unknown graph: %v", err)
-	}
-	if err := s.MatchesWeights(42); err != nil {
-		t.Fatalf("identical fingerprints: %v", err)
-	}
-	if err := s.MatchesWeights(43); err == nil {
-		t.Fatal("MatchesWeights accepted differing fingerprints")
 	}
 }

@@ -18,6 +18,7 @@ func FuzzDecode(f *testing.F) {
 		GraphVertices: 3,
 		GraphEdges:    2,
 		Directed:      true,
+		WeightFP:      0x5eed,
 		Relaxations:   9,
 		Dist:          []uint32{0, 5, graph.Infinity},
 	}

@@ -16,8 +16,8 @@ const (
 // differ in wiring or in any edge weight — the stale-read hazard of
 // keying caches or warm-start artifacts by shape alone. The hash is
 // computed once per graph (the graph is immutable) and cached; zero is
-// never returned, so callers can use 0 as "fingerprint unknown" for
-// legacy artifacts.
+// never returned, so a zero fingerprint marks an artifact that carries
+// none — which the checkpoint and bundle codecs reject.
 func (g *Graph) WeightFingerprint() uint64 {
 	g.fpOnce.Do(func() {
 		h := uint64(fnvOffset64)
@@ -48,7 +48,7 @@ func (g *Graph) WeightFingerprint() uint64 {
 			mix32(w)
 		}
 		if h == 0 {
-			h = fnvOffset64 // reserve 0 for "unknown"
+			h = fnvOffset64 // reserve 0 for "no fingerprint"
 		}
 		g.fp = h
 	})

@@ -97,15 +97,7 @@ func (d *MutationDelta) Seed(source Vertex, prior []uint32) (*Checkpoint, error)
 	if err != nil {
 		return nil, err
 	}
-	ng := d.delta.New
-	return &Checkpoint{
-		Source:        uint32(source),
-		GraphVertices: ng.NumVertices(),
-		GraphEdges:    ng.NumEdges(),
-		Directed:      ng.Directed(),
-		WeightFP:      ng.WeightFingerprint(),
-		Dist:          seed,
-	}, nil
+	return stamp(d.delta.New, uint32(source), seed), nil
 }
 
 // Invalidated returns how many vertices a Seed call from source over

@@ -50,10 +50,6 @@ type PoolOptions struct {
 	// than failure. Zero means no pool-imposed deadline; a deadline on
 	// the caller's context degrades the same way.
 	Deadline time.Duration
-	// RetryBackoff is the base pause before the single retry that
-	// follows a quarantined (panicked) session, jittered to ±50%
-	// (default 2ms).
-	RetryBackoff time.Duration
 
 	// Observe, when non-nil, attaches a dedicated Observer (built from
 	// this config) to every session in the pool. Per-session observers
@@ -142,11 +138,12 @@ func (o PoolOptions) withDefaults() PoolOptions {
 	if o.QueueDepth < 0 {
 		o.QueueDepth = 0
 	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 2 * time.Millisecond
-	}
 	return o
 }
+
+// retryBackoff is the base pause before the single retry that follows
+// a quarantined (panicked) session, jittered to ±50%.
+const retryBackoff = 2 * time.Millisecond
 
 // PoolStats is a point-in-time snapshot of a Pool's counters, the
 // observability surface behind a serving layer's /stats endpoint.
@@ -200,7 +197,6 @@ type Pool struct {
 
 	cache      *Cache    // nil unless conf.Cache was set
 	cacheScope string    // conf.CacheScope, fixed at construction
-	fp         graphFP   // graph identity for cache keys; zero unless cached
 	gov        *Governor // nil unless conf.Governor was set
 	aud        *Auditor  // nil unless conf.Auditor was set
 
@@ -229,21 +225,15 @@ func NewPool(g *Graph, opt Options, conf PoolOptions) (*Pool, error) {
 		return nil, fmt.Errorf("wasp: PoolOptions.Observe and Options.Observer are mutually exclusive (a pool needs one observer per session)")
 	}
 	p := &Pool{
-		g:       g,
-		conf:    conf,
-		gov:     conf.Governor,
-		aud:     conf.Auditor,
-		slots:   make(chan *Session, conf.Sessions),
-		tickets: make(chan struct{}, conf.Sessions+conf.QueueDepth),
-		drain:   make(chan struct{}),
-	}
-	p.cacheScope = conf.CacheScope // audit identity even on cacheless pools
-	if conf.Cache != nil {
-		if g == nil {
-			return nil, fmt.Errorf("wasp: nil graph")
-		}
-		p.cache = conf.Cache
-		p.fp = fingerprintOf(g) // one O(E) hash, memoized on the graph
+		g:          g,
+		conf:       conf,
+		cache:      conf.Cache,
+		cacheScope: conf.CacheScope, // audit identity even on cacheless pools
+		gov:        conf.Governor,
+		aud:        conf.Auditor,
+		slots:      make(chan *Session, conf.Sessions),
+		tickets:    make(chan struct{}, conf.Sessions+conf.QueueDepth),
+		drain:      make(chan struct{}),
 	}
 	for i := 0; i < conf.Sessions; i++ {
 		sopt := opt
@@ -295,8 +285,8 @@ func (p *Pool) Run(ctx context.Context, source Vertex) (*Result, error) {
 // Session.Resume, and inherits every pool behavior — deadline
 // degradation, quarantine-and-retry, detached results. The checkpoint
 // determines the source and must belong to the pool's graph; it is
-// checked here — shape and, when the snapshot carries one, content
-// fingerprint — before a ticket is taken. On a cache-backed pool an
+// checked here — shape and content fingerprint — before a ticket is
+// taken. On a cache-backed pool an
 // already-cached result for the checkpoint's source is returned
 // directly (the cache holds complete exact distances, strictly ahead
 // of any resumable snapshot); otherwise the checkpoint seeds the solve
@@ -549,7 +539,7 @@ func (p *Pool) solveOn(ctx context.Context, sess **Session, source Vertex, warm 
 	*sess = fresh
 
 	// One retry after a jittered backoff, unless the caller is gone.
-	backoff := p.conf.RetryBackoff/2 + rand.N(p.conf.RetryBackoff)
+	backoff := retryBackoff/2 + rand.N(retryBackoff)
 	select {
 	case <-time.After(backoff):
 	case <-ctx.Done():

@@ -53,8 +53,8 @@ const (
 )
 
 // RegistryOptions configures a Registry. The zero value serves with
-// single-session pools, keeps 2 rollback versions, and smoke-solves
-// each candidate with a 5s budget.
+// single-session pools and keeps 2 rollback versions. Every candidate
+// version must pass a smoke solve within smokeTimeout (5s).
 type RegistryOptions struct {
 	// Options configures the sessions of every per-graph pool.
 	Options Options
@@ -77,9 +77,6 @@ type RegistryOptions struct {
 	// explicit rollback (default 2). Retired versions hold their graph
 	// and artifacts but no pool; rollback rebuilds one.
 	History int
-	// SmokeTimeout bounds the validation solve a candidate version must
-	// pass before it can activate (default 5s).
-	SmokeTimeout time.Duration
 	// DrainTimeout bounds how long a replaced version's pool may spend
 	// draining in-flight queries in the background (default 30s); past
 	// it the drain goroutine abandons the wait (solves still finish,
@@ -172,10 +169,12 @@ type RegistryReloadStats struct {
 	Mutated    int64 `json:"mutated"`
 }
 
-// graphVersion is one immutable deployment of one graph. While active
-// it owns a Pool; once retired the pool is drained and dropped (under
-// the registry lock) but the graph and artifacts stay, so Rollback can
-// rebuild a pool without re-reading the bundle.
+// graphVersion is one immutable deployment of one graph — the
+// candidate every deploy path hands to deploy. While active it owns a
+// Pool; once retired the pool is drained and dropped (under the
+// registry lock) but the graph and artifacts stay, so Rollback can
+// redeploy the version itself, with a fresh pool, without re-reading
+// the bundle.
 type graphVersion struct {
 	version uint64
 	g       *Graph
@@ -236,9 +235,6 @@ func NewRegistry(conf RegistryOptions) *Registry {
 	if conf.History <= 0 {
 		conf.History = 2
 	}
-	if conf.SmokeTimeout <= 0 {
-		conf.SmokeTimeout = 5 * time.Second
-	}
 	if conf.DrainTimeout <= 0 {
 		conf.DrainTimeout = 30 * time.Second
 	}
@@ -276,68 +272,7 @@ func (r *Registry) event(ev RegistryEvent) {
 // returned, and the previously active version (if any) keeps serving
 // untouched. A bundle carrying the already-active version is a no-op.
 func (r *Registry) Load(ctx context.Context, b *Bundle) error {
-	if b == nil {
-		return fmt.Errorf("wasp: Load of nil bundle")
-	}
-	b.Normalize()
-	if err := b.Validate(); err != nil {
-		// No entry to degrade: a bundle that cannot even name itself
-		// consistently never reaches a graphEntry.
-		r.rejected.Add(1)
-		r.event(RegistryEvent{Graph: b.Manifest.Name, Version: b.Manifest.Version, Kind: EventRejected, Err: err})
-		return err
-	}
-	name, version := b.Manifest.Name, b.Manifest.Version
-
-	e, err := r.entry(name, true)
-	if err != nil {
-		return err
-	}
-	e.loadMu.Lock()
-	defer e.loadMu.Unlock()
-
-	r.mu.Lock()
-	// Re-loading the active version is a no-op — unless that version is
-	// quarantined, in which case the same bundle is a legitimate heal:
-	// the corruption was runtime state, not the artifact, and a fresh
-	// build replaces the poisoned pool.
-	if e.active != nil && e.active.version == version && e.state != GraphQuarantined {
-		r.mu.Unlock()
-		r.noop.Add(1)
-		r.event(RegistryEvent{Graph: name, Version: version, Kind: EventNoop})
-		return nil
-	}
-	prevState := e.state
-	e.state = GraphReloading
-	r.mu.Unlock()
-
-	v, err := r.buildVersion(ctx, b)
-	if err != nil {
-		r.mu.Lock()
-		e.lastErr = err
-		if e.active != nil {
-			e.state = GraphDegradedLastGood
-		} else {
-			e.state = prevState
-		}
-		r.mu.Unlock()
-		r.rejected.Add(1)
-		r.event(RegistryEvent{Graph: name, Version: version, Kind: EventRejected, Err: err})
-		return fmt.Errorf("wasp: bundle %q v%d rejected: %w", name, version, err)
-	}
-
-	// The candidate is viable. A crash from here to the swap must leave
-	// a restarted process on a consistent version — which it does,
-	// because activation is in-memory only: the bundle file the caller
-	// loaded is already durably in place, and a restart either loads it
-	// (crash after the producer's rename) or the previous one. The
-	// injection point lets the stress suite kill the process exactly
-	// here.
-	fault.Inject(fault.RegistrySwap, 0)
-
-	r.activate(e, v, EventLoaded)
-	r.loaded.Add(1)
-	return nil
+	return r.load(ctx, b, false)
 }
 
 // LoadFile reads, validates and activates the bundle at path.
@@ -355,13 +290,71 @@ func (r *Registry) LoadFile(ctx context.Context, path string) (name string, vers
 // single-graph and testing convenience. The version is one past the
 // currently active one (1 for a new name).
 func (r *Registry) LoadGraph(ctx context.Context, name string, g *Graph) error {
-	version := uint64(1)
-	r.mu.RLock()
-	if e := r.graphs[name]; e != nil && e.active != nil {
-		version = e.active.version + 1
+	return r.load(ctx, &Bundle{Manifest: BundleManifest{Name: name}, Graph: g}, true)
+}
+
+// load validates b and deploys it under its graph's load lock. With
+// next set the version is chosen under that lock too — one past the
+// active one — so concurrent LoadGraph calls never pick the same one.
+func (r *Registry) load(ctx context.Context, b *Bundle, next bool) error {
+	if b == nil {
+		return fmt.Errorf("wasp: Load of nil bundle")
 	}
-	r.mu.RUnlock()
-	return r.Load(ctx, &Bundle{Manifest: BundleManifest{Name: name, Version: version}, Graph: g})
+	b.Normalize()
+	if err := b.Validate(); err != nil {
+		// No entry to degrade: a bundle that cannot even name itself
+		// consistently never reaches a graphEntry.
+		r.rejected.Add(1)
+		r.event(RegistryEvent{Graph: b.Manifest.Name, Version: b.Manifest.Version, Kind: EventRejected, Err: err})
+		return err
+	}
+	name := b.Manifest.Name
+	e, err := r.entry(name, true)
+	if err != nil {
+		return err
+	}
+	e.loadMu.Lock()
+	defer e.loadMu.Unlock()
+
+	r.mu.Lock()
+	if next {
+		b.Manifest.Version = 1
+		if e.active != nil {
+			b.Manifest.Version = e.active.version + 1
+		}
+	}
+	version := b.Manifest.Version
+	// Re-loading the active version is a no-op — unless that version is
+	// quarantined, in which case the same bundle is a legitimate heal:
+	// the corruption was runtime state, not the artifact, and a fresh
+	// build replaces the poisoned pool.
+	if e.active != nil && e.active.version == version && e.state != GraphQuarantined {
+		r.mu.Unlock()
+		r.noop.Add(1)
+		r.event(RegistryEvent{Graph: name, Version: version, Kind: EventNoop})
+		return nil
+	}
+	r.mu.Unlock()
+
+	v := &graphVersion{version: version, g: b.Graph, warm: warmBySource(b.Checkpoints)}
+	if len(b.Relabel) > 0 {
+		v.perm = b.Relabel
+	}
+	if err := r.deploy(ctx, e, v, EventLoaded); err != nil {
+		return fmt.Errorf("wasp: bundle %q v%d rejected: %w", name, version, err)
+	}
+	r.loaded.Add(1)
+	return nil
+}
+
+// warmBySource indexes warm-start checkpoints by their (serving-id)
+// source.
+func warmBySource(cps []*Checkpoint) map[uint32]*Checkpoint {
+	warm := make(map[uint32]*Checkpoint, len(cps))
+	for _, cp := range cps {
+		warm[cp.Source] = cp
+	}
+	return warm
 }
 
 // entry returns (creating, when create is set) the record for name.
@@ -382,38 +375,87 @@ func (r *Registry) entry(name string, create bool) (*graphEntry, error) {
 	return e, nil
 }
 
-// buildVersion constructs and proves out a candidate version: pool
-// construction plus a bounded smoke solve. The smoke runs as a
-// one-shot direct solve rather than through the candidate pool, so a
-// deployment never pollutes the pool's operator-facing counters,
-// latency histograms or checkpoint files with synthetic work; pool
-// construction itself (NewPool preallocates and validates every
-// session) covers the admission machinery.
-func (r *Registry) buildVersion(ctx context.Context, b *Bundle) (*graphVersion, error) {
+// smokeTimeout bounds the validation solve a candidate version must
+// pass before it can activate.
+const smokeTimeout = 5 * time.Second
+
+// deploy is the one deploy path: Load, LoadGraph, Rollback and Mutate
+// hand it their candidate version with e.loadMu held. The entry reports
+// GraphReloading while the candidate's pool is built and smoke-solved.
+// A viable candidate is activated as kind. A failed one is rejected —
+// counted, emitted, its error returned — and the entry returns to its
+// previous state: a serving graph becomes degraded-last-good (its
+// newest deployment never activated), while a quarantined graph stays
+// quarantined and a never-activated one stays reloading, since in
+// neither case does anything serve.
+func (r *Registry) deploy(ctx context.Context, e *graphEntry, v *graphVersion, kind RegistryEventKind) error {
+	r.mu.Lock()
+	prev := e.state
+	e.state = GraphReloading
+	r.mu.Unlock()
+
+	pool, err := r.build(ctx, e.name, v)
+	if err != nil {
+		r.mu.Lock()
+		e.lastErr = err
+		// A failed audit may have quarantined the active version while
+		// the candidate was building; that state stands.
+		if e.state == GraphReloading {
+			if prev == GraphServing {
+				prev = GraphDegradedLastGood
+			}
+			e.state = prev
+		}
+		r.mu.Unlock()
+		r.rejected.Add(1)
+		r.event(RegistryEvent{Graph: e.name, Version: v.version, Kind: EventRejected, Err: err})
+		return err
+	}
+
+	// The candidate is viable. A crash from here to the swap must leave
+	// a restarted process on a consistent version — which it does,
+	// because activation is in-memory only: the bundle file the caller
+	// loaded is already durably in place, and a restart either loads it
+	// (crash after the producer's rename) or the previous one. The
+	// injection point lets the stress suite kill the process exactly
+	// here.
+	fault.Inject(fault.RegistrySwap, 0)
+
+	r.activate(e, v, pool, kind)
+	return nil
+}
+
+// build constructs v's pool and proves v out with a bounded smoke
+// solve. The smoke runs as a one-shot direct solve rather than through
+// the candidate pool, so a deployment never pollutes the pool's
+// operator-facing counters, latency histograms or checkpoint files with
+// synthetic work; pool construction itself (NewPool preallocates and
+// validates every session) covers the admission machinery.
+func (r *Registry) build(ctx context.Context, name string, v *graphVersion) (*Pool, error) {
 	opt := r.conf.Options
 	if r.conf.ConfigureOptions != nil {
-		opt = r.conf.ConfigureOptions(b.Manifest.Name, b.Manifest.Version, opt)
+		opt = r.conf.ConfigureOptions(name, v.version, opt)
 	}
 	popt := r.conf.Pool
 	// The scope is set unconditionally: it keys cache entries when a
 	// cache is attached and names the deployment in audit failures
 	// (the identity quarantineScope resolves) either way.
-	popt.CacheScope = cacheScopeFor(b.Manifest.Name, b.Manifest.Version)
+	popt.CacheScope = cacheScopeFor(name, v.version)
 	if r.conf.Cache != nil {
 		popt.Cache = r.conf.Cache
 	}
 	if r.auditor != nil {
 		popt.Auditor = r.auditor
 	}
-	pool, err := NewPool(b.Graph, opt, popt)
+	pool, err := NewPool(v.g, opt, popt)
 	if err != nil {
 		return nil, fmt.Errorf("building pool: %w", err)
 	}
 	smokeOpt := opt
 	smokeOpt.CheckpointSink = nil
 	smokeOpt.CheckpointInterval = 0
-	sctx, cancel := context.WithTimeout(ctx, r.conf.SmokeTimeout)
-	res, err := RunContext(sctx, b.Graph, 0, smokeOpt)
+	sctx, cancel := context.WithTimeout(ctx, smokeTimeout)
+	res, err := RunContext(sctx, v.g, 0, smokeOpt)
 	cancel()
 	if err != nil || res == nil {
 		dctx, dcancel := context.WithTimeout(context.Background(), r.conf.DrainTimeout)
@@ -421,37 +463,27 @@ func (r *Registry) buildVersion(ctx context.Context, b *Bundle) (*graphVersion, 
 		dcancel()
 		return nil, fmt.Errorf("smoke solve: %w", err)
 	}
-
-	v := &graphVersion{
-		version: b.Manifest.Version,
-		g:       b.Graph,
-		pool:    pool,
-	}
-	if len(b.Relabel) > 0 {
-		v.perm = b.Relabel
-	}
-	if len(b.Checkpoints) > 0 {
-		v.warm = make(map[uint32]*Checkpoint, len(b.Checkpoints))
-		for _, cp := range b.Checkpoints {
-			v.warm[cp.Source] = cp
-		}
-	}
-	return v, nil
+	return pool, nil
 }
 
-// activate commits v as e's active version (the atomic swap): new
-// admissions route to v immediately, the replaced version drains in
-// the background and is retired into the bounded history. The retired
+// activate commits v, serving through pool, as e's active version (the
+// atomic swap): new admissions route to v immediately, the replaced
+// version drains in the background and is retired into the bounded
+// history, and a rollback target leaves that history. The retired
 // version's pool pointer is severed under the registry lock — a query
 // that captured it before the swap finishes (or gets ErrPoolClosed and
 // retries); a query routing after the swap only ever sees v.
-func (r *Registry) activate(e *graphEntry, v *graphVersion, kind RegistryEventKind) {
+func (r *Registry) activate(e *graphEntry, v *graphVersion, pool *Pool, kind RegistryEventKind) {
 	r.mu.Lock()
 	old := e.active
 	var oldPool *Pool
+	v.pool = pool
 	e.active = v
 	e.state = GraphServing
 	e.lastErr = nil
+	if n := len(e.history); n > 0 && e.history[n-1] == v {
+		e.history = e.history[:n-1]
+	}
 	if old != nil {
 		oldPool, old.pool = old.pool, nil
 		if old.quarantined {
@@ -570,45 +602,15 @@ func (r *Registry) Rollback(ctx context.Context, name string) (uint64, error) {
 		return cur, fmt.Errorf("wasp: graph %q has no retired version to roll back to", name)
 	}
 	target := e.history[len(e.history)-1]
-	e.state = GraphReloading
 	r.mu.Unlock()
 
-	// Rebuild a pool for the retired version. Reuse the bundle
-	// validation/smoke machinery by reconstituting the equivalent
-	// bundle from the retained artifacts.
-	b := &Bundle{
-		Manifest: BundleManifest{
-			Name:     name,
-			Version:  target.version,
-			Vertices: int64(target.g.NumVertices()),
-			Edges:    target.g.NumEdges(),
-			Directed: target.g.Directed(),
-		},
-		Graph:   target.g,
-		Relabel: target.perm,
-	}
-	for _, cp := range target.warm {
-		b.Checkpoints = append(b.Checkpoints, cp)
-	}
-	v, err := r.buildVersion(ctx, b)
-	if err != nil {
-		r.mu.Lock()
-		e.lastErr = err
-		e.state = GraphDegradedLastGood
-		r.mu.Unlock()
-		r.rejected.Add(1)
-		r.event(RegistryEvent{Graph: name, Version: target.version, Kind: EventRejected, Err: err})
+	// The retired version kept its graph and artifacts: redeploying it
+	// builds a fresh pool, and activation pops it from the history.
+	if err := r.deploy(ctx, e, target, EventRolledBack); err != nil {
 		return 0, fmt.Errorf("wasp: rollback of %q to v%d rejected: %w", name, target.version, err)
 	}
-
-	r.mu.Lock()
-	// Pop the target from history now that its replacement pool exists.
-	e.history = e.history[:len(e.history)-1]
-	r.mu.Unlock()
-
-	r.activate(e, v, EventRolledBack)
 	r.rolledBack.Add(1)
-	return v.version, nil
+	return target.version, nil
 }
 
 // Mutate applies a mutation batch to name's active graph and activates
@@ -653,17 +655,12 @@ func (r *Registry) Mutate(ctx context.Context, name string, batch []Mutation) (u
 		r.mu.Unlock()
 		return 0, nil, fmt.Errorf("wasp: graph %q v%d serves relabeled vertex ids; mutations address original ids and are not supported on relabeled deployments", name, v.version)
 	}
-	oldVersion, oldG := v.version, v.g
-	e.state = GraphReloading
 	r.mu.Unlock()
 
-	ng, delta, err := ApplyMutations(oldG, batch)
+	ng, delta, err := ApplyMutations(v.g, batch)
 	if err != nil {
 		// A malformed batch is the caller's input error, not a failed
 		// deployment: the active version never stopped being good.
-		r.mu.Lock()
-		e.state = GraphServing
-		r.mu.Unlock()
 		return 0, nil, err
 	}
 
@@ -675,39 +672,18 @@ func (r *Registry) Mutate(ctx context.Context, name string, batch []Mutation) (u
 	// upper bounds and must NOT seed cone invalidation.)
 	var seeds []*Checkpoint
 	if r.conf.Cache != nil {
-		for _, cp := range r.conf.Cache.harvestScope(cacheScopeFor(name, oldVersion), fingerprintOf(oldG)) {
-			repaired, serr := delta.Seed(Vertex(cp.Source), cp.Dist)
-			if serr != nil {
-				continue
+		for _, cp := range r.conf.Cache.harvestScope(cacheScopeFor(name, v.version), v.g.WeightFingerprint()) {
+			if repaired, err := delta.Seed(Vertex(cp.Source), cp.Dist); err == nil {
+				seeds = append(seeds, repaired)
 			}
-			seeds = append(seeds, repaired)
 		}
 	}
-
-	b := &Bundle{
-		Manifest: BundleManifest{
-			Name:     name,
-			Version:  oldVersion + 1,
-			Vertices: int64(ng.NumVertices()),
-			Edges:    ng.NumEdges(),
-			Directed: ng.Directed(),
-		},
-		Graph:       ng,
-		Checkpoints: seeds,
+	next := &graphVersion{version: v.version + 1, g: ng, warm: warmBySource(seeds)}
+	if err := r.deploy(ctx, e, next, EventMutated); err != nil {
+		return 0, nil, fmt.Errorf("wasp: mutation of %q to v%d rejected: %w", name, next.version, err)
 	}
-	nv, err := r.buildVersion(ctx, b)
-	if err != nil {
-		r.mu.Lock()
-		e.lastErr = err
-		e.state = GraphDegradedLastGood
-		r.mu.Unlock()
-		r.rejected.Add(1)
-		r.event(RegistryEvent{Graph: name, Version: oldVersion + 1, Kind: EventRejected, Err: err})
-		return 0, nil, fmt.Errorf("wasp: mutation of %q to v%d rejected: %w", name, oldVersion+1, err)
-	}
-	r.activate(e, nv, EventMutated)
 	r.mutated.Add(1)
-	return nv.version, delta, nil
+	return next.version, delta, nil
 }
 
 // Remove drains and drops name. Queries racing the removal get
@@ -815,15 +791,18 @@ func (r *Registry) serve(ctx context.Context, name string, source Vertex, cp *Ch
 		}
 		res, err := r.runOn(ctx, v, pool, source, cp)
 		if errors.Is(err, ErrPoolClosed) {
-			cur, _, cerr := r.activeVersion(name)
+			_, cur, cerr := r.activeVersion(name)
 			if cerr != nil {
 				// The version went away while we were admitted: removed,
 				// or quarantined by a failed audit — surface that, not
 				// the pool's internal closed error.
 				return nil, cerr
 			}
-			if cur != v {
-				continue // swapped under us; retry on the new version
+			if cur != pool {
+				// Swapped under us; retry on the new pool. Compare pools,
+				// not versions: a rollback re-activates a retired version
+				// with a fresh pool.
+				continue
 			}
 			return nil, r.closedOr(err)
 		}

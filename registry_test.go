@@ -36,7 +36,6 @@ func testRegistry(t *testing.T) *Registry {
 	t.Helper()
 	r := NewRegistry(RegistryOptions{
 		Pool:         PoolOptions{Sessions: 2, QueueDepth: 64, QueueWait: 5 * time.Second},
-		SmokeTimeout: 5 * time.Second,
 		DrainTimeout: 10 * time.Second,
 	})
 	t.Cleanup(func() {
@@ -136,6 +135,52 @@ func TestRegistryLoadNoop(t *testing.T) {
 	}
 	if stats := r.ReloadStats(); stats.Noop != 1 || stats.Loaded != 1 {
 		t.Fatalf("ReloadStats = %+v", stats)
+	}
+}
+
+// TestRegistryConcurrentLoadGraph: LoadGraph picks its version under
+// the graph's load lock, so two concurrent calls on one name both
+// activate, with distinct versions, and neither degrades to a no-op
+// whose graph never serves.
+func TestRegistryConcurrentLoadGraph(t *testing.T) {
+	for trial := 0; trial < 50; trial++ {
+		var mu sync.Mutex
+		loaded := map[uint64]bool{}
+		r := NewRegistry(RegistryOptions{OnEvent: func(ev RegistryEvent) {
+			if ev.Kind == EventLoaded {
+				mu.Lock()
+				loaded[ev.Version] = true
+				mu.Unlock()
+			}
+		}})
+		ctx := context.Background()
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, g := range []*Graph{chain(8, 2), chain(8, 9)} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = r.LoadGraph(ctx, "g", g)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("trial %d: LoadGraph %d: %v", trial, i, err)
+			}
+		}
+		if st := r.ReloadStats(); st.Noop != 0 || st.Loaded != 2 {
+			t.Fatalf("trial %d: ReloadStats = %+v, want 2 loaded and no no-op", trial, st)
+		}
+		if !loaded[1] || !loaded[2] {
+			t.Fatalf("trial %d: activated versions %v, want 1 and 2", trial, loaded)
+		}
+		if st, _ := r.Status("g"); st.Version != 2 || len(st.History) != 1 || st.History[0] != 1 {
+			t.Fatalf("trial %d: Status = %+v, want version 2 with history [1]", trial, st)
+		}
+		cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		_ = r.Close(cctx)
+		cancel()
 	}
 }
 
@@ -350,7 +395,8 @@ func TestRegistryWarmStart(t *testing.T) {
 		}
 	}
 	cp := &Checkpoint{
-		Source: 0, GraphVertices: 32, GraphEdges: 31, Directed: true, Dist: dist,
+		Source: 0, GraphVertices: 32, GraphEdges: 31, Directed: true,
+		WeightFP: g.WeightFingerprint(), Dist: dist,
 	}
 	r := testRegistry(t)
 	ctx := context.Background()
@@ -508,7 +554,6 @@ func TestRegistryReloadUnderFire(t *testing.T) {
 	r := NewRegistry(RegistryOptions{
 		Pool:         PoolOptions{Sessions: 2, QueueDepth: 256, QueueWait: 30 * time.Second},
 		History:      3,
-		SmokeTimeout: 10 * time.Second,
 		DrainTimeout: 30 * time.Second,
 		Cache:        cache,
 	})
@@ -655,7 +700,6 @@ func TestCacheRegistryHotSwapNoStaleResults(t *testing.T) {
 	r := NewRegistry(RegistryOptions{
 		Pool:         PoolOptions{Sessions: 2, QueueDepth: 64, QueueWait: 5 * time.Second},
 		History:      3,
-		SmokeTimeout: 5 * time.Second,
 		DrainTimeout: 10 * time.Second,
 		Cache:        cache,
 	})

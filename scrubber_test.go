@@ -3,6 +3,7 @@ package wasp
 import (
 	"context"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -23,12 +24,13 @@ func fullBundle(n int, w Weight) *Bundle {
 	for i := range perm {
 		perm[i] = Vertex(i) // identity is a legal bijection
 	}
+	g := chain(n, w)
 	return &Bundle{
 		Manifest: BundleManifest{Name: "scrubme", Version: 1},
-		Graph:    chain(n, w),
+		Graph:    g,
 		Checkpoints: []*Checkpoint{{
 			Source: 0, GraphVertices: n, GraphEdges: int64(n - 1),
-			Directed: true, Dist: dist,
+			Directed: true, WeightFP: g.WeightFingerprint(), Dist: dist,
 		}},
 		Relabel: perm,
 	}
@@ -42,7 +44,7 @@ func writeTestCheckpoint(t *testing.T, path string, n int, w Weight) {
 	}
 	cp := &Checkpoint{
 		Source: 0, GraphVertices: n, GraphEdges: int64(n - 1),
-		Directed: true, Dist: dist,
+		Directed: true, WeightFP: chain(n, w).WeightFingerprint(), Dist: dist,
 	}
 	if err := SaveCheckpoint(path, cp); err != nil {
 		t.Fatal(err)
@@ -98,8 +100,9 @@ func TestScrubberCleanPass(t *testing.T) {
 }
 
 // TestScrubberCorruptArtifacts is the corruption table: a WSCK flip, a
-// flip inside every WSPB section kind, and a truncation. Each corrupt
-// file must be detected by a full re-decode and renamed aside to .bad.
+// flip inside every WSPB section kind, a truncation, and a WSCK stream
+// without a content fingerprint. Each must be detected by a full
+// re-decode and renamed aside to .bad.
 func TestScrubberCorruptArtifacts(t *testing.T) {
 	var bundleImage []byte
 	{
@@ -135,6 +138,9 @@ func TestScrubberCorruptArtifacts(t *testing.T) {
 			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
+		}},
+		{"wsck-no-fingerprint", "ckpt-g-0.wsck", func(t *testing.T, path string) {
+			stripFingerprint(t, path)
 		}},
 		{"wspb-manifest", "b.wspb", func(t *testing.T, path string) {
 			flipByteAt(t, path, sectionOffset(t, bundleImage, secManifest))
@@ -202,6 +208,23 @@ func flipByteAt(t *testing.T, path string, off int) {
 	}
 	data[off] ^= 0x40
 	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stripFingerprint rewrites the WSCK file at path as a stream written
+// before the content fingerprint was required: flag bit 1 clear, the
+// 8 fingerprint bytes at [56:64] gone, and a CRC that still verifies.
+func stripFingerprint(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append(append([]byte(nil), data[:56]...), data[64:len(data)-4]...)
+	legacy[8] &^= 1 << 1
+	legacy = binary.LittleEndian.AppendUint32(legacy, crc32.ChecksumIEEE(legacy[4:]))
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -126,7 +126,6 @@ func newFront(t *testing.T, layer string, g *wasp.Graph, fc frontConfig) serving
 			Options:      opt,
 			Pool:         pconf,
 			Cache:        fc.cache,
-			SmokeTimeout: 5 * time.Second,
 			DrainTimeout: 10 * time.Second,
 		})
 		t.Cleanup(func() {
@@ -337,9 +336,10 @@ func servingRepairSeeded(t *testing.T, layer string, g *wasp.Graph) {
 }
 
 // servingSeedRejected: a seed that cannot belong to the serving graph
-// fails fast — a nil checkpoint, a malformed prior, or a repair seed
-// for the post-mutation graph handed to a layer still serving the
-// pre-mutation one.
+// fails fast — a nil checkpoint, a malformed prior, a repair seed for
+// the post-mutation graph handed to a layer still serving the
+// pre-mutation one, or a seed with no content fingerprint — and
+// nothing it would have produced reaches the cache.
 func servingSeedRejected(t *testing.T, layer string, g *wasp.Graph) {
 	_, delta, err := wasp.ApplyMutations(g, servingMutation(t, g))
 	if err != nil {
@@ -356,7 +356,8 @@ func servingSeedRejected(t *testing.T, layer string, g *wasp.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := newFront(t, layer, g, frontConfig{})
+	cache := wasp.NewCache(wasp.CacheOptions{})
+	stale := newFront(t, layer, g, frontConfig{cache: cache})
 	ctx := context.Background()
 	if _, err := stale.resume(ctx, nil); err == nil {
 		t.Error("Resume accepted a nil checkpoint")
@@ -364,6 +365,57 @@ func servingSeedRejected(t *testing.T, layer string, g *wasp.Graph) {
 	if _, err := stale.resume(ctx, cp); err == nil {
 		t.Error("pre-mutation graph accepted a post-mutation repair seed")
 	}
+
+	// Exact distances on a same-shape copy with one edge made cheaper,
+	// stripped of their fingerprint: they undercut g's true distances,
+	// so resuming them on g would converge to wrong answers, and only
+	// the missing fingerprint tells them from a seed taken on g.
+	v := heavyNeighbor(t, g)
+	reweighted, _, err := wasp.ApplyMutations(g, []wasp.Mutation{{Kind: wasp.MutSetWeight, From: 0, To: v, W: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noFP := &wasp.Checkpoint{
+		GraphVertices: reweighted.NumVertices(),
+		GraphEdges:    reweighted.NumEdges(),
+		Directed:      reweighted.Directed(),
+		Dist:          dijkstra.Distances(reweighted, 0),
+	}
+	if !undercuts(noFP.Dist, prior) {
+		t.Fatal("the re-weighted seed does not undercut g's distances")
+	}
+	if _, err := stale.resume(ctx, noFP); err == nil {
+		t.Error("Resume accepted a fingerprint-less seed from a same-shape re-weighted graph")
+	}
+	if st := cache.Stats(); st.Entries != 0 || st.Misses != 0 {
+		t.Errorf("cache stats %+v after rejected seeds, want nothing cached", st)
+	}
+}
+
+// undercuts reports whether some label of seed lies below the true
+// distance — a seed no repair scan can recover from, since labels only
+// ever decrease.
+func undercuts(seed, truth []uint32) bool {
+	for i, d := range seed {
+		if d < truth[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// heavyNeighbor returns a neighbor v of vertex 0 whose edge (0, v)
+// weighs more than 1, so re-weighting it to 1 shortens d(0, v).
+func heavyNeighbor(t *testing.T, g *wasp.Graph) wasp.Vertex {
+	t.Helper()
+	nbrs, ws := g.OutNeighbors(0)
+	for i, v := range nbrs {
+		if ws[i] > 1 {
+			return v
+		}
+	}
+	t.Fatal("every out-edge of vertex 0 already weighs 1")
+	return 0
 }
 
 func servingDegraded(t *testing.T, layer string, g *wasp.Graph) {

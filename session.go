@@ -130,10 +130,9 @@ func (s *Session) Run(ctx context.Context, source Vertex) (*Result, error) {
 // produces. Any upper-bound seed qualifies — a crash checkpoint, a
 // bundle artifact, or MutationDelta.Seed's repair of an exact
 // pre-mutation solution. The checkpoint must belong to the session's
-// graph (checked against both the shape triple and, when the snapshot
-// carries one, the weight-covering content fingerprint). Resume
-// requires the preallocated Wasp path — the same configurations
-// NewSession accepts supervision for. Result.Elapsed continues from
+// graph (checked against the shape triple and the weight-covering
+// content fingerprint). Resume requires the preallocated Wasp path —
+// the same configurations NewSession accepts supervision for. Result.Elapsed continues from
 // cp.Elapsed rather than restarting the clock; Result.PriorElapsed
 // records the inherited portion.
 func (s *Session) Resume(ctx context.Context, cp *Checkpoint) (*Result, error) {
@@ -253,16 +252,10 @@ func (s *Session) run(ctx context.Context, source Vertex, warm *Checkpoint) (*Re
 func (s *Session) emitCheckpoint(base time.Duration, start time.Time) *Checkpoint {
 	snap := s.solver.Checkpoint(s.snapBuf)
 	s.snapBuf = snap.Dist
-	return &Checkpoint{
-		Source:        uint32(snap.Source),
-		GraphVertices: s.g.NumVertices(),
-		GraphEdges:    s.g.NumEdges(),
-		Directed:      s.g.Directed(),
-		WeightFP:      s.g.WeightFingerprint(),
-		Elapsed:       base + time.Since(start),
-		Relaxations:   snap.Relaxations,
-		Dist:          snap.Dist,
-	}
+	cp := stamp(s.g, uint32(snap.Source), snap.Dist)
+	cp.Elapsed = base + time.Since(start)
+	cp.Relaxations = snap.Relaxations
+	return cp
 }
 
 // supervise starts the per-run supervisor goroutine — the periodic
