@@ -32,8 +32,9 @@ const defaultCacheBytes = 256 << 20
 // Three mechanisms stack, cheapest first:
 //
 //   - Exact hit: a query whose (graph, source) pair was already solved
-//     returns a detached copy of the cached distances without touching
-//     a session — no admission ticket, no solver work, microseconds.
+//     returns the cached distances without touching a session — no
+//     admission ticket, no solver work, no copy: a map lookup and a
+//     fresh Result header.
 //   - Singleflight: concurrent identical queries coalesce onto one
 //     in-flight solve; followers wait and share the leader's result
 //     (including deadline-degraded partials) instead of computing it
@@ -56,6 +57,15 @@ const defaultCacheBytes = 256 << 20
 // a retired version's memory promptly and marks its in-flight solves
 // do-not-store; the Registry calls it on every reload, rollback and
 // removal.
+//
+// Every distance array the cache holds is an immutable snapshot shared
+// by all callers it is served to: exact hits, coalesced followers and
+// the flight leader each get their own Result header, but its Dist is
+// the array the cache stores. Such a Dist is read-only — safe to keep,
+// never overwritten by the cache — and a caller that wants to write to
+// it must clone it first. A write is caught by ScrubEntries, which
+// re-checks each entry against the hash recorded at insert and evicts
+// it on a mismatch.
 //
 // All methods are safe for concurrent use.
 type Cache struct {
@@ -106,7 +116,8 @@ type cacheEntry struct {
 
 // distSum is the integrity hash recorded per cache entry: FNV-1a over
 // the distance words. Entries are immutable after insert, so a scrub
-// re-hash that disagrees can only mean the memory rotted underneath.
+// re-hash that disagrees means the memory rotted underneath or a
+// caller wrote through a shared result.
 func distSum(dist []uint32) uint64 {
 	h := uint64(1469598103934665603)
 	for _, d := range dist {
@@ -178,7 +189,8 @@ func (c *Cache) getOrSolve(ctx context.Context, p *Pool, source Vertex, callerWa
 				// Share the leader's outcome — including a degraded
 				// partial: the leader's deadline expiring means ours
 				// would have too, and a valid upper-bound snapshot is
-				// the contract for that case.
+				// the contract for that case. The header is ours alone;
+				// the distances are shared.
 				return copyResult(f.res), nil
 			}
 			// The leader failed (cancelled, panicked twice, shed).
@@ -217,19 +229,24 @@ func (c *Cache) getOrSolve(ctx context.Context, p *Pool, source Vertex, callerWa
 
 		res, err := p.admitAndSolve(ctx, source, warm)
 
+		complete := err == nil && res != nil && res.Complete
+		var sum uint64
+		if complete {
+			sum = distSum(res.Dist) // off the lock: no O(n) pass under c.mu
+		}
 		c.mu.Lock()
 		delete(c.flights, key)
-		store := err == nil && res != nil && res.Complete && !f.noStore.Load()
-		if store {
-			c.insertLocked(p.g, key, res)
+		if complete && !f.noStore.Load() {
+			c.insertLocked(p.g, key, res, sum)
 		}
 		c.mu.Unlock()
 		f.res, f.err = res, err
 		close(f.done)
 		if err == nil && res != nil {
 			// f.res is now shared with any followers: hand the leader
-			// its own detached copy so post-return mutation of one
-			// caller's Dist can never corrupt another's.
+			// its own header, so a caller reassigning its Result's
+			// fields (the Registry does, on relabeled versions) never
+			// touches another caller's.
 			return copyResult(res), nil
 		}
 		return res, err
@@ -282,9 +299,11 @@ func satAdd32(a, b uint32) uint32 {
 
 // insertLocked stores a completed result of a solve on g under key and
 // evicts from the LRU tail until the budget holds. Called with c.mu
-// held; res is the leader's detached result — its distances are
-// copied, not aliased.
-func (c *Cache) insertLocked(g *Graph, key cacheKey, res *Result) {
+// held; res is the leader's detached result, whose distance array the
+// entry keeps as is — from here on it is shared and must not be
+// written. sum is distSum(res.Dist), computed before the lock was
+// taken.
+func (c *Cache) insertLocked(g *Graph, key cacheKey, res *Result, sum uint64) {
 	size := int64(4*len(res.Dist)) + entryOverhead
 	if size > c.conf.MaxBytes {
 		return // larger than the whole budget: serve, don't store
@@ -297,14 +316,14 @@ func (c *Cache) insertLocked(g *Graph, key cacheKey, res *Result) {
 	}
 	ent := &cacheEntry{
 		key:   key,
-		cp:    stamp(g, key.source, append([]uint32(nil), res.Dist...)),
+		cp:    stamp(g, key.source, res.Dist),
+		sum:   sum,
 		algo:  res.Algorithm,
 		steps: res.Steps,
 		prog:  res.Progress,
 		size:  size,
 	}
 	ent.cp.Elapsed = res.Elapsed
-	ent.sum = distSum(ent.cp.Dist)
 	c.entries[key] = c.lru.PushFront(ent)
 	c.bytes += size
 	for c.bytes > c.conf.MaxBytes {
@@ -324,14 +343,15 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.bytes -= ent.size
 }
 
-// result materializes a hit: a fresh Result whose distances are a
-// detached copy of the entry's. Elapsed stays cumulative (the wall
-// time originally paid for these distances, per the Result contract)
-// and PriorElapsed carries all of it, so Elapsed - PriorElapsed ≈ 0
-// reflects that this process did no solver work.
+// result materializes a hit: a fresh Result header whose Dist is the
+// entry's own shared, read-only array — no copy. Elapsed stays
+// cumulative (the wall time originally paid for these distances, per
+// the Result contract) and PriorElapsed carries all of it, so
+// Elapsed - PriorElapsed ≈ 0 reflects that this process did no solver
+// work.
 func (e *cacheEntry) result() *Result {
 	return &Result{
-		Dist:         append([]uint32(nil), e.cp.Dist...),
+		Dist:         e.cp.Dist,
 		Elapsed:      e.cp.Elapsed,
 		PriorElapsed: e.cp.Elapsed,
 		Algorithm:    e.algo,
@@ -341,15 +361,14 @@ func (e *cacheEntry) result() *Result {
 	}
 }
 
-// copyResult detaches a shared result for one caller.
+// copyResult gives one caller its own header for a result shared by a
+// flight: the fields and Metrics are copied, Dist still points at the
+// shared, read-only array.
 func copyResult(r *Result) *Result {
 	if r == nil {
 		return nil
 	}
 	out := *r
-	if r.Dist != nil {
-		out.Dist = append([]uint32(nil), r.Dist...)
-	}
 	if r.Metrics != nil {
 		m := *r.Metrics
 		out.Metrics = &m
@@ -415,8 +434,9 @@ func (c *Cache) harvestScope(scope string, fp uint64) []*Checkpoint {
 
 // ScrubEntries re-validates every resident entry's integrity hash and
 // evicts the ones whose distance words no longer hash to the sum
-// recorded at insert — in-memory bit rot turned into a clean miss (the
-// next query re-solves) instead of a served wrong answer. The O(n)
+// recorded at insert — in-memory bit rot, or a caller writing through
+// a shared result, turned into a clean miss (the next query re-solves)
+// instead of a served wrong answer. The O(n)
 // re-hashing runs off the cache lock: entries are immutable, so only
 // the collection and the removal of failures need it. Returns the
 // number of entries scanned and the number evicted as corrupt. The
@@ -469,7 +489,7 @@ type CacheStats struct {
 	MaxBytes int64 `json:"max_bytes"` // configured budget
 
 	// HitLatency is the fixed-bucket histogram of exact-hit serve
-	// times (the copy-and-return path; solver time never appears here).
+	// times (the lookup-and-return path; solver time never appears here).
 	HitLatency HistogramSnapshot `json:"hit_latency"`
 }
 
@@ -493,10 +513,11 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// histogramBounds are the hit-latency bucket upper bounds. Hits are a
-// memcpy plus map lookup — nanoseconds to low microseconds on small
-// graphs, tens of microseconds on big ones — so the range runs 250ns
-// to 16ms with the final bucket catching pathological stalls.
+// histogramBounds are the hit-latency bucket upper bounds. A hit is a
+// map lookup plus one Result header, whatever the graph's size —
+// typically under a microsecond — so the lowest buckets hold the
+// steady state; the range still runs to 16ms, with the final bucket
+// catching scheduler and GC stalls.
 var histogramBounds = [...]time.Duration{
 	250 * time.Nanosecond,
 	1 * time.Microsecond,

@@ -98,8 +98,8 @@ func BenchmarkWarmNear(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheHit: every iteration served from cache — a map lookup
-// plus one distance-array copy, no session, no solver.
+// BenchmarkCacheHit: every iteration served from cache — a map lookup,
+// no copy, no session, no solver.
 func BenchmarkCacheHit(b *testing.B) {
 	g, src := cacheBenchWorkload(b)
 	cache := wasp.NewCache(wasp.CacheOptions{})

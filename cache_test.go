@@ -72,7 +72,8 @@ func sameDist(a, b []uint32) bool {
 // TestCacheHitExact: the golden test for the reuse layer. A repeated
 // query is served from cache (no second solve), and the cached
 // distances are bit-identical to a fresh from-scratch solve of the
-// same query.
+// same query. Hits share one read-only array; a write through it is
+// caught by ScrubEntries and answered by a fresh solve.
 func TestCacheHitExact(t *testing.T) {
 	g := uchain(512, 3)
 	cache := NewCache(CacheOptions{})
@@ -124,15 +125,31 @@ func TestCacheHitExact(t *testing.T) {
 		t.Fatalf("hit PriorElapsed %v != Elapsed %v", second.PriorElapsed, second.Elapsed)
 	}
 
-	// Results are detached: corrupting one caller's copy must not leak
-	// into the cache or other callers.
-	second.Dist[0] = 12345
+	// Hits share the entry's read-only array: no copy per hit.
 	third, err := p.Run(ctx, 7)
 	if err != nil {
 		t.Fatalf("third Run: %v", err)
 	}
-	if !sameDist(third.Dist, fresh.Dist) {
-		t.Fatal("mutating a returned result corrupted the cache")
+	if &second.Dist[0] != &third.Dist[0] {
+		t.Fatal("two hits returned distinct arrays: the hit path copied")
+	}
+
+	// A caller writing through a shared result breaks the contract; the
+	// scrubber's insert-time hash catches it and evicts the entry, so
+	// the next query solves again instead of serving the written value.
+	second.Dist[0] = 12345
+	if scanned, corrupt := cache.ScrubEntries(); scanned != 1 || corrupt != 1 {
+		t.Fatalf("ScrubEntries = scanned %d, corrupt %d; want 1, 1", scanned, corrupt)
+	}
+	fourth, err := p.Run(ctx, 7)
+	if err != nil {
+		t.Fatalf("fourth Run: %v", err)
+	}
+	if solves != 2 {
+		t.Fatalf("%d solves after the scrub evicted the entry, want 2", solves)
+	}
+	if !sameDist(fourth.Dist, fresh.Dist) {
+		t.Fatal("re-solve after the scrub differs from a fresh solve")
 	}
 }
 

@@ -212,13 +212,13 @@ func main() {
 					// The -timeout budget expired: the partial
 					// upper-bound snapshot is the (degraded) answer.
 					fmt.Printf("%-12s %12v %10d %14s  partial (%.1f%% settled, budget %v)\n",
-						a, res.Elapsed, res.Reached(), "-",
+						a, res.Elapsed, res.Progress.Reached, "-",
 						res.Progress.Settled*100, *timeout)
 					degraded = true
 					break
 				}
 				fmt.Printf("%-12s  interrupted after %v: %d/%d vertices reached (partial)\n",
-					a, res.Elapsed, res.Reached(), g.NumVertices())
+					a, res.Elapsed, res.Progress.Reached, g.NumVertices())
 				os.Exit(130) // conventional exit code for SIGINT
 			}
 			if err != nil {
@@ -243,7 +243,7 @@ func main() {
 		if last.Metrics != nil {
 			relax = fmt.Sprint(last.Metrics.Relaxations)
 		}
-		fmt.Printf("%-12s %12v %10d %14s\n", a, best, last.Reached(), relax)
+		fmt.Printf("%-12s %12v %10d %14s\n", a, best, last.Progress.Reached, relax)
 
 		if obs != nil {
 			if err := exportTrace(obs, *tracing); err != nil {
@@ -325,7 +325,7 @@ func runBatch(ctx context.Context, g *wasp.Graph, names []string, nSources int, 
 				note = fmt.Sprintf("  partial (%.1f%% settled)", res.Progress.Settled*100)
 			}
 			fmt.Printf("%-4d %10d %12v %10d %14s%s\n",
-				i, srcs[i], res.Elapsed, res.Reached(), relax, note)
+				i, srcs[i], res.Elapsed, res.Progress.Reached, relax, note)
 			total += res.Elapsed
 		}
 		switch {

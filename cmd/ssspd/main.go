@@ -557,7 +557,7 @@ func (s *server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		Complete:    res.Complete,
 		Degraded:    !res.Complete,
 		ElapsedMS:   float64(res.Elapsed) / float64(time.Millisecond),
-		Reached:     res.Reached(),
+		Reached:     res.Progress.Reached,
 		Settled:     res.Progress.Settled,
 		Relaxations: res.Progress.Relaxations,
 	}

@@ -91,6 +91,43 @@ func TestServeQuery(t *testing.T) {
 	}
 }
 
+// TestServeQueryCacheHit: with a cache in front of the pool, the
+// repeat of an identical query is an exact hit — no second solve —
+// and reports the same distance and coverage as the solve. reached
+// comes from the stored Progress, not from a scan of the distances.
+func TestServeQueryCacheHit(t *testing.T) {
+	g := wasp.FromEdges(4, true, []wasp.Edge{
+		{From: 0, To: 1, W: 1}, {From: 1, To: 2, W: 2},
+	})
+	cache := wasp.NewCache(wasp.CacheOptions{})
+	reg := newRegistry(t, "test", g, wasp.RegistryOptions{
+		Options: wasp.Options{Workers: 2},
+		Pool:    wasp.PoolOptions{Sessions: 1},
+		Cache:   cache,
+	})
+	ts := newHTTPServer(t, &server{reg: reg})
+
+	for i := 1; i <= 2; i++ {
+		var q queryResponse
+		getJSON(t, ts.URL+"/sssp?source=0&target=2", http.StatusOK, &q)
+		if !q.Complete || q.Degraded {
+			t.Fatalf("query %d: response = %+v, want complete", i, q)
+		}
+		if q.Distance == nil || *q.Distance != 3 {
+			t.Fatalf("query %d: distance = %v, want 3", i, q.Distance)
+		}
+		if q.Reached != 3 || q.Settled != 0.75 {
+			t.Fatalf("query %d: reached %d settled %v, want 3 and 0.75", i, q.Reached, q.Settled)
+		}
+	}
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats %+v, want 1 hit / 1 miss", st)
+	}
+	if st, _ := reg.Stats("test"); st.Completed != 1 {
+		t.Fatalf("pool completed %d solves, want 1 (the repeat must be a hit)", st.Completed)
+	}
+}
+
 // TestServeBadArgs: malformed and out-of-range parameters are 400s,
 // never solver work.
 func TestServeBadArgs(t *testing.T) {

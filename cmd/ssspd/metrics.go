@@ -216,7 +216,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (p *promState) writeHistogram(w io.Writer) {
-	fmt.Fprint(w, "# HELP ssspd_solve_duration_seconds Latency of pool solves, admission wait included.\n")
+	fmt.Fprint(w, "# HELP ssspd_solve_duration_seconds Latency of pool solves, timed from session acquisition; admission wait excluded.\n")
 	fmt.Fprint(w, "# TYPE ssspd_solve_duration_seconds histogram\n")
 	cum := int64(0)
 	for i, ub := range p.buckets {

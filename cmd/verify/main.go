@@ -57,7 +57,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("dijkstra reference failed: %v", err)
 		}
-		fmt.Printf("\nsource %d (reaches %d vertices):\n", src, ref.Reached())
+		fmt.Printf("\nsource %d (reaches %d vertices):\n", src, ref.Progress.Reached)
 		for _, an := range names {
 			a, err := wasp.ParseAlgorithm(strings.TrimSpace(an))
 			if err != nil {

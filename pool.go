@@ -74,12 +74,15 @@ type PoolOptions struct {
 
 	// Cache, when non-nil, puts a result-reuse layer in front of the
 	// pool: Run and Resume consult it before taking an admission
-	// ticket — exact hits return a detached copy of a previously
-	// completed solve, concurrent identical queries coalesce onto one
-	// in-flight solve, and misses may warm-start from the nearest
-	// cached source (see Cache). One Cache may front many pools;
-	// entries are keyed by CacheScope plus the graph's content
-	// fingerprint, so distinct graphs never alias.
+	// ticket — exact hits return a previously completed solve's
+	// distances without copying them, concurrent identical queries
+	// coalesce onto one in-flight solve, and misses may warm-start from
+	// the nearest cached source (see Cache). Results from a
+	// cache-backed pool are read-only shared snapshots: safe to keep,
+	// never overwritten, but their Dist must be cloned before writing.
+	// One Cache may front many pools; entries are keyed by CacheScope
+	// plus the graph's content fingerprint, so distinct graphs never
+	// alias.
 	Cache *Cache
 	// CacheScope partitions this pool's cache entries from other pools
 	// sharing the same Cache (the Registry sets "name@version"). Pools
@@ -93,8 +96,8 @@ type PoolOptions struct {
 	// for background certification (see Auditor): every stride-th
 	// result that Run/Resume would hand back — complete or degraded —
 	// is submitted with the pool's CacheScope as its audit identity.
-	// Cache hits are never re-audited (they are copies of a result that
-	// was itself subject to sampling when first solved). The unsampled
+	// Cache hits are never re-audited (they serve a result that was
+	// itself subject to sampling when first solved). The unsampled
 	// cost is one atomic increment; sampled results are certified off
 	// the serving path when the auditor is Async.
 	Auditor *Auditor
@@ -183,9 +186,13 @@ type PoolStats struct {
 //     jittered backoff. One poisoned solve costs one rebuild, never
 //     the pool.
 //
-// Unlike Session.Run, results returned by Pool.Run never alias pool
-// storage — they are detached copies, safe to retain while other
-// queries execute.
+// Unlike Session.Run, results returned by Pool.Run never alias session
+// storage, so they are safe to retain while other queries execute. On
+// a pool without a Cache each result owns its distances. On a
+// cache-backed pool a result's Dist is a read-only snapshot shared
+// with the cache and with every other caller served the same answer:
+// it is never overwritten, and a caller must clone it before writing
+// (see Cache).
 type Pool struct {
 	g    *Graph
 	opt  Options     // session options, defaults applied
@@ -271,8 +278,8 @@ func NewPool(g *Graph, opt Options, conf PoolOptions) (*Pool, error) {
 //   - (nil, other error): argument error, or a solve panicked twice
 //     in a row (the error carries the parallel.PanicError).
 //
-// The returned Result is detached from pool storage and safe to
-// retain.
+// The returned Result is detached from session storage and safe to
+// retain; on a cache-backed pool its Dist is read-only (see Pool).
 func (p *Pool) Run(ctx context.Context, source Vertex) (*Result, error) {
 	if int(source) >= p.g.NumVertices() {
 		return nil, fmt.Errorf("wasp: source %d out of range for %d vertices", source, p.g.NumVertices())

@@ -66,7 +66,7 @@ func TestPendantPruningDirectedNoop(t *testing.T) {
 	res, err := wasp.Run(g, src, wasp.Options{
 		Algorithm: wasp.AlgoWasp, Workers: 2, PendantPruning: true, Verify: true,
 	})
-	if err != nil || res.Reached() == 0 {
+	if err != nil || res.Progress.Reached == 0 {
 		t.Fatalf("directed pruning noop failed: %v", err)
 	}
 }

@@ -66,7 +66,9 @@ type RegistryOptions struct {
 	// fingerprint, so a hot reload — even to a bundle identical in
 	// shape — can never serve a predecessor's distances; retiring a
 	// version (reload, rollback, removal) invalidates its scope
-	// atomically with the swap.
+	// atomically with the swap. As on a cache-backed Pool, results of
+	// a non-relabeled version are read-only shared snapshots: clone
+	// Dist before writing to it.
 	Cache *Cache
 	// ConfigureOptions, when non-nil, customizes Options per deployment
 	// — called once while building each candidate version's pool, before

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -760,5 +761,79 @@ func TestCacheRegistryHotSwapNoStaleResults(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Entries != 0 {
 		t.Fatalf("entries = %d after Remove, want 0", st.Entries)
+	}
+}
+
+// TestRegistryCacheSharedResults: callers served one cached distance
+// array — the flight leader, its coalesced followers and later exact
+// hits — each need their own Result header, because a relabeled
+// version translates every answer back to original ids by assigning a
+// permuted array to the caller's Dist. A header shared between callers
+// would be permuted once per caller (and race): every answer here must
+// still equal the oracle in original ids.
+func TestRegistryCacheSharedResults(t *testing.T) {
+	const followers, hits = 4, 4
+	g := incrGraph(rand.New(rand.NewSource(23)), 200, false)
+	rg, perm := RelabelByDegree(g)
+	cache := NewCache(CacheOptions{})
+	release := make(chan struct{})
+	r := NewRegistry(RegistryOptions{
+		Options: Options{Workers: 2},
+		Pool: PoolOptions{
+			Sessions: 2, QueueDepth: 64, QueueWait: 10 * time.Second,
+			// Holding the leader's solve keeps its flight open until
+			// every follower has coalesced onto it.
+			OnSolve: func(SolveObservation) { <-release },
+		},
+		Cache:        cache,
+		DrainTimeout: 10 * time.Second,
+	})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = r.Close(ctx)
+	})
+	ctx := context.Background()
+	if err := r.Load(ctx, &Bundle{Manifest: BundleManifest{Name: "g", Version: 1}, Graph: rg, Relabel: perm}); err != nil {
+		t.Fatal(err)
+	}
+	const src = Vertex(5)
+	if perm[src] == src {
+		t.Fatal("the relabeling keeps the source in place; pick another source")
+	}
+	want := oracleDist(t, g, src)
+
+	results := make([]*Result, 1+followers+hits)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	query := func(i int) {
+		wg.Add(1)
+		go func() { defer wg.Done(); results[i], errs[i] = r.Run(ctx, "g", src) }()
+	}
+	query(0)
+	waitFor(t, "leader miss", func() bool { return cache.Stats().Misses == 1 })
+	for i := 1; i <= followers; i++ {
+		query(i)
+	}
+	waitFor(t, "followers coalesced", func() bool { return cache.Stats().Coalesced == followers })
+	close(release)
+	// The hits start as soon as the entry is resident, while the leader
+	// and followers may still be translating their answers.
+	waitFor(t, "entry resident", func() bool { return cache.Stats().Entries == 1 })
+	for i := 1 + followers; i < len(results); i++ {
+		query(i)
+	}
+	wg.Wait()
+
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if !sameDist(res.Dist, want) {
+			t.Fatalf("caller %d: distances differ from the oracle in original ids (first at %d)", i, firstDiff(res.Dist, want))
+		}
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Coalesced != followers || st.Hits != hits {
+		t.Fatalf("stats = %+v, want 1 miss / %d coalesced / %d hits", st, followers, hits)
 	}
 }

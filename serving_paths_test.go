@@ -198,6 +198,14 @@ func servingHit(t *testing.T, layer string, g *wasp.Graph) {
 		t.Fatalf("cache stats %+v, want 1 hit / 1 miss", st)
 	}
 	requireExact(t, res, err, g, 0)
+	// Hits are served without a copy: both share the entry's read-only
+	// array (no row here serves a relabeled version, whose answers are
+	// translated into a fresh array per caller).
+	again, err := f.run(ctx, 0)
+	requireExact(t, again, err, g, 0)
+	if &res.Dist[0] != &again.Dist[0] {
+		t.Fatal("two hits returned distinct arrays: the hit path copied")
+	}
 }
 
 func servingCoalesced(t *testing.T, layer string, g *wasp.Graph) {

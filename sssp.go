@@ -250,6 +250,10 @@ type Progress struct {
 	// snapshot (the source is always settled, so it is > 0 whenever
 	// the solve started).
 	Settled float64
+	// Reached is the number of vertices with a finite distance in Dist
+	// at the moment the solve returned — the count Settled is the
+	// fraction of. A serving layer reads it instead of scanning Dist.
+	Reached int
 	// Relaxations is the number of edge relaxations attempted, plumbed
 	// from the per-worker counters in internal/metrics. It is always
 	// available on the preallocated Wasp session path (the solver owns
@@ -292,22 +296,18 @@ type Result struct {
 	Progress Progress
 }
 
-// Reached returns the number of vertices with finite distance.
-func (r *Result) Reached() int {
+// fillProgress computes the progress signal from the distance snapshot
+// and the run's metrics set (nil when none was collected).
+func (r *Result) fillProgress(m *metrics.Set) {
 	n := 0
 	for _, d := range r.Dist {
 		if d != Infinity {
 			n++
 		}
 	}
-	return n
-}
-
-// fillProgress computes the progress signal from the distance snapshot
-// and the run's metrics set (nil when none was collected).
-func (r *Result) fillProgress(m *metrics.Set) {
+	r.Progress.Reached = n
 	if len(r.Dist) > 0 {
-		r.Progress.Settled = float64(r.Reached()) / float64(len(r.Dist))
+		r.Progress.Settled = float64(n) / float64(len(r.Dist))
 	}
 	if m != nil {
 		r.Progress.Relaxations = m.Totals().Relaxations

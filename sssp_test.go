@@ -138,8 +138,8 @@ func TestReached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reached() != 2 {
-		t.Fatalf("reached = %d, want 2", res.Reached())
+	if res.Progress.Reached != 2 {
+		t.Fatalf("reached = %d, want 2", res.Progress.Reached)
 	}
 }
 
@@ -198,7 +198,7 @@ func TestWaspWithPresetTopologies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Reached() == 0 {
+		if res.Progress.Reached == 0 {
 			t.Fatal("nothing reached")
 		}
 	}
