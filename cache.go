@@ -29,7 +29,7 @@ const defaultCacheBytes = 256 << 20
 // MaxBytes. One Cache may serve many pools — and, through
 // RegistryOptions.Cache, every versioned pool of a Registry.
 //
-// Three mechanisms stack, cheapest first:
+// Two mechanisms stack, cheapest first:
 //
 //   - Exact hit: a query whose (graph, source) pair was already solved
 //     returns the cached distances without touching a session — no
@@ -40,15 +40,11 @@ const defaultCacheBytes = 256 << 20
 //     (including deadline-degraded partials) instead of computing it
 //     K times. A failed leader releases the followers to retry, one of
 //     which becomes the new leader.
-//   - Nearest-source warm start: a miss on an undirected graph seeds
-//     the solve from the cached entry A minimizing distA[B] for new
-//     source B — seed[v] = distA[v] + distA[B] is a valid upper bound
-//     via the path B→A→v, and the Wasp repair scan (PrepareWarm)
-//     converges it to exact distances. Seeding is attempted only when
-//     warm starts are compatible with the pool's options (see
-//     Pool.WarmStartSupported); incompatible configurations fall back to a
-//     cold solve instead of erroring. Directed graphs always solve
-//     cold: distA[B] bounds the A→B direction, not B→A.
+//
+// Any other query is a miss and leads a solve. The cache never seeds
+// one from another source's entry: a miss solves cold unless the
+// caller brought its own checkpoint (Pool.Resume), which then seeds
+// the solve as it would without a cache.
 //
 // Staleness is impossible by construction: keys embed the graph's
 // weight-covering content fingerprint (Graph.WeightFingerprint), so a
@@ -102,8 +98,8 @@ type cacheKey struct {
 	source uint32
 }
 
-// cacheEntry is one stored result. Immutable after insert — hits and
-// warm-start scans read it without holding the cache lock.
+// cacheEntry is one stored result. Immutable after insert — hits,
+// harvests and scrubs read it without holding the cache lock.
 type cacheEntry struct {
 	key   cacheKey
 	cp    *Checkpoint // complete exact distances; Elapsed is the cumulative solve cost
@@ -158,11 +154,11 @@ func NewCache(opt CacheOptions) *Cache {
 // getOrSolve is the cache's front door, called by Pool.Run and
 // Pool.Resume when the pool is cache-backed. callerWarm, when non-nil,
 // is the caller's own validated checkpoint (Pool.Resume); it seeds the
-// solve on a miss in place of the nearest-source scan. reuseOnly is
+// solve on a miss, and a miss without one solves cold. reuseOnly is
 // the governor's BrownoutCacheOnly admission: exact hits, coalesced
-// followers and seeded misses (caller checkpoint or nearest-source)
-// are served as usual, but a miss that would solve cold — the most
-// expensive class of query — sheds with ErrOverloaded instead.
+// followers and caller-seeded misses are served as usual, but a miss
+// that would solve cold — the most expensive class of query — sheds
+// with ErrOverloaded instead.
 func (c *Cache) getOrSolve(ctx context.Context, p *Pool, source Vertex, callerWarm *Checkpoint, reuseOnly bool) (*Result, error) {
 	key := cacheKey{scope: p.cacheScope, fp: p.g.WeightFingerprint(), source: uint32(source)}
 	for {
@@ -199,16 +195,11 @@ func (c *Cache) getOrSolve(ctx context.Context, p *Pool, source Vertex, callerWa
 			continue
 		}
 
-		// Miss: determine the seed first — reuse-only admission needs it
-		// before committing to lead a flight.
-		warm := callerWarm
-		if warm == nil {
-			warm = c.nearestSeedLocked(p, key)
-		}
-		if reuseOnly && warm == nil {
-			// Brownout cache-only rung: no cached work to reuse, so this
-			// query would pay full solve cost. Shed it; no flight is
-			// registered, so a later identical query retries cleanly.
+		if reuseOnly && callerWarm == nil {
+			// Brownout cache-only rung: nothing cached and no caller
+			// seed, so this query would pay full solve cost. Shed it; no
+			// flight is registered, so a later identical query retries
+			// cleanly.
 			c.mu.Unlock()
 			c.reuseShed.Add(1)
 			p.shed.Add(1)
@@ -221,13 +212,13 @@ func (c *Cache) getOrSolve(ctx context.Context, p *Pool, source Vertex, callerWa
 		c.flights[key] = f
 		c.mu.Unlock()
 		c.misses.Add(1)
-		if warm != nil {
+		if callerWarm != nil {
 			c.warmStarts.Add(1)
 		} else {
 			c.coldStarts.Add(1)
 		}
 
-		res, err := p.admitAndSolve(ctx, source, warm)
+		res, err := p.admitAndSolve(ctx, source, callerWarm)
 
 		complete := err == nil && res != nil && res.Complete
 		var sum uint64
@@ -251,50 +242,6 @@ func (c *Cache) getOrSolve(ctx context.Context, p *Pool, source Vertex, callerWa
 		}
 		return res, err
 	}
-}
-
-// nearestSeedLocked scans the cached entries of (scope, fp) for the
-// source nearest to key.source and synthesizes a warm-start checkpoint
-// from it: seed[v] = distA[v] + distA[B], clamped at Infinity, with
-// seed[B] = 0 — every entry an upper bound on the true distance via
-// the detour through A. Returns nil (cold solve) when warm seeding is
-// unsupported by the pool's options, the graph is directed, or no
-// finite-proximity entry exists. Called with c.mu held; the O(n) seed
-// construction runs on the immutable entry after release.
-func (c *Cache) nearestSeedLocked(p *Pool, key cacheKey) *Checkpoint {
-	if p.g.Directed() || warmStartSupported(p.opt) != nil {
-		return nil
-	}
-	var best *cacheEntry
-	bestD := uint32(Infinity)
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*cacheEntry)
-		if ent.key.scope != key.scope || ent.key.fp != key.fp {
-			continue
-		}
-		if d := ent.cp.Dist[key.source]; d < bestD {
-			best, bestD = ent, d
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	src := best.cp.Dist // immutable after insert: safe to read unlocked too
-	seed := make([]uint32, len(src))
-	for i, dv := range src {
-		seed[i] = satAdd32(dv, bestD)
-	}
-	seed[key.source] = 0
-	return stamp(p.g, key.source, seed)
-}
-
-// satAdd32 adds two distances, saturating at Infinity (so an
-// unreachable term stays unreachable).
-func satAdd32(a, b uint32) uint32 {
-	if s := uint64(a) + uint64(b); s < uint64(Infinity) {
-		return uint32(s)
-	}
-	return Infinity
 }
 
 // insertLocked stores a completed result of a solve on g under key and
@@ -480,9 +427,9 @@ type CacheStats struct {
 	Misses     int64 `json:"misses"`      // queries that led a solve
 	Coalesced  int64 `json:"coalesced"`   // follower waits merged onto an in-flight solve
 	Evicted    int64 `json:"evicted"`     // entries dropped by the LRU budget
-	WarmStarts int64 `json:"warm_starts"` // misses seeded from a nearest cached source
+	WarmStarts int64 `json:"warm_starts"` // misses seeded by the caller's checkpoint (Resume)
 	ColdStarts int64 `json:"cold_starts"` // misses solved from scratch
-	ReuseShed  int64 `json:"reuse_shed"`  // cold misses shed by brownout reuse-only admission
+	ReuseShed  int64 `json:"reuse_shed"`  // unseeded misses shed by brownout reuse-only admission
 
 	Entries  int   `json:"entries"`   // resident results
 	Bytes    int64 `json:"bytes"`     // resident size charged against the budget

@@ -16,10 +16,10 @@ import (
 //
 // Resume is the one seeded-solve path. Seeds come from the periodic
 // CheckpointSink of a supervised session, LoadCheckpoint reading a file
-// a previous process saved, a bundle's warm-start artifacts, the
-// cache's nearest-source offsets, and MutationDelta.Seed repairing an
-// exact pre-mutation solution. SaveCheckpoint persists one crash-safely
-// (atomic write-then-rename, fsynced).
+// a previous process saved, a bundle's warm-start artifacts, and
+// MutationDelta.Seed repairing an exact pre-mutation solution.
+// SaveCheckpoint persists one crash-safely (atomic write-then-rename,
+// fsynced).
 type Checkpoint = checkpoint.Snapshot
 
 var errNilCheckpoint = errors.New("wasp: Resume from nil checkpoint")

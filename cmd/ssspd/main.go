@@ -31,7 +31,8 @@
 // Overload is governed by an adaptive brownout ladder (-brownout, on
 // by default): sustained pressure — smoothed queue delay, queue
 // occupancy and solve latency — walks the daemon one rung at a time
-// through full service, cache/warm-start-only admission, degraded
+// through full service, cache-only admission (hits, coalesced
+// followers and checkpoint-seeded misses; other misses shed), degraded
 // deadlines (-degraded-deadline), and full shedding, recovering the
 // same way as pressure drains. Shed queries return 429 with an
 // adaptive Retry-After computed from the queue drain rate and capped
@@ -997,10 +998,10 @@ func main() {
 	// and the slowest solves keep their Chrome traces for /debug/traces.
 	prom := newPromState(*slowTraceN)
 	// The result cache fronts every graph's pool: repeated sources are
-	// answered from memory, identical concurrent queries coalesce onto
-	// one solve, and new sources on undirected graphs warm-start from
-	// the nearest cached one. Hot reloads re-key and invalidate
-	// atomically, so a redeployed graph never serves stale distances.
+	// answered from memory and identical concurrent queries coalesce
+	// onto one solve; a new source solves cold. Hot reloads re-key and
+	// invalidate atomically, so a redeployed graph never serves stale
+	// distances.
 	var cache *wasp.Cache
 	if *cacheMB > 0 {
 		cache = wasp.NewCache(wasp.CacheOptions{MaxBytes: int64(*cacheMB) << 20})

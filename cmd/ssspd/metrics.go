@@ -382,9 +382,9 @@ func writeCacheProm(w io.Writer, cs wasp.CacheStats) {
 	counter(w, "ssspd_cache_misses_total", "Queries that led a fresh solve.", cs.Misses)
 	counter(w, "ssspd_cache_coalesced_total", "Queries merged onto an identical in-flight solve.", cs.Coalesced)
 	counter(w, "ssspd_cache_evicted_total", "Cached results dropped by the LRU memory budget.", cs.Evicted)
-	counter(w, "ssspd_cache_warm_starts_total", "Misses seeded from the nearest cached source.", cs.WarmStarts)
+	counter(w, "ssspd_cache_warm_starts_total", "Misses seeded from a caller-supplied checkpoint (Resume).", cs.WarmStarts)
 	counter(w, "ssspd_cache_cold_starts_total", "Misses solved from scratch.", cs.ColdStarts)
-	counter(w, "ssspd_cache_reuse_shed_total", "Cold misses shed by brownout reuse-only admission.", cs.ReuseShed)
+	counter(w, "ssspd_cache_reuse_shed_total", "Unseeded misses shed at the cache-only brownout rung.", cs.ReuseShed)
 	gauge(w, "ssspd_cache_entries", "Results currently resident in the cache.", float64(cs.Entries))
 	gauge(w, "ssspd_cache_bytes", "Bytes of cached results charged against the budget.", float64(cs.Bytes))
 	gauge(w, "ssspd_cache_max_bytes", "Configured cache memory budget.", float64(cs.MaxBytes))

@@ -20,8 +20,9 @@ const (
 	// solve.
 	BrownoutNone BrownoutLevel = iota
 	// BrownoutCacheOnly: reuse-only admission on cache-backed pools —
-	// exact hits, coalesced followers and warm-startable misses are
-	// served, cold misses (the most expensive queries) are shed first.
+	// exact hits, coalesced followers and misses seeded by the caller's
+	// checkpoint (Resume) are served; every other miss would solve cold
+	// (the most expensive queries) and is shed first.
 	// Pools without a cache are unaffected at this level; their ladder
 	// effectively starts at BrownoutPartial.
 	BrownoutCacheOnly

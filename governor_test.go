@@ -3,6 +3,7 @@ package wasp
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -165,21 +166,21 @@ func freezeLevel(g *Governor, lvl BrownoutLevel) {
 }
 
 // TestPoolBrownoutCacheOnly: at BrownoutCacheOnly a cache-backed pool
-// serves exact hits and warm-startable misses but sheds seedless cold
-// misses with ErrOverloaded, counting them on both the pool and the
-// cache.
+// admits only reuse — exact hits, coalesced followers and misses the
+// caller seeds through Resume — and sheds every other miss with
+// ErrOverloaded, counting it on both the pool and the cache. The graph
+// is an undirected road network, where every miss lies within reach
+// of a cached source; the rung sheds them all the same, including one
+// a single hop from a cached source.
 func TestPoolBrownoutCacheOnly(t *testing.T) {
-	// Undirected path graph so nearest-source warm seeding applies.
-	n := 64
-	edges := make([]Edge, 0, n-1)
-	for i := 0; i < n-1; i++ {
-		edges = append(edges, Edge{From: Vertex(i), To: Vertex(i + 1), W: 1})
+	g, err := GenerateWorkload("road-usa", WorkloadConfig{N: 1 << 12, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	g := FromEdges(n, false, edges)
-
+	opt := Options{Workers: 2}
 	gov := NewGovernor(GovernorConfig{MinDwell: time.Hour})
 	cache := NewCache(CacheOptions{})
-	p, err := NewPool(g, Options{}, PoolOptions{
+	p, err := NewPool(g, opt, PoolOptions{
 		Sessions: 1, Cache: cache, CacheScope: "t", Governor: gov,
 	})
 	if err != nil {
@@ -189,44 +190,82 @@ func TestPoolBrownoutCacheOnly(t *testing.T) {
 	ctx := context.Background()
 
 	// Populate the cache at full service.
-	if _, err := p.Run(ctx, 0); err != nil {
-		t.Fatalf("priming solve: %v", err)
+	hot := SourcesInLargestComponent(g, 1, 4)
+	cached := make(map[Vertex]bool)
+	for _, s := range hot {
+		if _, err := p.Run(ctx, s); err != nil {
+			t.Fatalf("priming solve from %d: %v", s, err)
+		}
+		cached[s] = true
 	}
+	primed := cache.Stats()
 
 	freezeLevel(gov, BrownoutCacheOnly)
 
 	// Exact hit: served.
-	res, err := p.Run(ctx, 0)
+	res, err := p.Run(ctx, hot[0])
 	if err != nil || !res.Complete {
 		t.Fatalf("cache hit under brownout: %v, %+v", err, res)
 	}
-	// Warm-startable miss (source 1 seeds from cached source 0): served.
-	res, err = p.Run(ctx, 1)
+
+	// Uncached sources, the first one hop from a cached source and the
+	// rest uniform: every one would solve cold, so every one sheds.
+	var misses []Vertex
+	nbrs, _ := g.OutNeighbors(hot[0])
+	for _, v := range nbrs {
+		if !cached[v] {
+			misses = append(misses, v)
+			break
+		}
+	}
+	if len(misses) == 0 {
+		t.Fatalf("source %d has no uncached neighbor", hot[0])
+	}
+	r := rand.New(rand.NewSource(1))
+	for len(misses) < 16 {
+		if v := Vertex(r.Intn(g.NumVertices())); !cached[v] {
+			misses = append(misses, v)
+		}
+	}
+	for _, v := range misses {
+		if _, err := p.Run(ctx, v); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("miss from %d under brownout: err = %v, want ErrOverloaded", v, err)
+		}
+	}
+	st := cache.Stats()
+	if st.ReuseShed != int64(len(misses)) {
+		t.Fatalf("cache ReuseShed = %d, want %d", st.ReuseShed, len(misses))
+	}
+	if got := p.Stats().Shed; got != int64(len(misses)) {
+		t.Fatalf("pool Shed = %d, want %d", got, len(misses))
+	}
+	if st.Misses != primed.Misses {
+		t.Fatalf("shed queries led solves: misses %d, want %d", st.Misses, primed.Misses)
+	}
+
+	// A miss the caller seeds is reuse: Resume from a checkpoint of an
+	// uncached source is served and counted as the one warm start.
+	src := misses[1]
+	fresh, err := RunContext(ctx, g, src, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = p.Resume(ctx, stamp(g, uint32(src), fresh.Dist))
 	if err != nil || !res.Complete {
-		t.Fatalf("warm miss under brownout: %v, %+v", err, res)
+		t.Fatalf("caller-seeded miss under brownout: %v, %+v", err, res)
+	}
+	if !sameDist(res.Dist, fresh.Dist) {
+		t.Fatal("caller-seeded miss differs from a fresh solve")
 	}
 	if got := cache.Stats().WarmStarts; got != 1 {
 		t.Fatalf("warm starts = %d, want 1", got)
 	}
 
-	// A directed-graph pool (no warm seeding) sharing nothing cached:
-	// cold miss, shed. Here: invalidate the scope so nothing can seed.
-	cache.InvalidateScope("t")
-	if _, err := p.Run(ctx, 5); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("cold miss under brownout: err = %v, want ErrOverloaded", err)
-	}
-	if got := cache.Stats().ReuseShed; got != 1 {
-		t.Fatalf("cache ReuseShed = %d, want 1", got)
-	}
-	if got := p.Stats().Shed; got != 1 {
-		t.Fatalf("pool Shed = %d, want 1", got)
-	}
-
-	// Recovery: back at BrownoutNone the same cold miss solves.
+	// Recovery: back at BrownoutNone a shed source solves.
 	freezeLevel(gov, BrownoutNone)
-	res, err = p.Run(ctx, 5)
+	res, err = p.Run(ctx, misses[0])
 	if err != nil || !res.Complete {
-		t.Fatalf("cold miss after recovery: %v, %+v", err, res)
+		t.Fatalf("shed source after recovery: %v, %+v", err, res)
 	}
 }
 

@@ -57,8 +57,12 @@ func (s *Scheduler) level(prio uint64) *globalLevel {
 }
 
 // publish moves a full chunk into the global bag for its priority.
+// Once pushed the chunk belongs to whoever pops it — a thief may drain
+// and recycle it (chunk.Pool.Get resets Prio) before the push returns —
+// so the priority is read once, before the push.
 func (s *Scheduler) publish(c *chunk.Chunk) {
-	l := s.level(c.Prio)
+	prio := c.Prio
+	l := s.level(prio)
 	l.mu.Lock()
 	l.chunks.Push(c)
 	l.mu.Unlock()
@@ -68,7 +72,7 @@ func (s *Scheduler) publish(c *chunk.Chunk) {
 	// hint, not a guarantee.
 	for {
 		best := s.best.Load()
-		if c.Prio >= best || s.best.CompareAndSwap(best, c.Prio) {
+		if prio >= best || s.best.CompareAndSwap(best, prio) {
 			return
 		}
 	}

@@ -75,9 +75,9 @@ type PoolOptions struct {
 	// Cache, when non-nil, puts a result-reuse layer in front of the
 	// pool: Run and Resume consult it before taking an admission
 	// ticket — exact hits return a previously completed solve's
-	// distances without copying them, concurrent identical queries
-	// coalesce onto one in-flight solve, and misses may warm-start from
-	// the nearest cached source (see Cache). Results from a
+	// distances without copying them, and concurrent identical queries
+	// coalesce onto one in-flight solve; a miss solves cold unless it
+	// came through Resume (see Cache). Results from a
 	// cache-backed pool are read-only shared snapshots: safe to keep,
 	// never overwritten, but their Dist must be cloned before writing.
 	// One Cache may front many pools; entries are keyed by CacheScope
@@ -106,7 +106,7 @@ type PoolOptions struct {
 	// control: the pool feeds it queue-delay, queue-depth and
 	// solve-latency observations, and applies its brownout ladder to
 	// every admission — reuse-only admission at BrownoutCacheOnly
-	// (cache-backed pools shed cold misses first), a clamped deadline
+	// (cache-backed pools shed unseeded misses first), a clamped deadline
 	// at BrownoutPartial, full shedding with an adaptive Retry-After
 	// at BrownoutShed. One governor may be shared by many pools (the
 	// Registry's per-graph pools all see the same RegistryOptions.Pool,
@@ -323,8 +323,9 @@ func (p *Pool) serve(ctx context.Context, source Vertex, warm *Checkpoint) (*Res
 	if p.isClosed() {
 		return nil, ErrPoolClosed
 	}
-	// A seeded query is never shed by reuse-only admission —
-	// getOrSolve sheds only seedless cold misses.
+	// A Resume is never shed by reuse-only admission: the caller's
+	// seed is the reuse. getOrSolve sheds only misses that would solve
+	// cold.
 	return p.cache.getOrSolve(ctx, p, source, warm, lvl >= BrownoutCacheOnly)
 }
 
@@ -344,13 +345,6 @@ func (p *Pool) governorAdmit() BrownoutLevel {
 	}
 	return lvl
 }
-
-// WarmStartSupported reports whether this pool's option set can seed
-// solves from prior distance arrays (nil) or why it cannot. Internal
-// warm-start triggers — the Registry's bundle artifacts, the cache's
-// nearest-source seeding — consult it and fall back to a cold solve
-// instead of surfacing the error a direct Resume would.
-func (p *Pool) WarmStartSupported() error { return warmStartSupported(p.opt) }
 
 // admitAndSolve takes an admission ticket and a session and solves:
 // warm, when non-nil, is a validated checkpoint to seed the solve from.

@@ -831,7 +831,7 @@ func (r *Registry) runOn(ctx context.Context, v *graphVersion, pool *Pool, sourc
 		// start: when the deployment's options cannot accept a seed
 		// (non-Wasp algorithm, pendant pruning), degrade to a cold solve
 		// — the artifact is an accelerator, never a requirement.
-		if warm, ok := v.warm[uint32(source)]; ok && pool.WarmStartSupported() == nil {
+		if warm, ok := v.warm[uint32(source)]; ok && warmStartSupported(pool.opt) == nil {
 			cp = warm
 		}
 	}

@@ -2,12 +2,12 @@ package wasp_test
 
 // The serving-path differential table: every way a query can be
 // answered — cold, exact cache hit, coalesced singleflight follower,
-// nearest-source warm start, bundle warm start, relabeled deployment,
-// repair-seeded Resume after a mutation, and deadline degradation — on
-// directed and undirected graphs, through each layer (Session, Pool,
-// Registry) where the path exists. Exact answers must match the
-// Dijkstra oracle bit for bit; degraded answers must pass the
-// upper-bound certificate.
+// cold miss beside a cached source, bundle warm start, relabeled
+// deployment, repair-seeded Resume after a mutation, and deadline
+// degradation — on directed and undirected graphs, through each layer
+// (Session, Pool, Registry) where the path exists. Exact answers must
+// match the Dijkstra oracle bit for bit; degraded answers must pass
+// the upper-bound certificate.
 
 import (
 	"context"
@@ -32,27 +32,23 @@ var (
 
 func TestServingPaths(t *testing.T) {
 	paths := []struct {
-		name           string
-		layers         []string
-		undirectedOnly bool // the path exists on undirected graphs only
-		check          func(t *testing.T, layer string, g *wasp.Graph)
+		name   string
+		layers []string
+		check  func(t *testing.T, layer string, g *wasp.Graph)
 	}{
-		{"cold", allLayers, false, servingCold},
-		{"hit", sharedLayers, false, servingHit},
-		{"coalesced", sharedLayers, false, servingCoalesced},
-		{"nearest-warm", sharedLayers, true, servingNearestWarm},
-		{"bundle-warm", registryLayer, false, servingBundleWarm},
-		{"relabeled", registryLayer, false, servingRelabeled},
-		{"repair-seeded", allLayers, false, servingRepairSeeded},
-		{"seed-rejected", allLayers, false, servingSeedRejected},
-		{"degraded", allLayers, false, servingDegraded},
+		{"cold", allLayers, servingCold},
+		{"hit", sharedLayers, servingHit},
+		{"coalesced", sharedLayers, servingCoalesced},
+		{"cached-miss", sharedLayers, servingCachedMiss},
+		{"bundle-warm", registryLayer, servingBundleWarm},
+		{"relabeled", registryLayer, servingRelabeled},
+		{"repair-seeded", allLayers, servingRepairSeeded},
+		{"seed-rejected", allLayers, servingSeedRejected},
+		{"degraded", allLayers, servingDegraded},
 	}
 	for _, p := range paths {
 		for _, layer := range p.layers {
 			for _, directed := range []bool{true, false} {
-				if directed && p.undirectedOnly {
-					continue
-				}
 				name := p.name + "/" + layer + "/undirected"
 				if directed {
 					name = p.name + "/" + layer + "/directed"
@@ -232,7 +228,9 @@ func servingCoalesced(t *testing.T, layer string, g *wasp.Graph) {
 	requireExact(t, follower, followerErr, g, 0)
 }
 
-func servingNearestWarm(t *testing.T, layer string, g *wasp.Graph) {
+// servingCachedMiss: a source the cache does not hold solves cold,
+// even with another source's exact answer resident beside it.
+func servingCachedMiss(t *testing.T, layer string, g *wasp.Graph) {
 	cache := wasp.NewCache(wasp.CacheOptions{})
 	f := newFront(t, layer, g, frontConfig{cache: cache})
 	ctx := context.Background()
@@ -240,8 +238,8 @@ func servingNearestWarm(t *testing.T, layer string, g *wasp.Graph) {
 		t.Fatal(err)
 	}
 	res, err := f.run(ctx, 3)
-	if st := cache.Stats(); st.WarmStarts != 1 {
-		t.Fatalf("cache stats %+v, want 1 warm start", st)
+	if st := cache.Stats(); st.WarmStarts != 0 || st.ColdStarts != 2 {
+		t.Fatalf("cache stats %+v, want 0 warm starts and 2 cold starts", st)
 	}
 	requireExact(t, res, err, g, 3)
 }

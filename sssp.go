@@ -269,9 +269,8 @@ type Result struct {
 	Dist []uint32
 	// Elapsed is the cumulative wall-clock time paid for these
 	// distances, excluding graph construction and verification. For a
-	// warm-started solve (any Resume, or a cache-internal seed) it
-	// includes the prior wall time the seed checkpoint had already
-	// accumulated; subtract
+	// warm-started solve (any Resume) it includes the prior wall time
+	// the seed checkpoint had already accumulated; subtract
 	// PriorElapsed for the time spent inside this process. Pool latency
 	// stats and SolveObservation.Elapsed record only the in-process
 	// portion.
@@ -380,9 +379,9 @@ func RunContext(ctx context.Context, g *Graph, source Vertex, opt Options) (*Res
 // from a prior distance array at all: warm starts are a Wasp-only
 // facility (the repair scan lives in the Wasp solver) and incompatible
 // with PendantPruning (the pruned core is a different graph than the
-// one a snapshot describes). Every warm-seeding path — Session.Resume
-// and the cache's internal nearest-source seeding — consults this one
-// helper, so no path can smuggle a seed past the compatibility rules.
+// one a snapshot describes). Session.Resume and the Registry's bundle
+// warm-start artifacts consult this one helper, so no path can smuggle
+// a seed past the compatibility rules.
 func warmStartSupported(opt Options) error {
 	if opt.Algorithm != AlgoWasp {
 		return fmt.Errorf("wasp: warm start requires AlgoWasp, not %s", opt.Algorithm)
