@@ -118,6 +118,30 @@ func TestParseCkptName(t *testing.T) {
 	}
 }
 
+// TestCheckpointDistrustExactGraph: quarantining graph "road" renames
+// road's checkpoint files only. Graph names may contain dashes, so
+// road-usa's files share the ckpt-road- prefix and must stay
+// resumable.
+func TestCheckpointDistrustExactGraph(t *testing.T) {
+	c := newCkptTracker(t.TempDir())
+	cp := testCheckpoint(testGraph())
+	c.sinkFor("road")(cp)
+	c.sinkFor("road-usa")(cp)
+
+	if n := c.distrust("road"); n != 1 {
+		t.Fatalf("distrust(road) renamed %d files, want 1", n)
+	}
+	if _, err := os.Stat(c.path("road", 0) + ".bad"); err != nil {
+		t.Fatalf("road's checkpoint not renamed .bad: %v", err)
+	}
+	if _, err := os.Stat(c.path("road-usa", 0)); err != nil {
+		t.Fatalf("road-usa's checkpoint was distrusted with road's: %v", err)
+	}
+	if got := c.distrusted.Load(); got != 1 {
+		t.Fatalf("distrusted = %d, want 1", got)
+	}
+}
+
 // TestRecoverCheckpoints: a restarted server resumes valid leftover
 // files through the registry and deletes them; corrupt files, files
 // for unregistered graphs, fingerprint-mismatched files and graph-less

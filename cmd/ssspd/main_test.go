@@ -140,7 +140,7 @@ func TestServeBadArgs(t *testing.T) {
 	}
 	// An unknown graph name is a 404, not solver work.
 	getJSON(t, ts.URL+"/sssp?source=0&graph=nope", http.StatusNotFound, nil)
-	if st := s.poolStats(); st.Completed+st.Shed != 0 {
+	if st := s.state(); st.Completed+st.Shed != 0 {
 		t.Fatalf("bad args reached the pool: %+v", st)
 	}
 }

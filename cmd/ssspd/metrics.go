@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,51 +18,60 @@ import (
 	"wasp"
 )
 
-// promState is the daemon's Prometheus surface: a solve-latency
-// histogram fed synchronously by the pool's OnSolve hook, plus
-// scrape-time reads of the pool gauges, checkpoint counters and the
-// scheduler counters the per-session Observers accumulate. Everything
-// is hand-rolled text exposition format — the repo takes no
-// dependencies, and the format is small enough to emit (and lint, see
-// the tests) directly.
+// promState is the daemon's Prometheus surface: the solve-latency
+// histogram fed synchronously by the pool's OnSolve hook and the
+// mutation metrics fed by PATCH /graph, rendered ahead of the state()
+// snapshot. Everything is hand-rolled text exposition format — the
+// repo takes no dependencies, and the format is small enough to emit
+// (and lint, see the tests) directly.
 type promState struct {
-	// buckets are the histogram upper bounds in seconds, ascending.
-	// counts[i] is the number of solves with latency ≤ buckets[i]
-	// (non-cumulative per bucket; cumulated at render), counts[len] is
-	// the +Inf overflow.
-	buckets []float64
-	counts  []atomic.Int64
-	sumNS   atomic.Int64
-	solves  atomic.Int64
+	solves promHistogram
 
 	// Mutation-batch metrics: applied ops by MutationKind, plus an
 	// update-latency histogram (apply, smoke solve and swap) over the
 	// same bucket bounds as the solve histogram so the two are directly
 	// comparable — the operational form of the update-vs-fresh
 	// crossover question.
-	mutKinds   [3]atomic.Int64
-	mutCounts  []atomic.Int64
-	mutSumNS   atomic.Int64
-	mutBatches atomic.Int64
+	mutKinds  [3]atomic.Int64
+	mutations promHistogram
 
 	slow *slowTraces
 }
 
 // defaultBuckets spans 100µs..10s — a kron solve on a laptop sits near
 // the bottom, a billion-edge road graph near the top.
-var defaultBuckets = []float64{
+var defaultBuckets = [...]float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-func newPromState(slowN int) *promState {
-	p := &promState{
-		buckets:   defaultBuckets,
-		counts:    make([]atomic.Int64, len(defaultBuckets)+1),
-		mutCounts: make([]atomic.Int64, len(defaultBuckets)+1),
-		slow:      newSlowTraces(slowN),
+// promHistogram is a latency histogram over defaultBuckets: counts[i]
+// is the number of observations ≤ defaultBuckets[i] and above the
+// bound below it (cumulated at render); the last count is the +Inf
+// overflow.
+type promHistogram struct {
+	counts [len(defaultBuckets) + 1]atomic.Int64
+	sumNS  atomic.Int64
+}
+
+func (h *promHistogram) observe(d time.Duration) {
+	h.counts[sort.SearchFloat64s(defaultBuckets[:], d.Seconds())].Add(1)
+	h.sumNS.Add(int64(d))
+}
+
+func (h *promHistogram) write(w io.Writer, name, help string) {
+	var counts [len(defaultBuckets) + 1]int64
+	n := int64(0)
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		n += counts[i]
 	}
-	return p
+	writeHistogram(w, name, help, defaultBuckets[:], counts[:],
+		float64(h.sumNS.Load())/float64(time.Second), n)
+}
+
+func newPromState(slowN int) *promState {
+	return &promState{slow: newSlowTraces(slowN)}
 }
 
 // onMutation records one successfully applied mutation batch: the
@@ -69,10 +80,7 @@ func (p *promState) onMutation(kinds [3]int64, elapsed time.Duration) {
 	for i, n := range kinds {
 		p.mutKinds[i].Add(n)
 	}
-	i := sort.SearchFloat64s(p.buckets, elapsed.Seconds())
-	p.mutCounts[i].Add(1)
-	p.mutSumNS.Add(int64(elapsed))
-	p.mutBatches.Add(1)
+	p.mutations.observe(elapsed)
 }
 
 // onSolve is the pool's OnSolve hook: record the latency observation
@@ -80,171 +88,39 @@ func (p *promState) onMutation(kinds [3]int64, elapsed time.Duration) {
 // scheduler trace while the session (and so its Observer) is still
 // checked out and quiescent.
 func (p *promState) onSolve(o wasp.SolveObservation) {
-	sec := o.Elapsed.Seconds()
-	i := sort.SearchFloat64s(p.buckets, sec)
-	p.counts[i].Add(1)
-	p.sumNS.Add(int64(o.Elapsed))
-	p.solves.Add(1)
+	p.solves.observe(o.Elapsed)
 	p.slow.consider(o)
 }
 
-// promSnapshot gathers every metric family the daemon exports. Split
-// from rendering so tests can assert on values without re-parsing.
-type promSnapshot struct {
-	stats    wasp.PoolStats
-	draining bool
-
-	graphs  []graphSample
-	reloads wasp.RegistryReloadStats
-
-	ckptWrites        int64
-	ckptAgeSec        float64 // -1: never
-	ckptRecovered     int64
-	ckptSkipped       int64
-	ckptWriteErrs     int64
-	ckptSkippedWrites int64
-	ckptDisabled      bool
-	hasCkpt           bool
-
-	cache    wasp.CacheStats
-	hasCache bool
-
-	gov    wasp.GovernorStats
-	hasGov bool
-
-	audit    wasp.AuditorStats
-	hasAudit bool
-
-	scrub    wasp.ScrubberStats
-	hasScrub bool
-
-	quarantined       int64 // quarantine transitions since startup
-	graphsQuarantined int   // graphs currently in the quarantined state
-	ckptDistrusted    int64 // checkpoint files renamed .bad after quarantines
-
-	scanQuarantined int64 // rescan skips of quarantined bundle files
-
-	observed  wasp.ObserverTotals // summed over every session observer
-	observers int
-}
-
-// graphSample is one graph's labeled gauge values.
-type graphSample struct {
-	name    string
-	version uint64
-}
-
-func (s *server) snapshot() promSnapshot {
-	snap := promSnapshot{
-		stats:      s.poolStats(),
-		draining:   s.draining.Load(),
-		reloads:    s.reg.ReloadStats(),
-		ckptAgeSec: -1,
-	}
-	for _, name := range s.reg.Graphs() {
-		if st, ok := s.reg.Status(name); ok {
-			snap.graphs = append(snap.graphs, graphSample{name: name, version: st.Version})
-			if st.State == wasp.GraphQuarantined {
-				snap.graphsQuarantined++
-			}
-		}
-	}
-	snap.quarantined = s.reg.Quarantined()
-	sort.Slice(snap.graphs, func(i, j int) bool { return snap.graphs[i].name < snap.graphs[j].name })
-	if s.ckpt != nil {
-		snap.hasCkpt = true
-		snap.ckptWrites = s.ckpt.writes.Load()
-		snap.ckptRecovered = s.ckpt.recovered.Load()
-		snap.ckptSkipped = s.ckpt.skipped.Load()
-		snap.ckptWriteErrs = s.ckpt.writeErrs.Load()
-		snap.ckptSkippedWrites = s.ckpt.skippedWrites.Load()
-		snap.ckptDisabled = s.ckpt.disabled.Load()
-		if ms := s.ckpt.ageMS(); ms >= 0 {
-			snap.ckptAgeSec = ms / 1000
-		}
-	}
-	if s.cache != nil {
-		snap.hasCache = true
-		snap.cache = s.cache.Stats()
-	}
-	if s.gov != nil {
-		snap.hasGov = true
-		snap.gov = s.gov.Stats()
-	}
-	if a := s.reg.Auditor(); a != nil {
-		snap.hasAudit = true
-		snap.audit = a.Stats()
-	}
-	if s.scrub != nil {
-		snap.hasScrub = true
-		snap.scrub = s.scrub.Stats()
-	}
-	if s.ckpt != nil {
-		snap.ckptDistrusted = s.ckpt.distrusted.Load()
-	}
-	if s.scan != nil {
-		snap.scanQuarantined = s.scan.quarantineSkips()
-	}
-	for _, obs := range s.reg.Observers() {
-		c := obs.Cumulative()
-		snap.observers++
-		snap.observed.Solves += c.Solves
-		snap.observed.DroppedEvents += c.DroppedEvents
-		m := &snap.observed.Metrics
-		m.Relaxations += c.Metrics.Relaxations
-		m.Improvements += c.Metrics.Improvements
-		m.StaleSkips += c.Metrics.StaleSkips
-		m.StealAttempts += c.Metrics.StealAttempts
-		m.StealHits += c.Metrics.StealHits
-		m.StealRounds += c.Metrics.StealRounds
-		m.ChunksDrained += c.Metrics.ChunksDrained
-		m.BucketAdvances += c.Metrics.BucketAdvances
-		for i := range c.Metrics.TierHits {
-			m.TierHits[i] += c.Metrics.TierHits[i]
-		}
-	}
-	return snap
-}
-
 // handleMetrics renders the Prometheus text exposition format, one
-// HELP/TYPE header per family. Histogram buckets are cumulative and
-// end with the mandatory +Inf bucket equal to _count.
+// HELP/TYPE header per family: promState's histograms and mutation
+// counters, then the state() snapshot.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.prom.writeHistogram(w)
-	writeProm(w, s.snapshot())
-}
-
-func (p *promState) writeHistogram(w io.Writer) {
-	fmt.Fprint(w, "# HELP ssspd_solve_duration_seconds Latency of pool solves, timed from session acquisition; admission wait excluded.\n")
-	fmt.Fprint(w, "# TYPE ssspd_solve_duration_seconds histogram\n")
-	cum := int64(0)
-	for i, ub := range p.buckets {
-		cum += p.counts[i].Load()
-		fmt.Fprintf(w, "ssspd_solve_duration_seconds_bucket{le=%q} %d\n", formatFloat(ub), cum)
-	}
-	cum += p.counts[len(p.buckets)].Load()
-	fmt.Fprintf(w, "ssspd_solve_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "ssspd_solve_duration_seconds_sum %s\n",
-		formatFloat(float64(p.sumNS.Load())/float64(time.Second)))
-	fmt.Fprintf(w, "ssspd_solve_duration_seconds_count %d\n", p.solves.Load())
-
+	p := s.prom
+	p.solves.write(w, "ssspd_solve_duration_seconds", "Latency of pool solves, timed from session acquisition; admission wait excluded.")
 	family(w, "ssspd_mutations_total", "Applied graph mutations by kind.", "counter")
 	for i, kind := range []wasp.MutationKind{wasp.MutInsert, wasp.MutDelete, wasp.MutSetWeight} {
 		fmt.Fprintf(w, "ssspd_mutations_total{kind=%q} %d\n", kind.String(), p.mutKinds[i].Load())
 	}
-	fmt.Fprint(w, "# HELP ssspd_mutation_duration_seconds Latency of graph mutation batches: apply, smoke solve and version swap.\n")
-	fmt.Fprint(w, "# TYPE ssspd_mutation_duration_seconds histogram\n")
-	cum = 0
-	for i, ub := range p.buckets {
-		cum += p.mutCounts[i].Load()
-		fmt.Fprintf(w, "ssspd_mutation_duration_seconds_bucket{le=%q} %d\n", formatFloat(ub), cum)
+	p.mutations.write(w, "ssspd_mutation_duration_seconds", "Latency of graph mutation batches: apply, smoke solve and version swap.")
+	writeProm(w, s.state())
+}
+
+// writeHistogram renders one histogram family. counts[i] is the number
+// of observations in bucket i alone (at or below bounds[i], above the
+// bound before it); the buckets are written cumulatively and end with
+// the mandatory +Inf bucket, which equals count.
+func writeHistogram(w io.Writer, name, help string, bounds []float64, counts []int64, sum float64, count int64) {
+	family(w, name, help, "histogram")
+	cum := int64(0)
+	for i, ub := range bounds {
+		cum += counts[i]
+		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatFloat(ub), cum)
 	}
-	cum += p.mutCounts[len(p.buckets)].Load()
-	fmt.Fprintf(w, "ssspd_mutation_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "ssspd_mutation_duration_seconds_sum %s\n",
-		formatFloat(float64(p.mutSumNS.Load())/float64(time.Second)))
-	fmt.Fprintf(w, "ssspd_mutation_duration_seconds_count %d\n", p.mutBatches.Load())
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, count)
+	fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(sum))
+	fmt.Fprintf(w, "%s_count %d\n", name, count)
 }
 
 // formatFloat renders a float the way Prometheus clients do: shortest
@@ -269,35 +145,33 @@ func counter(w io.Writer, name, help string, v int64) {
 	fmt.Fprintf(w, "%s %d\n", name, v)
 }
 
-func writeProm(w io.Writer, snap promSnapshot) {
-	st := snap.stats
+func writeProm(w io.Writer, st statsResponse) {
 	gauge(w, "ssspd_sessions", "Configured solver sessions in the pool.", float64(st.Sessions))
 	gauge(w, "ssspd_sessions_idle", "Sessions currently idle.", float64(st.Idle))
 	gauge(w, "ssspd_solves_in_flight", "Solves currently executing.", float64(st.InFlight))
 	gauge(w, "ssspd_queue_depth", "Queries waiting for a session.", float64(st.Queued))
 	drain := 0.0
-	if snap.draining {
+	if st.Draining {
 		drain = 1
 	}
 	gauge(w, "ssspd_draining", "1 while the daemon is draining for shutdown.", drain)
 
-	gauge(w, "ssspd_graphs", "Graphs currently registered.", float64(len(snap.graphs)))
-	if len(snap.graphs) > 0 {
+	gauge(w, "ssspd_graphs", "Graphs currently registered.", float64(len(st.Graphs)))
+	if len(st.Graphs) > 0 {
 		family(w, "ssspd_graph_version", "Version of each graph's actively serving deployment.", "gauge")
-		for _, g := range snap.graphs {
-			fmt.Fprintf(w, "ssspd_graph_version{graph=%q} %d\n", g.name, g.version)
+		for _, name := range slices.Sorted(maps.Keys(st.Graphs)) {
+			fmt.Fprintf(w, "ssspd_graph_version{graph=%q} %d\n", name, st.Graphs[name].Version)
 		}
 	}
 	family(w, "ssspd_reloads_total", "Graph reload attempts by outcome.", "counter")
-	fmt.Fprintf(w, "ssspd_reloads_total{outcome=\"loaded\"} %d\n", snap.reloads.Loaded)
-	fmt.Fprintf(w, "ssspd_reloads_total{outcome=\"rejected\"} %d\n", snap.reloads.Rejected)
-	fmt.Fprintf(w, "ssspd_reloads_total{outcome=\"rolled_back\"} %d\n", snap.reloads.RolledBack)
-	fmt.Fprintf(w, "ssspd_reloads_total{outcome=\"noop\"} %d\n", snap.reloads.Noop)
-	fmt.Fprintf(w, "ssspd_reloads_total{outcome=\"mutated\"} %d\n", snap.reloads.Mutated)
-	fmt.Fprintf(w, "ssspd_reloads_total{outcome=\"quarantined\"} %d\n", snap.scanQuarantined)
+	fmt.Fprintf(w, "ssspd_reloads_total{outcome=\"loaded\"} %d\n", st.Reloads.Loaded)
+	fmt.Fprintf(w, "ssspd_reloads_total{outcome=\"rejected\"} %d\n", st.Reloads.Rejected)
+	fmt.Fprintf(w, "ssspd_reloads_total{outcome=\"rolled_back\"} %d\n", st.Reloads.RolledBack)
+	fmt.Fprintf(w, "ssspd_reloads_total{outcome=\"noop\"} %d\n", st.Reloads.Noop)
+	fmt.Fprintf(w, "ssspd_reloads_total{outcome=\"mutated\"} %d\n", st.Reloads.Mutated)
+	fmt.Fprintf(w, "ssspd_reloads_total{outcome=\"quarantined\"} %d\n", st.scanSkips)
 
-	if snap.hasGov {
-		g := snap.gov
+	if g := st.Governor; g != nil {
 		gauge(w, "ssspd_pressure", "Composite overload pressure in [0,1]: the worst of the queue-delay, queue-depth and latency components.", g.Pressure)
 		gauge(w, "ssspd_pressure_queue_delay", "Queue-delay pressure component: smoothed admission wait over budget, clamped to [0,1].", g.QueueDelay)
 		gauge(w, "ssspd_pressure_queue_depth", "Queue-depth pressure component: smoothed queued/capacity, clamped to [0,1].", g.QueueDepth)
@@ -313,50 +187,50 @@ func writeProm(w io.Writer, snap promSnapshot) {
 	counter(w, "ssspd_requests_shed_total", "Queries rejected by admission control.", st.Shed)
 	counter(w, "ssspd_sessions_quarantined_total", "Sessions rebuilt after a contained panic.", st.Quarantined)
 
-	gauge(w, "ssspd_quarantined", "Graphs whose active version is currently quarantined by a failed result audit.", float64(snap.graphsQuarantined))
-	counter(w, "ssspd_quarantines_total", "Graph versions quarantined by failed result audits since startup.", snap.quarantined)
-	if snap.hasAudit {
-		a := snap.audit
+	gauge(w, "ssspd_quarantined", "Graphs whose active version is currently quarantined by a failed result audit.", float64(st.GraphsQuarantined))
+	counter(w, "ssspd_quarantines_total", "Graph versions quarantined by failed result audits since startup.", st.quarantines)
+	if a := st.Audit; a != nil {
 		family(w, "ssspd_audits_total", "Sampled online result audits by outcome.", "counter")
 		fmt.Fprintf(w, "ssspd_audits_total{outcome=\"passed\"} %d\n", a.Passed)
 		fmt.Fprintf(w, "ssspd_audits_total{outcome=\"failed\"} %d\n", a.Failed)
 		fmt.Fprintf(w, "ssspd_audits_total{outcome=\"dropped\"} %d\n", a.Dropped)
 		counter(w, "ssspd_audit_failures_total", "Sampled results whose certificate did not hold against the graph.", a.Failed)
 	}
-	if snap.hasScrub {
-		sc := snap.scrub
+	if sc := st.Scrub; sc != nil {
 		counter(w, "ssspd_scrub_passes_total", "Completed integrity scrub passes.", sc.Passes)
 		counter(w, "ssspd_scrub_files_total", "Checkpoint and bundle files re-decoded by the scrubber.", sc.Files)
 		counter(w, "ssspd_scrub_corrupt_total", "Corrupt artifacts found: files renamed .bad plus cache entries evicted.", sc.Corrupt+sc.CacheCorrupt)
 		counter(w, "ssspd_scrub_cache_entries_total", "Resident cache entries re-hashed by the scrubber.", sc.CacheEntries)
 	}
-	if snap.hasCkpt {
-		counter(w, "ssspd_checkpoints_distrusted_total", "Checkpoint files renamed .bad because their graph was quarantined.", snap.ckptDistrusted)
-	}
 
-	if snap.hasCkpt {
-		counter(w, "ssspd_checkpoint_writes_total", "Checkpoint files successfully written.", snap.ckptWrites)
-		counter(w, "ssspd_checkpoints_recovered_total", "Interrupted solves resumed at startup.", snap.ckptRecovered)
-		counter(w, "ssspd_checkpoints_skipped_total", "Startup checkpoints dropped for fingerprint mismatch.", snap.ckptSkipped)
-		gauge(w, "ssspd_checkpoint_last_age_seconds", "Seconds since the last checkpoint write (-1: never).", snap.ckptAgeSec)
-		counter(w, "ssspd_checkpoint_write_errors_total", "Checkpoint saves that failed after retries.", snap.ckptWriteErrs)
-		counter(w, "ssspd_checkpoint_writes_skipped_total", "Checkpoint saves skipped while checkpointing was disabled.", snap.ckptSkippedWrites)
+	if st.hasCkpt {
+		counter(w, "ssspd_checkpoints_distrusted_total", "Checkpoint files renamed .bad because their graph was quarantined.", st.distrusted)
+		counter(w, "ssspd_checkpoint_writes_total", "Checkpoint files successfully written.", st.CheckpointWrites)
+		counter(w, "ssspd_checkpoints_recovered_total", "Interrupted solves resumed at startup.", st.Recovered)
+		counter(w, "ssspd_checkpoints_skipped_total", "Startup checkpoints dropped for an unregistered graph or a shape or content-fingerprint mismatch.", st.RecoverySkipped)
+		age := st.LastCheckpointAgeMS
+		if age >= 0 {
+			age /= 1000
+		}
+		gauge(w, "ssspd_checkpoint_last_age_seconds", "Seconds since the last checkpoint write (-1: never).", age)
+		counter(w, "ssspd_checkpoint_write_errors_total", "Checkpoint saves that failed after retries.", st.CheckpointWriteErrors)
+		counter(w, "ssspd_checkpoint_writes_skipped_total", "Checkpoint saves skipped while checkpointing was disabled.", st.CheckpointWritesSkipped)
 		disabled := 0.0
-		if snap.ckptDisabled {
+		if st.CheckpointingDisabled {
 			disabled = 1
 		}
 		gauge(w, "ssspd_checkpoint_disabled", "1 while checkpointing is disabled in the ENOSPC degraded mode.", disabled)
 	}
 
-	if snap.hasCache {
-		writeCacheProm(w, snap.cache)
+	if st.Cache != nil {
+		writeCacheProm(w, *st.Cache)
 	}
 
-	if snap.observers == 0 {
+	if st.observed == nil {
 		return
 	}
-	m := snap.observed.Metrics
-	counter(w, "ssspd_scheduler_solves_observed_total", "Solves absorbed by the session observers.", snap.observed.Solves)
+	m := st.observed.Metrics
+	counter(w, "ssspd_scheduler_solves_observed_total", "Solves absorbed by the session observers.", st.observed.Solves)
 	counter(w, "ssspd_scheduler_relaxations_total", "Edge relaxations attempted across all solves.", m.Relaxations)
 	counter(w, "ssspd_scheduler_improvements_total", "Relaxations that lowered a distance.", m.Improvements)
 	counter(w, "ssspd_scheduler_stale_skips_total", "Vertices skipped by the staleness check.", m.StaleSkips)
@@ -370,13 +244,11 @@ func writeProm(w io.Writer, snap promSnapshot) {
 		fmt.Fprintf(w, "ssspd_scheduler_steal_hits_total{tier=\"%d\"} %d\n", i, h)
 	}
 	counter(w, "ssspd_scheduler_trace_events_dropped_total",
-		"Scheduler trace events lost to the per-worker buffer cap.", int64(snap.observed.DroppedEvents))
+		"Scheduler trace events lost to the per-worker buffer cap.", int64(st.observed.DroppedEvents))
 }
 
 // writeCacheProm renders the result cache's families: the reuse
-// counters, residency gauges, and the exact-hit latency histogram
-// (cumulative buckets ending in the mandatory +Inf, as Prometheus
-// requires).
+// counters, residency gauges, and the exact-hit latency histogram.
 func writeCacheProm(w io.Writer, cs wasp.CacheStats) {
 	counter(w, "ssspd_cache_hits_total", "Queries answered from the result cache without a solve.", cs.Hits)
 	counter(w, "ssspd_cache_misses_total", "Queries that led a fresh solve.", cs.Misses)
@@ -389,20 +261,13 @@ func writeCacheProm(w io.Writer, cs wasp.CacheStats) {
 	gauge(w, "ssspd_cache_bytes", "Bytes of cached results charged against the budget.", float64(cs.Bytes))
 	gauge(w, "ssspd_cache_max_bytes", "Configured cache memory budget.", float64(cs.MaxBytes))
 
-	fmt.Fprint(w, "# HELP ssspd_cache_hit_duration_seconds Serve latency of exact cache hits (copy-and-return; no solver time).\n")
-	fmt.Fprint(w, "# TYPE ssspd_cache_hit_duration_seconds histogram\n")
 	h := cs.HitLatency
-	cum := int64(0)
-	for i, ub := range h.Bounds {
-		cum += h.Counts[i]
-		fmt.Fprintf(w, "ssspd_cache_hit_duration_seconds_bucket{le=%q} %d\n", formatFloat(ub.Seconds()), cum)
+	bounds := make([]float64, len(h.Bounds))
+	for i, b := range h.Bounds {
+		bounds[i] = b.Seconds()
 	}
-	if len(h.Counts) > len(h.Bounds) {
-		cum += h.Counts[len(h.Bounds)]
-	}
-	fmt.Fprintf(w, "ssspd_cache_hit_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "ssspd_cache_hit_duration_seconds_sum %s\n", formatFloat(h.Sum.Seconds()))
-	fmt.Fprintf(w, "ssspd_cache_hit_duration_seconds_count %d\n", h.Count)
+	writeHistogram(w, "ssspd_cache_hit_duration_seconds", "Serve latency of exact cache hits (lookup of the shared cached result, no copy; no solver time).",
+		bounds, h.Counts, h.Sum.Seconds(), h.Count)
 }
 
 // slowTraces retains the Chrome traces and summaries of the N slowest

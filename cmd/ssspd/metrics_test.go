@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"wasp"
 )
@@ -506,3 +509,277 @@ func TestMetricsResilienceFamilies(t *testing.T) {
 		t.Fatalf("cache reuse sheds %v, want 0", got)
 	}
 }
+
+// TestMetricsStateGolden pins the daemon's reporting surface on a
+// server wired as main wires it — cache, governor, checkpoint tracker,
+// a synchronous auditor, scrubber, per-session observers and two
+// graphs — after a few queries (one a cache hit) and one mutation: the
+// ordered metric families of /metrics, the ordered top-level keys of
+// /stats, /stats?graph= and /healthz/ready, and that /stats and
+// /metrics report the same counters.
+func TestMetricsStateGolden(t *testing.T) {
+	const n = 64
+	edges := make([]wasp.Edge, 0, n-1)
+	for i := 0; i < n-1; i++ {
+		edges = append(edges, wasp.Edge{From: wasp.Vertex(i), To: wasp.Vertex(i + 1), W: 1})
+	}
+	g := wasp.FromEdges(n, true, edges)
+
+	tracker := newCkptTracker(t.TempDir())
+	prom := newPromState(2)
+	cache := wasp.NewCache(wasp.CacheOptions{})
+	gov := wasp.NewGovernor(wasp.GovernorConfig{Slots: 2})
+	reg := wasp.NewRegistry(wasp.RegistryOptions{
+		Options: wasp.Options{Workers: 2, CheckpointInterval: 2 * time.Second},
+		Cache:   cache,
+		Pool: wasp.PoolOptions{
+			Sessions: 2,
+			Observe:  &wasp.ObserverConfig{},
+			OnSolve:  prom.onSolve,
+			Governor: gov,
+		},
+		History: 2,
+		Audit:   &wasp.AuditorOptions{SampleRate: 1},
+		ConfigureOptions: func(graph string, _ uint64, o wasp.Options) wasp.Options {
+			o.CheckpointSink = tracker.sinkFor(graph)
+			return o
+		},
+		OnEvent: func(ev wasp.RegistryEvent) {
+			if ev.Kind == wasp.EventQuarantined {
+				tracker.distrust(ev.Graph)
+			}
+		},
+	})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = reg.Close(ctx)
+	})
+	for _, name := range []string{"alpha", "beta"} {
+		if err := reg.LoadGraph(context.Background(), name, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scrub := wasp.NewScrubber(wasp.ScrubberOptions{CheckpointDir: tracker.dir, Cache: cache})
+	t.Cleanup(scrub.Close)
+	s := &server{reg: reg, cache: cache, ckpt: tracker, prom: prom, gov: gov, scrub: scrub}
+	ts := newHTTPServer(t, s)
+
+	getJSON(t, ts.URL+"/sssp?graph=alpha&source=0&target=9", http.StatusOK, nil)
+	getJSON(t, ts.URL+"/sssp?graph=alpha&source=0&target=9", http.StatusOK, nil) // the cache hit
+	getJSON(t, ts.URL+"/sssp?graph=beta&source=1", http.StatusOK, nil)
+	if code, body := patchJSON(t, ts.URL+"/graph?graph=alpha",
+		`{"mutations":[{"op":"set-weight","from":0,"to":1,"weight":5}]}`); code != http.StatusOK {
+		t.Fatalf("PATCH: status %d: %s", code, body)
+	}
+	getJSON(t, ts.URL+"/sssp?graph=alpha&source=0&target=9", http.StatusOK, nil)
+	scrub.ScrubOnce()
+
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	statsBody, metricsBody := get("/stats"), get("/metrics")
+
+	var types []string
+	for _, line := range strings.Split(string(metricsBody), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			types = append(types, rest)
+		}
+	}
+	for _, tc := range []struct {
+		what string
+		got  []string
+		want string
+	}{
+		{"/metrics TYPE lines", types, goldenMetricTypes},
+		{"/stats keys", topLevelKeys(t, statsBody), goldenStatsKeys},
+		{"/stats?graph=alpha keys", topLevelKeys(t, get("/stats?graph=alpha")), goldenGraphStatsKeys},
+		{"/healthz/ready keys", topLevelKeys(t, get("/healthz/ready")), goldenReadyKeys},
+	} {
+		if got := strings.Join(tc.got, "\n"); got != strings.TrimSpace(tc.want) {
+			t.Errorf("%s changed:\n got:\n%s\nwant:\n%s", tc.what, got, strings.TrimSpace(tc.want))
+		}
+	}
+
+	families := lintPromText(t, string(metricsBody))
+	metric := func(series string) int64 {
+		t.Helper()
+		for _, f := range families {
+			if v, ok := f.samples[series]; ok {
+				return int64(v)
+			}
+		}
+		t.Fatalf("series %s not exported", series)
+		return 0
+	}
+	var st statsResponse
+	if err := json.Unmarshal(statsBody, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache == nil || st.Audit == nil || st.Cache.Hits != 1 || st.Audit.Passed == 0 {
+		t.Fatalf("/stats cache %+v audit %+v, want 1 hit and passed audits", st.Cache, st.Audit)
+	}
+	for _, c := range []struct {
+		series string
+		stats  int64
+	}{
+		{"ssspd_solves_completed_total", st.Completed},
+		{"ssspd_cache_hits_total", st.Cache.Hits},
+		{"ssspd_cache_misses_total", st.Cache.Misses},
+		{`ssspd_audits_total{outcome="passed"}`, st.Audit.Passed},
+		{`ssspd_graph_version{graph="alpha"}`, int64(st.Graphs["alpha"].Version)},
+		{`ssspd_graph_version{graph="beta"}`, int64(st.Graphs["beta"].Version)},
+	} {
+		if got := metric(c.series); got != c.stats {
+			t.Errorf("%s = %d on /metrics, %d on /stats", c.series, got, c.stats)
+		}
+	}
+	if v := st.Graphs["alpha"].Version; v != 2 {
+		t.Errorf("alpha version %d after one mutation, want 2", v)
+	}
+}
+
+// topLevelKeys lists a JSON object's keys in document order.
+func topLevelKeys(t *testing.T, body []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", body)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+const goldenMetricTypes = `
+ssspd_solve_duration_seconds histogram
+ssspd_mutations_total counter
+ssspd_mutation_duration_seconds histogram
+ssspd_sessions gauge
+ssspd_sessions_idle gauge
+ssspd_solves_in_flight gauge
+ssspd_queue_depth gauge
+ssspd_draining gauge
+ssspd_graphs gauge
+ssspd_graph_version gauge
+ssspd_reloads_total counter
+ssspd_pressure gauge
+ssspd_pressure_queue_delay gauge
+ssspd_pressure_queue_depth gauge
+ssspd_pressure_latency gauge
+ssspd_brownout_level gauge
+ssspd_brownout_transitions_total counter
+ssspd_governor_sheds_total counter
+ssspd_retry_after_seconds gauge
+ssspd_solves_completed_total counter
+ssspd_solves_degraded_total counter
+ssspd_requests_shed_total counter
+ssspd_sessions_quarantined_total counter
+ssspd_quarantined gauge
+ssspd_quarantines_total counter
+ssspd_audits_total counter
+ssspd_audit_failures_total counter
+ssspd_scrub_passes_total counter
+ssspd_scrub_files_total counter
+ssspd_scrub_corrupt_total counter
+ssspd_scrub_cache_entries_total counter
+ssspd_checkpoints_distrusted_total counter
+ssspd_checkpoint_writes_total counter
+ssspd_checkpoints_recovered_total counter
+ssspd_checkpoints_skipped_total counter
+ssspd_checkpoint_last_age_seconds gauge
+ssspd_checkpoint_write_errors_total counter
+ssspd_checkpoint_writes_skipped_total counter
+ssspd_checkpoint_disabled gauge
+ssspd_cache_hits_total counter
+ssspd_cache_misses_total counter
+ssspd_cache_coalesced_total counter
+ssspd_cache_evicted_total counter
+ssspd_cache_warm_starts_total counter
+ssspd_cache_cold_starts_total counter
+ssspd_cache_reuse_shed_total counter
+ssspd_cache_entries gauge
+ssspd_cache_bytes gauge
+ssspd_cache_max_bytes gauge
+ssspd_cache_hit_duration_seconds histogram
+ssspd_scheduler_solves_observed_total counter
+ssspd_scheduler_relaxations_total counter
+ssspd_scheduler_improvements_total counter
+ssspd_scheduler_stale_skips_total counter
+ssspd_scheduler_bucket_advances_total counter
+ssspd_scheduler_chunks_drained_total counter
+ssspd_scheduler_steal_rounds_total counter
+ssspd_scheduler_steal_attempts_total counter
+ssspd_scheduler_steal_hits_total counter
+ssspd_scheduler_trace_events_dropped_total counter
+`
+
+const goldenStatsKeys = `
+sessions
+idle
+in_flight
+queued
+completed
+degraded
+shed
+quarantined
+p50_ms
+p99_ms
+draining
+checkpoint_writes
+last_checkpoint_age_ms
+recovered
+recovery_skipped
+checkpoint_write_errors
+checkpoint_writes_skipped
+checkpointing_disabled
+governor
+cache
+audit
+scrub
+graphs_quarantined
+reloads
+graphs
+`
+
+const goldenGraphStatsKeys = `
+name
+version
+state
+vertices
+edges
+directed
+weight_fp
+relabeled
+warm_sources
+history
+pool
+`
+
+const goldenReadyKeys = `
+ready
+draining
+pressure
+brownout
+graphs
+`

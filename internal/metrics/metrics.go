@@ -43,6 +43,25 @@ type Worker struct {
 // AddQueueOp accrues shared-queue time.
 func (w *Worker) AddQueueOp(d time.Duration) { w.QueueOpNS += int64(d) }
 
+// Add sums o's counters into w.
+func (w *Worker) Add(o *Worker) {
+	w.Relaxations += o.Relaxations
+	w.Improvements += o.Improvements
+	w.StaleSkips += o.StaleSkips
+	w.StealAttempts += o.StealAttempts
+	w.StealHits += o.StealHits
+	w.StealRounds += o.StealRounds
+	w.ChunksDrained += o.ChunksDrained
+	w.BucketAdvances += o.BucketAdvances
+	w.QueueOpNS += o.QueueOpNS
+	w.BarrierNS += o.BarrierNS
+	w.StealNS += o.StealNS
+	w.IdleNS += o.IdleNS
+	for i := range w.TierHits {
+		w.TierHits[i] += o.TierHits[i]
+	}
+}
+
 // Set is a fixed collection of per-worker metrics.
 type Set struct {
 	Workers []Worker
@@ -64,22 +83,7 @@ func (s *Set) Reset() {
 func (s *Set) Totals() Worker {
 	var t Worker
 	for i := range s.Workers {
-		w := &s.Workers[i]
-		t.Relaxations += w.Relaxations
-		t.Improvements += w.Improvements
-		t.StaleSkips += w.StaleSkips
-		t.StealAttempts += w.StealAttempts
-		t.StealHits += w.StealHits
-		t.StealRounds += w.StealRounds
-		t.ChunksDrained += w.ChunksDrained
-		t.BucketAdvances += w.BucketAdvances
-		t.QueueOpNS += w.QueueOpNS
-		t.BarrierNS += w.BarrierNS
-		t.StealNS += w.StealNS
-		t.IdleNS += w.IdleNS
-		for i := range w.TierHits {
-			t.TierHits[i] += w.TierHits[i]
-		}
+		t.Add(&s.Workers[i])
 	}
 	return t
 }

@@ -42,11 +42,15 @@ func TestAllFieldsAggregated(t *testing.T) {
 	w.BucketAdvances = 8
 	w.QueueOpNS = 9
 	w.BarrierNS = 10
+	w.StealNS = 11
+	w.IdleNS = 12
+	w.TierHits = [MaxStealTiers]int64{13, 14, 15}
 	tot := s.Totals()
 	if tot.Relaxations != 1 || tot.Improvements != 2 || tot.StaleSkips != 3 ||
 		tot.StealAttempts != 4 || tot.StealHits != 5 || tot.StealRounds != 6 ||
 		tot.ChunksDrained != 7 || tot.BucketAdvances != 8 ||
-		tot.QueueOpNS != 9 || tot.BarrierNS != 10 {
+		tot.QueueOpNS != 9 || tot.BarrierNS != 10 || tot.StealNS != 11 ||
+		tot.IdleNS != 12 || tot.TierHits != [MaxStealTiers]int64{13, 14, 15} {
 		t.Fatalf("totals dropped a field: %+v", tot)
 	}
 }

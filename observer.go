@@ -158,21 +158,7 @@ func (o *Observer) absorb() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	t := o.set.Totals()
-	o.cum.Relaxations += t.Relaxations
-	o.cum.Improvements += t.Improvements
-	o.cum.StaleSkips += t.StaleSkips
-	o.cum.StealAttempts += t.StealAttempts
-	o.cum.StealHits += t.StealHits
-	o.cum.StealRounds += t.StealRounds
-	o.cum.ChunksDrained += t.ChunksDrained
-	o.cum.BucketAdvances += t.BucketAdvances
-	o.cum.QueueOpNS += t.QueueOpNS
-	o.cum.BarrierNS += t.BarrierNS
-	o.cum.StealNS += t.StealNS
-	o.cum.IdleNS += t.IdleNS
-	for i := range t.TierHits {
-		o.cum.TierHits[i] += t.TierHits[i]
-	}
+	o.cum.Add(&t)
 	o.cumDropped += o.log.Dropped()
 	o.solves++
 }
