@@ -99,8 +99,9 @@ func checkCancelledBatch(t *testing.T, results []*wasp.Result, err error, maxSou
 
 // TestRunManyContextMidBatchCancel: a timer-cancelled context stops the
 // batch mid-flight; the completed prefix plus the interrupted partial
-// come back on both the Wasp (session) path and the baseline
-// (per-source RunContext) path. Timing decides where the cut lands, so
+// come back on both the preallocated Wasp path and the baseline path
+// (a per-source solve without preallocation, inside the same session
+// body). Timing decides where the cut lands, so
 // the test accepts any cut point — what is pinned is the shape of the
 // result slice and, for Wasp, that partial distances stay upper bounds.
 func TestRunManyContextMidBatchCancel(t *testing.T) {

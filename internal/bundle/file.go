@@ -3,49 +3,21 @@ package bundle
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 
+	"wasp/internal/checkpoint"
 	"wasp/internal/fault"
 )
 
-// Save writes the bundle to path crash-safely, mirroring
-// checkpoint.Save: encode into a temporary file in the same directory,
-// fsync, rename over the destination, fsync the directory. A registry
-// rescanning the directory therefore only ever sees complete bundles —
-// either the previous one or the new one, never a torn write.
-func Save(path string, b *Bundle) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+// Save writes the bundle to path crash-safely through
+// checkpoint.WriteFile (temp file, fsync, rename, directory fsync). A
+// registry rescanning the directory therefore only ever sees complete
+// bundles — either the previous one or the new one, never a torn write.
+func Save(path string, b *Bundle) error {
+	err := checkpoint.WriteFile(path, func(w io.Writer) error { return Write(w, b) })
 	if err != nil {
 		return fmt.Errorf("bundle: save: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-
-	w := bufio.NewWriterSize(tmp, 1<<16)
-	if err = Write(w, b); err != nil {
-		return fmt.Errorf("bundle: save: %w", err)
-	}
-	if err = w.Flush(); err != nil {
-		return fmt.Errorf("bundle: save: %w", err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("bundle: save: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("bundle: save: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("bundle: save: %w", err)
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		_ = d.Sync()
-		d.Close()
 	}
 	return nil
 }

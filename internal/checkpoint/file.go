@@ -3,19 +3,18 @@ package checkpoint
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"wasp/internal/fault"
 )
 
-// Save writes the snapshot to path crash-safely: encode into a
-// temporary file in the same directory, fsync it, rename over the
-// destination, fsync the directory. A reader (or a restarted process)
-// therefore sees either the previous complete checkpoint or the new
-// complete checkpoint — never a torn one — and a power cut after Save
-// returns cannot lose the rename.
-func Save(path string, s *Snapshot) (err error) {
+// Save writes the snapshot to path crash-safely (see WriteFile): a
+// reader, or a restarted process, sees either the previous complete
+// checkpoint or the new complete checkpoint — never a torn one — and a
+// power cut after Save returns cannot lose the rename.
+func Save(path string, s *Snapshot) error {
 	// The chaos suite's disk-fault site: an active plan may stall here
 	// (congested disk) or hand back a transient error or ENOSPC before
 	// any byte is written — the same failures a real filesystem
@@ -23,10 +22,21 @@ func Save(path string, s *Snapshot) (err error) {
 	if err := fault.InjectErr(fault.DiskWrite, 0); err != nil {
 		return fmt.Errorf("checkpoint: save: %w", err)
 	}
+	if err := WriteFile(path, s.Encode); err != nil {
+		return fmt.Errorf("checkpoint: save: %w", err)
+	}
+	return nil
+}
+
+// WriteFile is the crash-safe write sequence checkpoints and bundles
+// share: encode into a temporary file in path's directory, flush,
+// fsync it, rename over path, fsync the directory. The temporary file
+// is removed on any failure.
+func WriteFile(path string, encode func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("checkpoint: save: %w", err)
+		return err
 	}
 	defer func() {
 		if err != nil {
@@ -36,20 +46,20 @@ func Save(path string, s *Snapshot) (err error) {
 	}()
 
 	w := bufio.NewWriterSize(tmp, 1<<16)
-	if err = s.Encode(w); err != nil {
-		return fmt.Errorf("checkpoint: save: %w", err)
+	if err = encode(w); err != nil {
+		return err
 	}
 	if err = w.Flush(); err != nil {
-		return fmt.Errorf("checkpoint: save: %w", err)
+		return err
 	}
 	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: save: %w", err)
+		return err
 	}
 	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: save: %w", err)
+		return err
 	}
 	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("checkpoint: save: %w", err)
+		return err
 	}
 	// Make the rename itself durable. Directory fsync is best-effort on
 	// filesystems that do not support it; the rename is still atomic.

@@ -136,20 +136,9 @@ func (o *Observer) attach(p int) (*trace.Log, *metrics.Set) {
 			o.log = trace.NewCapped(p, cap)
 		}
 	}
-	o.resetRunLocked()
-	return o.log, o.set
-}
-
-// resetRun clears the per-run collectors before a solve starts.
-func (o *Observer) resetRun() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.resetRunLocked()
-}
-
-func (o *Observer) resetRunLocked() {
 	o.set.Reset()
 	o.log.Reset()
+	return o.log, o.set
 }
 
 // absorb folds the finished run's counters into the cumulative totals.

@@ -431,8 +431,9 @@ func (r *Registry) deploy(ctx context.Context, e *graphEntry, v *graphVersion, k
 // solve. The smoke runs as a one-shot direct solve rather than through
 // the candidate pool, so a deployment never pollutes the pool's
 // operator-facing counters, latency histograms or checkpoint files with
-// synthetic work; pool construction itself (NewPool preallocates and
-// validates every session) covers the admission machinery.
+// synthetic work (RunContext ignores the checkpoint options); pool
+// construction itself (NewPool preallocates and validates every
+// session) covers the admission machinery.
 func (r *Registry) build(ctx context.Context, name string, v *graphVersion) (*Pool, error) {
 	opt := r.conf.Options
 	if r.conf.ConfigureOptions != nil {
@@ -453,11 +454,8 @@ func (r *Registry) build(ctx context.Context, name string, v *graphVersion) (*Po
 	if err != nil {
 		return nil, fmt.Errorf("building pool: %w", err)
 	}
-	smokeOpt := opt
-	smokeOpt.CheckpointSink = nil
-	smokeOpt.CheckpointInterval = 0
 	sctx, cancel := context.WithTimeout(ctx, smokeTimeout)
-	res, err := RunContext(sctx, v.g, 0, smokeOpt)
+	res, err := RunContext(sctx, v.g, 0, opt)
 	cancel()
 	if err != nil || res == nil {
 		dctx, dcancel := context.WithTimeout(context.Background(), r.conf.DrainTimeout)

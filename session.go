@@ -12,6 +12,7 @@ import (
 	"wasp/internal/metrics"
 	"wasp/internal/parallel"
 	"wasp/internal/trace"
+	"wasp/internal/verify"
 )
 
 // ErrSessionBusy is returned by Session.Run when a solve is already in
@@ -42,9 +43,10 @@ var ErrSessionBusy = errors.New("wasp: session already running a solve")
 //     behaves identically to a fresh one.
 //   - Full preallocation applies to AlgoWasp without PendantPruning
 //     (the pruned core is a different graph per source). Other
-//     configurations still work — Run transparently falls back to a
-//     one-shot RunContext per call — so generic batch drivers need no
-//     special cases.
+//     configurations still work — Run solves them without
+//     preallocation inside the same body, with the same result
+//     contract — so generic batch drivers need no special cases. A
+//     one-shot RunContext is itself a Session used once.
 type Session struct {
 	g        *Graph
 	opt      Options      // defaults applied
@@ -88,20 +90,7 @@ func NewSession(g *Graph, opt Options) (*Session, error) {
 		s.m = metrics.NewSet(opt.Workers)
 	}
 	if opt.Algorithm == AlgoWasp && !opt.PendantPruning {
-		s.solver = core.NewSolver(g, core.Options{
-			Delta:           opt.Delta,
-			Workers:         opt.Workers,
-			Topology:        opt.Topology,
-			Policy:          opt.Steal,
-			Retries:         opt.StealRetries,
-			NoLeafPruning:   opt.NoLeafPruning,
-			NoDecomposition: opt.NoDecomposition,
-			NoBidirectional: opt.NoBidirectional,
-			Theta:           opt.Theta,
-			Metrics:         s.m,
-			Trace:           s.tl,
-			Timing:          s.obs != nil && s.obs.cfg.Timing,
-		})
+		s.solver = core.NewSolver(g, coreOptions(opt, s.m, s.tl))
 	}
 	return s, nil
 }
@@ -145,8 +134,9 @@ func (s *Session) Resume(ctx context.Context, cp *Checkpoint) (*Result, error) {
 	return s.run(ctx, Vertex(cp.Source), cp)
 }
 
-// run is the shared body of Run and Resume: warm, when non-nil, is a
-// validated checkpoint to seed from.
+// run is the one solve body — Run, Resume and RunContext all end here:
+// warm, when non-nil, is a validated checkpoint to seed from (Resume
+// admits it only on the preallocated path).
 func (s *Session) run(ctx context.Context, source Vertex, warm *Checkpoint) (*Result, error) {
 	if int(source) >= s.g.NumVertices() {
 		return nil, fmt.Errorf("wasp: source %d out of range for %d vertices", source, s.g.NumVertices())
@@ -156,56 +146,57 @@ func (s *Session) run(ctx context.Context, source Vertex, warm *Checkpoint) (*Re
 	}
 	defer s.inFlight.Store(false)
 
+	// Reset the run's metrics set — the solver-owned one on the
+	// preallocated path, s.m (when collecting or observing) otherwise —
+	// and the observer's event log, so Progress.Relaxations,
+	// Result.Metrics and the trace describe this run alone, even one
+	// that never starts. The observer's cumulative totals persist.
+	m := s.m
+	if s.solver != nil {
+		m = s.solver.Metrics()
+	}
+	if m != nil {
+		m.Reset()
+	}
+	s.tl.Reset()
+
 	if err := ctx.Err(); err != nil {
 		// Pre-cancelled or pre-expired: honor the partial-result
 		// contract without spinning up a single worker goroutine.
 		return s.preCancelled(source), fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
 
-	if s.solver == nil {
-		// Configurations outside the preallocated Wasp path solve
-		// one-shot, with the same result contract, through the
-		// session-owned collectors (reset per run) rather than a fresh
-		// allocation per call. (warm is nil here: Resume rejects the
-		// fallback path before reaching run.) runContext absorbs the
-		// run into the observer when one is bound.
-		if s.obs != nil {
-			s.obs.resetRun()
-		} else if s.m != nil {
-			s.m.Reset()
-		}
-		return runContext(ctx, s.g, source, s.opt, s.m, s.tl)
-	}
-
 	tok := new(parallel.Token)
 	stopWatch := parallel.WatchContext(ctx, tok)
 	defer stopWatch()
 
-	// Reset the solver's metrics set — s.m when the session collects or
-	// observes, the solver-owned set otherwise — so Progress.Relaxations
-	// (and Result.Metrics) are per-run, not accumulated. The observer's
-	// event log resets with it; its cumulative totals persist.
-	m := s.solver.Metrics()
-	m.Reset()
-	s.tl.Reset()
-	res := &Result{Algorithm: AlgoWasp}
+	res := &Result{Algorithm: s.opt.Algorithm}
 	var base time.Duration // wall time the warm checkpoint already paid
+	var stallErr error
 	start := time.Now()
-
-	// Prepare before starting the supervisor: Checkpoint must never
-	// observe Reset's plain rewrites of the distance array, and after
-	// Prepare returns every write is an atomic lowering.
-	if warm != nil {
-		base = warm.Elapsed
-		s.solver.PrepareWarm(graph.Vertex(source), warm.Dist)
+	if s.solver != nil {
+		// Prepare before starting the supervisor: Checkpoint must never
+		// observe Reset's plain rewrites of the distance array, and
+		// after Prepare returns every write is an atomic lowering.
+		if warm != nil {
+			base = warm.Elapsed
+			s.solver.PrepareWarm(graph.Vertex(source), warm.Dist)
+		} else {
+			s.solver.Prepare(graph.Vertex(source))
+		}
+		stopSupervisor := s.supervise(tok, base, start)
+		r := s.solver.Launch(tok)
+		if err := stopSupervisor(); err != nil && !r.Complete {
+			// The watchdog cancelled a wedged solve. When the solve
+			// completed despite a late watchdog trip the stall was a
+			// false positive and the finished result stands.
+			stallErr = err
+		}
+		res.Dist = r.Dist
 	} else {
-		s.solver.Prepare(graph.Vertex(source))
+		res.Dist, res.Steps = solveOnce(s.g, source, s.opt, m, s.tl, tok)
 	}
-	stopSupervisor := s.supervise(tok, base, start)
-	r := s.solver.Launch(tok)
-	stallErr := stopSupervisor()
 
-	res.Dist = r.Dist
 	res.Elapsed = base + time.Since(start)
 	res.PriorElapsed = base
 	res.fillProgress(m)
@@ -219,15 +210,12 @@ func (s *Session) run(ctx context.Context, source Vertex, warm *Checkpoint) (*Re
 		s.obs.absorb()
 	}
 	if pe := tok.Err(); pe != nil {
-		return nil, fmt.Errorf("wasp: %s solver panicked: %w", AlgoWasp, pe)
+		return nil, fmt.Errorf("wasp: %s solver panicked: %w", s.opt.Algorithm, pe)
 	}
-	if stallErr != nil && !r.Complete {
-		// The watchdog cancelled a wedged solve. The distances are a
-		// valid partial snapshot (and the sink already received the
-		// forced final checkpoint), so hand them back with the stall
-		// diagnosis. When the solve completed despite a late watchdog
-		// trip the stall was a false positive: fall through and return
-		// the finished result.
+	if stallErr != nil {
+		// The distances are a valid partial snapshot (and the sink
+		// already received the forced final checkpoint), so hand them
+		// back with the stall diagnosis.
 		return res, stallErr
 	}
 	if err := ctx.Err(); err != nil {
@@ -237,8 +225,8 @@ func (s *Session) run(ctx context.Context, source Vertex, warm *Checkpoint) (*Re
 	}
 	res.Complete = true
 	if s.opt.Verify {
-		if err := verifyResult(s.g, source, res.Dist); err != nil {
-			return nil, err
+		if err := verify.Certificate(s.g, source, res.Dist); err != nil {
+			return nil, fmt.Errorf("wasp: %s produced an invalid result: %w", s.opt.Algorithm, err)
 		}
 	}
 	return res, nil
@@ -343,7 +331,8 @@ func (s *Session) supervise(tok *parallel.Token, base time.Duration, start time.
 // preCancelled builds the zero-work partial snapshot Run returns when
 // the context was already done at entry: distances initialized for
 // source (∞ everywhere else), Complete false, progress reflecting the
-// one settled vertex. On the preallocated path the snapshot aliases
+// one settled vertex. run has already reset the collectors, so
+// Metrics reads zero. On the preallocated path the snapshot aliases
 // session storage, exactly like any other Run result.
 func (s *Session) preCancelled(source Vertex) *Result {
 	res := &Result{Algorithm: s.opt.Algorithm}
@@ -358,7 +347,6 @@ func (s *Session) preCancelled(source Vertex) *Result {
 		res.Dist = d
 	}
 	if s.m != nil {
-		s.m.Reset()
 		t := s.m.Totals()
 		res.Metrics = &t
 	}
@@ -367,8 +355,8 @@ func (s *Session) preCancelled(source Vertex) *Result {
 }
 
 // detach makes res safe to retain across further solves on s by
-// copying session-owned storage out of it. One-shot fallback results
-// already own their distances.
+// copying session-owned storage out of it. Results solved without
+// preallocation already own their distances.
 func (s *Session) detach(res *Result) *Result {
 	if res != nil && s.solver != nil && res.Dist != nil {
 		res.Dist = append([]uint32(nil), res.Dist...)

@@ -213,7 +213,9 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 // contract — initialized snapshot, Complete false, both sentinel
 // errors — on the preallocated path and the fallback path alike, and
 // promptly (the short-circuit never launches workers, so even a huge
-// worker count costs nothing).
+// worker count costs nothing). An observed session solves once first:
+// the short-circuit must clear that solve's trace, not leave it behind
+// for a reader of the zero-work run.
 func TestSessionPreCancelledShortCircuit(t *testing.T) {
 	g := wasp.FromEdges(4, true, []wasp.Edge{
 		{From: 1, To: 2, W: 1}, {From: 2, To: 3, W: 1},
@@ -223,10 +225,23 @@ func TestSessionPreCancelledShortCircuit(t *testing.T) {
 	for _, opt := range []wasp.Options{
 		{Algorithm: wasp.AlgoWasp, Workers: 64}, // preallocated path
 		{Algorithm: wasp.AlgoGAP, Workers: 64},  // fallback path
+		// Observed; a one-event cap makes the warm-up solve drop events.
+		{Algorithm: wasp.AlgoWasp, Workers: 2,
+			Observer: wasp.NewObserver(wasp.ObserverConfig{TraceCapacity: 1})},
 	} {
 		sess, err := wasp.NewSession(g, opt)
 		if err != nil {
 			t.Fatal(err)
+		}
+		obs := opt.Observer
+		if obs != nil {
+			if _, err := sess.Run(context.Background(), 1); err != nil {
+				t.Fatal(err)
+			}
+			if len(obs.Events()) == 0 || obs.DroppedEvents() == 0 {
+				t.Fatalf("warm-up solve traced %d events, dropped %d; want both > 0",
+					len(obs.Events()), obs.DroppedEvents())
+			}
 		}
 		start := time.Now()
 		res, err := sess.Run(ctx, 1)
@@ -245,6 +260,10 @@ func TestSessionPreCancelledShortCircuit(t *testing.T) {
 		}
 		if elapsed > 5*time.Second {
 			t.Fatalf("%v: short-circuit took %v", opt.Algorithm, elapsed)
+		}
+		if obs != nil && (len(obs.Events()) != 0 || obs.DroppedEvents() != 0) {
+			t.Fatalf("observer kept the previous solve's trace: %d events, %d dropped",
+				len(obs.Events()), obs.DroppedEvents())
 		}
 		// The session is untouched: the next run solves exactly.
 		res, err = sess.Run(context.Background(), 1)

@@ -25,7 +25,6 @@ import (
 	"wasp/internal/prune"
 	"wasp/internal/smq"
 	"wasp/internal/trace"
-	"wasp/internal/verify"
 )
 
 // Algorithm selects an SSSP implementation. AlgoWasp is the paper's
@@ -187,7 +186,8 @@ type Options struct {
 	// the capture is a racy-but-valid atomic copy — and handed to the
 	// sink. Supervision requires the preallocated session path
 	// (AlgoWasp without PendantPruning); NewSession rejects other
-	// configurations. Ignored by one-shot Run/RunContext. Zero disables.
+	// configurations. One-shot Run/RunContext zero it: they run
+	// unsupervised. Zero disables.
 	CheckpointInterval time.Duration
 
 	// CheckpointSink receives each periodic (and stall-forced)
@@ -202,7 +202,7 @@ type Options struct {
 	// watchdog dumps per-worker scheduler state, emits a final forced
 	// checkpoint to CheckpointSink (when set), cancels the run and
 	// fails it with an error wrapping ErrStalled. Zero disables.
-	// Ignored by one-shot Run/RunContext.
+	// One-shot Run/RunContext zero it.
 	StallTimeout time.Duration
 
 	// Observer, when non-nil, collects the solve's scheduler internals:
@@ -225,9 +225,9 @@ type Options struct {
 }
 
 // withDefaults returns a copy of o with the cross-cutting defaults
-// applied. Every entry point (RunContext, NewSession, RunManyContext)
-// goes through this before sizing anything — metrics sets and session
-// preallocation must never see Workers <= 0.
+// applied. NewSession (and through it RunContext and RunManyContext)
+// and NewPool apply it before sizing anything — metrics sets and
+// session preallocation must never see Workers <= 0.
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -256,9 +256,10 @@ type Progress struct {
 	Reached int
 	// Relaxations is the number of edge relaxations attempted, plumbed
 	// from the per-worker counters in internal/metrics. It is always
-	// available on the preallocated Wasp session path (the solver owns
-	// a metrics set); on other paths it is nonzero only when
-	// CollectMetrics was set.
+	// available for AlgoWasp without PendantPruning, one-shot Run
+	// included (the preallocated solver owns a metrics set); in other
+	// configurations it is nonzero only when CollectMetrics was set or
+	// an Observer is bound.
 	Relaxations int64
 }
 
@@ -313,21 +314,6 @@ func (r *Result) fillProgress(m *metrics.Set) {
 	}
 }
 
-// timeIt measures one invocation of f.
-func timeIt(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
-
-// verifyResult applies the SSSP certificate check.
-func verifyResult(g *Graph, source Vertex, d []uint32) error {
-	if err := verify.Certificate(g, source, d); err != nil {
-		return fmt.Errorf("wasp: invalid result: %w", err)
-	}
-	return nil
-}
-
 // ErrCancelled is returned (wrapped) by RunContext when the context is
 // cancelled before the solve terminates. Test with errors.Is.
 var ErrCancelled = errors.New("wasp: run cancelled")
@@ -344,35 +330,29 @@ func Run(g *Graph, source Vertex, opt Options) (*Result, error) {
 // terminates, RunContext returns an error wrapping both ErrCancelled
 // and ctx.Err() together with a non-nil partial Result: Complete is
 // false and Dist holds the tentative distances at the moment the
-// workers drained (finite entries are valid upper bounds). Verify is
-// skipped for cancelled runs, whose output is legitimately partial.
+// workers drained (finite entries are valid upper bounds). A context
+// already done at entry gets the zero-work snapshot without starting
+// a worker. Verify is skipped for cancelled runs, whose output is
+// legitimately partial.
 //
 // RunContext also contains worker panics: a panic inside any parallel
 // solver cancels its siblings (no deadlocked joins, no leaked
 // goroutines) and surfaces as an error carrying the worker id and
 // stack trace.
+//
+// RunContext is a Session used once: NewSession validates opt and
+// binds opt.Observer, one Session.Run solves, and the observer is
+// released on return. The supervision options (CheckpointInterval,
+// CheckpointSink, StallTimeout) are zeroed first, so one-shot runs
+// ignore them.
 func RunContext(ctx context.Context, g *Graph, source Vertex, opt Options) (*Result, error) {
-	if g == nil {
-		return nil, fmt.Errorf("wasp: nil graph")
+	opt.CheckpointInterval, opt.CheckpointSink, opt.StallTimeout = 0, nil, 0
+	s, err := NewSession(g, opt)
+	if err != nil {
+		return nil, err
 	}
-	if int(source) >= g.NumVertices() {
-		return nil, fmt.Errorf("wasp: source %d out of range for %d vertices", source, g.NumVertices())
-	}
-	opt = opt.withDefaults()
-	var m *metrics.Set
-	var tl *trace.Log
-	if opt.Observer != nil {
-		// The observer is bound for the duration of this call so two
-		// concurrent runs cannot race on its buffers.
-		if err := opt.Observer.bind(); err != nil {
-			return nil, err
-		}
-		defer opt.Observer.release()
-		tl, m = opt.Observer.attach(opt.Workers)
-	} else if opt.CollectMetrics || opt.QueueTiming {
-		m = metrics.NewSet(opt.Workers)
-	}
-	return runContext(ctx, g, source, opt, m, tl)
+	defer s.obs.release()
+	return s.Run(ctx, source)
 }
 
 // warmStartSupported reports whether the option set can seed a solve
@@ -392,111 +372,103 @@ func warmStartSupported(opt Options) error {
 	return nil
 }
 
-// runContext is RunContext after validation: opt has defaults applied,
-// m is the caller-owned metrics set (nil when not collecting) and tl
-// the caller-owned trace log (nil when not tracing; AlgoWasp only).
-// Session.Run's fallback path enters here directly so session-owned
-// collectors are reused per call instead of reallocated. When
-// opt.Observer is set, the caller has already attached it (m and tl
-// are its collectors) and the finished run is absorbed into its
-// cumulative totals here.
-func runContext(ctx context.Context, g *Graph, source Vertex, opt Options, m *metrics.Set, tl *trace.Log) (*Result, error) {
-	// One token per solve: the context watcher trips it, worker panics
-	// trip it, and every solver loop polls it.
-	tok := new(parallel.Token)
-	stopWatch := parallel.WatchContext(ctx, tok)
-	defer stopWatch()
+// coreOptions translates opt into the Wasp solver's options, with m and
+// tl as the solver's collectors. NewSession and pruned Wasp runs both
+// build their solver from it.
+func coreOptions(opt Options, m *metrics.Set, tl *trace.Log) core.Options {
+	return core.Options{
+		Delta:           opt.Delta,
+		Workers:         opt.Workers,
+		Topology:        opt.Topology,
+		Policy:          opt.Steal,
+		Retries:         opt.StealRetries,
+		NoLeafPruning:   opt.NoLeafPruning,
+		NoDecomposition: opt.NoDecomposition,
+		NoBidirectional: opt.NoBidirectional,
+		Theta:           opt.Theta,
+		Metrics:         m,
+		Trace:           tl,
+		Timing:          opt.Observer != nil && opt.Observer.cfg.Timing,
+	}
+}
 
-	res := &Result{Algorithm: opt.Algorithm}
-	start := time.Now()
-
-	// Pendant pruning wraps any solver: solve the stripped core, then
-	// reconstruct the pendant distances. The prep time is inside
-	// Elapsed — the preprocessing is part of the algorithm's cost.
-	solveGraph, original := g, g
+// solveOnce runs opt.Algorithm from source on g without preallocation:
+// Session.run calls it for every configuration outside the preallocated
+// Wasp path and owns everything around it (clock, progress, metrics,
+// observer, panics, cancellation, Verify). opt has defaults applied and
+// an algorithm NewSession accepted; m and tl are the session's
+// collectors (nil when not collecting; tl is AlgoWasp only) and tok the
+// run's cancellation token. Pendant pruning wraps any solver: solve the
+// stripped core, then reconstruct the pendant distances — the prep is
+// part of the algorithm's cost.
+func solveOnce(g *Graph, source Vertex, opt Options, m *metrics.Set, tl *trace.Log, tok *parallel.Token) (dist []uint32, steps int64) {
 	var pruned *prune.Pruned
 	if opt.PendantPruning {
-		p := prune.Prepare(g)
-		if p.Stripped() > 0 && p.SourceUsable(source) {
-			pruned = p
-			solveGraph = p.Core
+		if p := prune.Prepare(g); p.Stripped() > 0 && p.SourceUsable(source) {
+			pruned, g = p, p.Core
 		}
 	}
-	g = solveGraph
 
 	switch opt.Algorithm {
 	case AlgoWasp:
-		r := core.Run(g, source, core.Options{
-			Delta:           opt.Delta,
-			Workers:         opt.Workers,
-			Topology:        opt.Topology,
-			Policy:          opt.Steal,
-			Retries:         opt.StealRetries,
-			NoLeafPruning:   opt.NoLeafPruning,
-			NoDecomposition: opt.NoDecomposition,
-			NoBidirectional: opt.NoBidirectional,
-			Theta:           opt.Theta,
-			Metrics:         m,
-			Trace:           tl,
-			Timing:          opt.Observer != nil && opt.Observer.cfg.Timing,
-			Cancel:          tok,
-		})
-		res.Dist = r.Dist
+		copt := coreOptions(opt, m, tl)
+		copt.Cancel = tok
+		dist = core.Run(g, source, copt).Dist
 	case AlgoDijkstra:
 		r := dijkstra.RunToken(g, source, tok)
-		res.Dist = r.Dist
+		dist = r.Dist
 		if m != nil {
 			m.Workers[0].Relaxations = r.Relaxations
 		}
 	case AlgoBellmanFord:
-		res.Dist = bellmanford.RunToken(g, source, tok)
+		dist = bellmanford.RunToken(g, source, tok)
 	case AlgoGAP:
 		r := gapds.Run(g, source, gapds.Options{
 			Delta: opt.Delta, Workers: opt.Workers, Metrics: m, Cancel: tok,
 		})
-		res.Dist, res.Steps = r.Dist, r.Steps
+		dist, steps = r.Dist, r.Steps
 	case AlgoGBBS:
 		r := gbbs.Run(g, source, gbbs.Options{
 			Delta: opt.Delta, Workers: opt.Workers, Metrics: m, Cancel: tok,
 		})
-		res.Dist, res.Steps = r.Dist, r.Steps
+		dist, steps = r.Dist, r.Steps
 	case AlgoDeltaStar:
 		r := stepping.Run(g, source, stepping.Options{
 			Algorithm: stepping.DeltaStar, Delta: opt.Delta,
 			Workers: opt.Workers, Metrics: m, Cancel: tok,
 		})
-		res.Dist, res.Steps = r.Dist, r.Steps
+		dist, steps = r.Dist, r.Steps
 	case AlgoRho:
 		r := stepping.Run(g, source, stepping.Options{
 			Algorithm: stepping.Rho, Rho: opt.Rho,
 			Workers: opt.Workers, Metrics: m, Cancel: tok,
 		})
-		res.Dist, res.Steps = r.Dist, r.Steps
+		dist, steps = r.Dist, r.Steps
 	case AlgoMultiQueue:
 		r := mqsssp.Run(g, source, mqsssp.Options{
 			Workers: opt.Workers, Stickiness: opt.Stickiness,
 			Timing: opt.QueueTiming, Metrics: m, Cancel: tok,
 		})
-		res.Dist = r.Dist
+		dist = r.Dist
 	case AlgoGalois:
 		r := galois.Run(g, source, galois.Options{
 			Delta: opt.Delta, Workers: opt.Workers, Metrics: m, Cancel: tok,
 		})
-		res.Dist = r.Dist
+		dist = r.Dist
 	case AlgoSMQ:
-		res.Dist = relaxed.RunSMQ(g, source, smq.Config{},
+		dist = relaxed.RunSMQ(g, source, smq.Config{},
 			relaxed.Options{Workers: opt.Workers, Metrics: m, Cancel: tok})
 	case AlgoMBQ:
-		res.Dist = relaxed.RunMBQ(g, source, mbq.Config{Delta: uint64(opt.Delta)},
+		dist = relaxed.RunMBQ(g, source, mbq.Config{Delta: uint64(opt.Delta)},
 			relaxed.Options{Workers: opt.Workers, Metrics: m, Cancel: tok})
 	case AlgoRadius:
 		r := radius.Run(g, source, radius.Options{
 			Rho: opt.Rho, Workers: opt.Workers, Metrics: m, Cancel: tok,
 		})
-		res.Dist, res.Steps = r.Dist, r.Steps
+		dist, steps = r.Dist, r.Steps
 	case AlgoSeqDelta:
 		r := seqdelta.Run(g, source, seqdelta.Options{Delta: opt.Delta, Cancel: tok})
-		res.Dist, res.Steps = r.Dist, r.Buckets
+		dist, steps = r.Dist, r.Buckets
 		if m != nil {
 			m.Workers[0].Relaxations = r.LightRelaxations + r.HeavyRelaxations
 		}
@@ -504,39 +476,10 @@ func runContext(ctx context.Context, g *Graph, source Vertex, opt Options, m *me
 		r := algebra.Run(g, source, algebra.Options{
 			Delta: opt.Delta, Workers: opt.Workers, Metrics: m, Cancel: tok,
 		})
-		res.Dist, res.Steps = r.Dist, r.Steps
-	default:
-		return nil, fmt.Errorf("wasp: unknown algorithm %d", opt.Algorithm)
+		dist, steps = r.Dist, r.Steps
 	}
 	if pruned != nil {
-		pruned.Restore(res.Dist)
+		pruned.Restore(dist)
 	}
-	res.Elapsed = time.Since(start)
-	res.fillProgress(m)
-
-	if m != nil {
-		t := m.Totals()
-		res.Metrics = &t
-	}
-	if opt.Observer != nil {
-		// Workers have joined: fold this run's counters into the
-		// observer's cumulative totals (even for partial runs — the
-		// work happened).
-		opt.Observer.absorb()
-	}
-	if pe := tok.Err(); pe != nil {
-		return nil, fmt.Errorf("wasp: %s solver panicked: %w", opt.Algorithm, pe)
-	}
-	if err := ctx.Err(); err != nil {
-		// Cancelled: the distances are a legitimate partial snapshot,
-		// so hand them back alongside the error and skip verification.
-		return res, fmt.Errorf("%w: %w", ErrCancelled, err)
-	}
-	res.Complete = true
-	if opt.Verify {
-		if err := verify.Certificate(original, source, res.Dist); err != nil {
-			return nil, fmt.Errorf("wasp: %s produced an invalid result: %w", opt.Algorithm, err)
-		}
-	}
-	return res, nil
+	return dist, steps
 }
