@@ -51,40 +51,56 @@ func dumpWorkers(ws []*worker) string {
 // every solve runs with stalls injected between the steal CAS and the
 // curr re-publication (plus steal and scan jitter), and must still
 // terminate with exact distances. Seeds make a failure reproducible.
+// Road at Δ=1 makes nearly every bucket a single chunk, so most
+// advances keep it private (pour) and thieves race for the few chunks
+// exposed while a worker idles; urand at Δ=4 fills buckets with many.
 func TestTerminationUnderStealWindowFaults(t *testing.T) {
 	runs := uint64(120)
 	if testing.Short() {
 		runs = 30
 	}
 	defer fault.Deactivate()
-	for seed := uint64(1); seed <= runs; seed++ {
-		g, err := gen.Generate("urand", gen.Config{N: 600, Seed: seed, Degree: 5})
-		if err != nil {
-			t.Fatalf("seed %d: generate: %v", seed, err)
-		}
-		src := graph.SourceInLargestComponent(g, seed)
-		want := dijkstra.Run(g, src).Dist
+	for _, tc := range []struct {
+		graph string
+		cfg   gen.Config
+		delta uint32
+	}{
+		{"urand", gen.Config{N: 600, Degree: 5}, 4},
+		{"road-usa", gen.Config{N: 1 << 12}, 1},
+	} {
+		t.Run(fmt.Sprintf("%s/delta%d", tc.graph, tc.delta), func(t *testing.T) {
+			for seed := uint64(1); seed <= runs; seed++ {
+				cfg := tc.cfg
+				cfg.Seed = seed
+				g, err := gen.Generate(tc.graph, cfg)
+				if err != nil {
+					t.Fatalf("seed %d: generate: %v", seed, err)
+				}
+				src := graph.SourceInLargestComponent(g, seed)
+				want := dijkstra.Run(g, src).Dist
 
-		fault.Activate(fault.NewPlan(fault.Config{
-			Seed:       seed,
-			StealDelay: 400,
-			PrePublish: 700,
-			TermScan:   500,
-			MaxYields:  6,
-		}))
-		res := runWithWatchdog(t, g, src,
-			Options{Delta: 4, Workers: 4},
-			30*time.Second, fmt.Sprintf("seed %d", seed))
-		fault.Deactivate()
+				fault.Activate(fault.NewPlan(fault.Config{
+					Seed:       seed,
+					StealDelay: 400,
+					PrePublish: 700,
+					TermScan:   500,
+					MaxYields:  6,
+				}))
+				res := runWithWatchdog(t, g, src,
+					Options{Delta: tc.delta, Workers: 4},
+					30*time.Second, fmt.Sprintf("seed %d", seed))
+				fault.Deactivate()
 
-		if !res.Complete {
-			t.Fatalf("seed %d: uncancelled run reported Complete=false", seed)
-		}
-		for v := range want {
-			if res.Dist[v] != want[v] {
-				t.Fatalf("seed %d: d(%d) = %d, want %d", seed, v, res.Dist[v], want[v])
+				if !res.Complete {
+					t.Fatalf("seed %d: uncancelled run reported Complete=false", seed)
+				}
+				for v := range want {
+					if res.Dist[v] != want[v] {
+						t.Fatalf("seed %d: d(%d) = %d, want %d", seed, v, res.Dist[v], want[v])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

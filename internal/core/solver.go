@@ -31,6 +31,9 @@ type Solver struct {
 	d      *dist.Array
 	m      *metrics.Set
 	ops    atomic.Int64
+	_      [56]byte
+	idle   atomic.Int32 // workers idling at priority ∞, read at every advance (pour)
+	_      [60]byte     // idle's own line: steals bumping ops must not invalidate it
 	ws     []*worker
 	source graph.Vertex // source of the prepared/running solve
 }
@@ -59,7 +62,7 @@ func NewSolver(g *graph.Graph, opt Options) *Solver {
 	}
 	s.ws = make([]*worker, p)
 	for i := 0; i < p; i++ {
-		s.ws[i] = newWorker(i, g, s.d, opt.Leaves, opt, s.ws, &s.ops, &m.Workers[i])
+		s.ws[i] = newWorker(i, g, s.d, opt.Leaves, opt, s.ws, &s.ops, &s.idle, &m.Workers[i])
 	}
 	return s
 }
@@ -201,8 +204,9 @@ func (s *Solver) Checkpoint(buf []uint32) Snapshot {
 }
 
 // Progress returns the relaxation count workers have published so far
-// (updated at chunk boundaries, so it trails the exact per-worker
-// counters by at most one chunk's worth of work each). It is the
+// (each publishes once per chunk.Size entries it drains and once per
+// stolen chunk, so it trails the exact per-worker counters by at most
+// one chunk's worth of entries each). It is the
 // monotone liveness signal a stall watchdog polls: a running solve
 // that stops moving this counter is stuck, not slow.
 func (s *Solver) Progress() int64 {
@@ -260,9 +264,12 @@ func (s *Solver) PartialSnapshot(source graph.Vertex) []uint32 {
 // refilled, every worker's buffer/deque/buckets drained back into its
 // chunk pool (a completed run leaves them empty; a cancelled one does
 // not), scheduling RNGs reseeded so a reused solver schedules
-// identically to a fresh one. Solve calls it automatically.
+// identically to a fresh one, and the idle count zeroed (a worker that
+// panicked inside its idle loop never lowered it). Solve calls it
+// automatically.
 func (s *Solver) Reset(source graph.Vertex) {
 	s.ops.Store(0)
+	s.idle.Store(0)
 	s.source = source
 	s.d.Reset(source)
 	for _, w := range s.ws {

@@ -10,15 +10,16 @@ import (
 // next is the priority of the thief's best local bucket (infPrio when it
 // has none); PolicyWasp only steals work at least that good.
 //
-// The round is bracketed by the worker's stealing flag, and on success
-// curr is re-published to the best stolen priority before the flag
-// drops — the ordering the termination protocol relies on (term.go).
+// The worker's stealing flag goes up before the round's first steal
+// CAS (stealFrom) and, on success, curr is re-published to the best
+// stolen priority before the flag drops — the ordering the termination
+// protocol relies on (term.go). A round that finds every inspected
+// deque empty never raises it, so it stores to no shared line.
 func (w *worker) stealRound(next uint64) []*chunk.Chunk {
 	if w.opt.Workers == 1 {
 		return nil
 	}
 	w.m.StealRounds++
-	w.stealing.Store(true)
 	var stolen []*chunk.Chunk
 	switch w.opt.Policy {
 	case PolicyRandom:
@@ -31,8 +32,9 @@ func (w *worker) stealRound(next uint64) []*chunk.Chunk {
 	if len(stolen) > 0 {
 		// In-flight-steal window (§4.3): the chunks left their victims'
 		// deques but this thief's curr still reads stale/idle. The
-		// stealing flag raised above is what keeps the termination scan
-		// honest here; the fault hook stretches the window in tests.
+		// stealing flag raised before the CAS is what keeps the
+		// termination scan honest here; the fault hook stretches the
+		// window in tests.
 		fault.Inject(fault.PrePublish, w.id)
 		minPrio := infPrio
 		for _, c := range stolen {
@@ -47,8 +49,25 @@ func (w *worker) stealRound(next uint64) []*chunk.Chunk {
 	} else {
 		w.opt.Trace.Add(w.id, trace.StealMiss, next, 0)
 	}
-	w.stealing.Store(false)
+	if w.stealing.Load() {
+		w.stealing.Store(false)
+	}
 	return stolen
+}
+
+// stealFrom is one steal attempt against victim, shared by every
+// policy. A deque that reads empty is skipped; otherwise the stealing
+// flag is raised, once per round, and a chunk is CASed off the top.
+func (w *worker) stealFrom(victim *worker) *chunk.Chunk {
+	w.m.StealAttempts++
+	fault.Inject(fault.StealAttempt, w.id)
+	if victim.dq.Empty() {
+		return nil
+	}
+	if !w.stealing.Load() {
+		w.stealing.Store(true)
+	}
+	return victim.dq.Steal()
 }
 
 // stealWasp is Algorithm 2: walk NUMA tiers from closest to furthest;
@@ -63,9 +82,7 @@ func (w *worker) stealWasp(next uint64) []*chunk.Chunk {
 			if victim.curr.Load() > next {
 				continue
 			}
-			w.m.StealAttempts++
-			fault.Inject(fault.StealAttempt, w.id)
-			if c := victim.dq.Steal(); c != nil {
+			if c := w.stealFrom(victim); c != nil {
 				stolen = append(stolen, c)
 			}
 		}
@@ -91,9 +108,7 @@ func (w *worker) stealRandom() []*chunk.Chunk {
 		if t == w.id {
 			continue
 		}
-		w.m.StealAttempts++
-		fault.Inject(fault.StealAttempt, w.id)
-		if c := w.workers[t].dq.Steal(); c != nil {
+		if c := w.stealFrom(w.workers[t]); c != nil {
 			return []*chunk.Chunk{c}
 		}
 	}
@@ -120,9 +135,7 @@ func (w *worker) stealTwoChoice() []*chunk.Chunk {
 		if w.workers[b].curr.Load() < w.workers[a].curr.Load() && b != w.id {
 			t = b
 		}
-		w.m.StealAttempts++
-		fault.Inject(fault.StealAttempt, w.id)
-		if c := w.workers[t].dq.Steal(); c != nil {
+		if c := w.stealFrom(w.workers[t]); c != nil {
 			return []*chunk.Chunk{c}
 		}
 	}

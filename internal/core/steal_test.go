@@ -3,8 +3,11 @@ package core
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"wasp/internal/baseline/dijkstra"
+	"wasp/internal/chunk"
+	"wasp/internal/fault"
 	"wasp/internal/gen"
 	"wasp/internal/graph"
 	"wasp/internal/metrics"
@@ -117,4 +120,131 @@ func TestStolenRangeChunksProcessed(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
+}
+
+// TestStealingFlagRaisedOnlyBeforeCAS: a round whose only eligible
+// victim (curr ≤ next) has an empty deque attempts no CAS, so the
+// thief's stealing flag must stay down for the whole round — checked
+// while the round is parked on its StealAttempt fault site.
+func TestStealingFlagRaisedOnlyBeforeCAS(t *testing.T) {
+	g := graph.FromEdges(2, true, []graph.Edge{{From: 0, To: 1, W: 1}})
+	s := NewSolver(g, Options{Workers: 2, Delta: 1})
+	s.Reset(0) // both workers at curr = 0 with empty deques
+	thief, victim := s.ws[0], s.ws[1]
+	if victim.curr.Load() != 0 || !victim.dq.Empty() {
+		t.Fatal("victim not eligible with an empty deque")
+	}
+
+	plan := fault.NewPlan(fault.Config{Seed: 1, BlockOnHit: 1, BlockPoint: fault.StealAttempt})
+	fault.Activate(plan)
+	defer fault.Deactivate()
+	defer plan.Unblock()
+
+	done := make(chan []*chunk.Chunk, 1)
+	go func() { done <- thief.stealRound(0) }() // curr ≤ next: eligible
+	for plan.BlockedHits() < 1 {
+		select {
+		case <-done:
+			t.Fatal("round finished without inspecting the victim")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if thief.stealing.Load() {
+		t.Fatal("stealing flag up before any steal CAS")
+	}
+	plan.Unblock()
+	if stolen := <-done; stolen != nil {
+		t.Fatalf("stole %d chunks from an empty deque", len(stolen))
+	}
+	if thief.m.StealAttempts == 0 {
+		t.Fatal("inspecting the victim was not counted as a steal attempt")
+	}
+	if thief.stealing.Load() {
+		t.Fatal("stealing flag left up after the round")
+	}
+}
+
+// TestStealingFlagCoversPrePublish: a full solve parked at its first
+// PrePublish hit — a thief between its steal CAS and the re-publication
+// of curr — must show that thief's stealing flag up, and must finish
+// with exact distances once released.
+func TestStealingFlagCoversPrePublish(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	g, _ := gen.Generate("urand", gen.Config{N: 1 << 14, Seed: 5})
+	src := graph.SourceInLargestComponent(g, 5)
+	want := dijkstra.Distances(g, src)
+	defer fault.Deactivate()
+
+	// A solve may finish before any worker steals (say, if the second
+	// worker is not scheduled in time); retry until one parks in the
+	// window.
+	for attempt := 0; attempt < 20; attempt++ {
+		plan := fault.NewPlan(fault.Config{Seed: 1, BlockOnHit: 1, BlockPoint: fault.PrePublish})
+		fault.Activate(plan)
+		wsCh := make(chan []*worker, 1)
+		done := make(chan *Result, 1)
+		opt := Options{Workers: 2, Delta: 16}
+		opt.debugWorkers = func(ws []*worker) { wsCh <- ws }
+		go func() { done <- Run(g, src, opt) }()
+		ws := <-wsCh
+
+		var res *Result
+		parked := false
+		for !parked && res == nil {
+			select {
+			case res = <-done:
+			case <-time.After(time.Millisecond):
+				parked = plan.BlockedHits() >= 1
+			}
+		}
+		if parked {
+			up := false
+			for _, w := range ws {
+				up = up || w.stealing.Load()
+			}
+			plan.Unblock()
+			res = <-done
+			if !up {
+				t.Fatal("no worker's stealing flag up inside the in-flight-steal window")
+			}
+		}
+		fault.Deactivate()
+		plan.Unblock()
+		if err := verify.Equal(res.Dist, want); err != nil {
+			t.Fatalf("attempt %d: %v", attempt, err)
+		}
+		if parked {
+			return
+		}
+	}
+	t.Fatal("no solve stole anything in 20 attempts")
+}
+
+// TestIdleWorkerFedAtDeltaOne: at Δ=1 on a road graph nearly every
+// bucket is one chunk, which pour keeps private while every worker is
+// busy. An idle worker must still be fed: some solve must show steals
+// and relaxations on both workers. A thief wins such a chunk only in
+// the moment between the owner's PushBottom and PopBottom, which a
+// loaded host rarely schedules it into, so solves repeat until one is
+// fed; a pour that never exposes single-chunk buckets steals nothing
+// on any of them.
+func TestIdleWorkerFedAtDeltaOne(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	g, _ := gen.Generate("road-usa", gen.Config{N: 1 << 14, Seed: 3})
+	src := graph.SourceInLargestComponent(g, 3)
+	want := dijkstra.Distances(g, src)
+	const runs = 100
+	for i := 0; i < runs; i++ {
+		m := metrics.NewSet(2)
+		res := Run(g, src, Options{Workers: 2, Delta: 1, Metrics: m})
+		if err := verify.Equal(res.Dist, want); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if m.Totals().StealHits > 0 && m.Workers[0].Relaxations > 0 && m.Workers[1].Relaxations > 0 {
+			return
+		}
+	}
+	t.Fatalf("the idle worker never stole work in %d Δ=1 road solves", runs)
 }

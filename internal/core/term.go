@@ -11,10 +11,13 @@ import "wasp/internal/fault"
 // curr is invisible to the scan — the system can look globally idle
 // while a chunk sits in the thief's hands. Two mechanisms close it:
 //
-//  1. A per-worker stealing flag, raised before any steal attempt and
-//     lowered only after the thief's curr reflects any stolen work
-//     (stealRound). A thief holding freshly stolen work is therefore
-//     always visible as either "stealing" or "active (finite curr)".
+//  1. A per-worker stealing flag, raised before the round's first
+//     steal CAS and lowered only after the thief's curr reflects any
+//     stolen work (stealRound, stealFrom). A round that finds every
+//     deque it inspects empty attempts no CAS, holds no stolen work
+//     and never raises the flag. A thief holding freshly stolen work
+//     is therefore always visible as either "stealing" or "active
+//     (finite curr)".
 //
 //  2. A global successful-steal counter (worker.ops), incremented while
 //     the flag is up, between the steal CAS and the curr update. The

@@ -33,14 +33,14 @@ func Run(g *graph.Graph, source graph.Vertex, opt Options) *Result {
 type worker struct {
 	// Shared with thieves.
 	curr     atomic.Uint64 // current priority level; infPrio when idle
-	stealing atomic.Bool   // raised across steal attempts (termination fence)
+	stealing atomic.Bool   // up from before a round's first steal CAS to its end (termination fence)
 	_        [48]byte
 	dq       *deque.Deque // the current bucket's stealable chunks
 
 	// Shared with observers (checkpointers, stall watchdogs): the
-	// relaxation counter, re-published from the private metrics at
-	// chunk boundaries so progress is readable without touching the
-	// hot per-relaxation path.
+	// relaxation counter, re-published from the private metrics once
+	// per chunk of entries so progress is readable without touching
+	// the hot per-relaxation path.
 	relaxPub atomic.Int64
 	_pad2    [56]byte
 
@@ -53,6 +53,7 @@ type worker struct {
 	delta    uint32
 	workers  []*worker
 	ops      *atomic.Int64   // global successful-steal counter (see term.go)
+	idle     *atomic.Int32   // workers idling at priority ∞ (see pour)
 	cancel   *parallel.Token // cooperative cancellation; nil = never cancelled
 	tiers    [][]int         // steal victim ids by NUMA tier
 	r        *rng.Xoshiro256
@@ -62,6 +63,9 @@ type worker struct {
 	pool     chunk.Pool
 	m        *metrics.Worker
 	currLoc  uint64 // owner's cached copy of curr
+	// countdown counts entries until the next progress publish and
+	// in-bucket cancellation poll; it carries across bucket advances.
+	countdown int
 	// Warm-start repair range [warmLo, warmHi): scanned at the top of
 	// run for seeded distances violating the triangle inequality.
 	// Empty (0,0) on cold solves.
@@ -69,7 +73,7 @@ type worker struct {
 }
 
 func newWorker(id int, g *graph.Graph, d *dist.Array, leaves *graph.Bitmap,
-	opt Options, all []*worker, ops *atomic.Int64, m *metrics.Worker) *worker {
+	opt Options, all []*worker, ops *atomic.Int64, idle *atomic.Int32, m *metrics.Worker) *worker {
 	w := &worker{
 		id:      id,
 		g:       g,
@@ -79,6 +83,7 @@ func newWorker(id int, g *graph.Graph, d *dist.Array, leaves *graph.Bitmap,
 		delta:   opt.Delta,
 		workers: all,
 		ops:     ops,
+		idle:    idle,
 		cancel:  opt.Cancel,
 		tiers:   opt.Topology.Tiers(id, opt.Workers),
 		r:       rng.NewXoshiro256(uint64(id)*0x9e3779b97f4a7c15 + 0xdead),
@@ -88,6 +93,7 @@ func newWorker(id int, g *graph.Graph, d *dist.Array, leaves *graph.Bitmap,
 	w.buf = w.pool.Get()
 	w.curr.Store(0)
 	w.currLoc = 0
+	w.countdown = chunk.Size
 	return w
 }
 
@@ -113,14 +119,17 @@ func (w *worker) reset() {
 	w.r.Reseed(uint64(w.id)*0x9e3779b97f4a7c15 + 0xdead)
 	w.cancel = nil
 	w.stealing.Store(false)
+	w.countdown = chunk.Size
 	w.relaxPub.Store(0)
 	w.warmLo, w.warmHi = 0, 0
 	w.setCurr(0)
 }
 
 // publishProgress re-publishes the private relaxation counter for
-// observers (Solver.Progress, checkpoints, stall watchdogs). Called at
-// chunk and bucket boundaries — never per relaxation.
+// observers (Solver.Progress, checkpoints, stall watchdogs). Called once
+// per chunk.Size entries drained, once per stolen chunk and at exit —
+// never per relaxation, and not per bucket advance, so an advance
+// stores to no shared line but curr.
 func (w *worker) publishProgress() {
 	w.relaxPub.Store(w.m.Relaxations)
 }
@@ -132,8 +141,8 @@ func (w *worker) setCurr(prio uint64) {
 }
 
 // run is the top-level loop of Algorithm 1, lines 16–32. Cancellation
-// is polled at bucket boundaries here and at chunk boundaries inside
-// drainCurrent/processStolen — never per relaxation.
+// is polled at bucket boundaries here and once per chunk of entries
+// inside drainCurrent/processStolen — never per relaxation.
 func (w *worker) run() {
 	// Guaranteed injection site: hit once per worker per solve,
 	// independent of graph size or steal activity (see fault.SolveStart).
@@ -143,10 +152,9 @@ func (w *worker) run() {
 		w.seedFrontier()
 	}
 	for {
-		if w.cancel.Cancelled() {
+		if w.cancel.Cancelled() || !w.drainCurrent() {
 			return
 		}
-		w.drainCurrent()
 
 		// Current bucket empty: steal higher-priority work before
 		// touching lower-priority local buckets (line 22).
@@ -159,7 +167,6 @@ func (w *worker) run() {
 		// No steal: advance to the next local bucket (lines 29–32).
 		if next != infPrio {
 			w.m.BucketAdvances++
-			w.publishProgress()
 			w.opt.Trace.Add(w.id, trace.BucketAdvance, next, 0)
 			w.setCurr(next)
 			w.pour(next)
@@ -178,21 +185,23 @@ func (w *worker) run() {
 }
 
 // drainCurrent processes the current bucket until it is empty
-// (Algorithm 1 lines 18–21). Thieves may drain it concurrently.
-// Cancellation is polled once per chunk's worth of entries.
-func (w *worker) drainCurrent() {
-	countdown := chunk.Size
+// (Algorithm 1 lines 18–21), reporting false if it stopped early for
+// cancellation. Thieves may drain it concurrently. Progress is
+// published and cancellation polled once per chunk.Size entries; the
+// worker's countdown carries across buckets, so a run of one-entry
+// buckets pays for neither at every advance.
+func (w *worker) drainCurrent() bool {
 	for {
 		u, prio, begin, end, ok := w.popCurrent()
 		if !ok {
-			return
+			return true
 		}
 		w.processEntry(u, prio, begin, end)
-		if countdown--; countdown <= 0 {
-			countdown = chunk.Size
+		if w.countdown--; w.countdown <= 0 {
+			w.countdown = chunk.Size
 			w.publishProgress()
 			if w.cancel.Cancelled() {
-				return
+				return false
 			}
 		}
 	}
@@ -375,9 +384,23 @@ func (w *worker) minNonEmptyLocal() uint64 {
 }
 
 // pour moves bucket prio's chunks into the (empty) current bucket
-// (Algorithm 1 line 32) — a linear scan copying chunk pointers.
+// (Algorithm 1 line 32). While no worker idles, the head chunk becomes
+// the buffer directly and only the rest reach the deque — the state
+// the owner reaches whenever its PopBottom beats every thief, without
+// the PushBottom and PopBottom CAS that made a one-chunk bucket cost
+// more to advance to than to drain at small Δ. While any worker idles
+// (solve start and tail) every chunk is exposed so idle workers are
+// fed; the owner reads the idle count again at its next advance. Range
+// chunks are always exposed. A worker holding a private chunk has a
+// finite curr, so the termination scan never counts it idle.
 func (w *worker) pour(prio uint64) {
 	lst := &w.buckets[prio]
+	if c := lst.Head(); w.idle.Load() == 0 && !c.IsRange() {
+		lst.Pop()
+		w.m.ChunksDrained++
+		w.pool.Put(w.buf)
+		w.buf = c
+	}
 	for {
 		c := lst.Pop()
 		if c == nil {
@@ -435,7 +458,11 @@ func (w *worker) idleUntilWorkOrTermination() bool {
 	if w.opt.Timing {
 		spinStart = time.Now()
 	}
+	// The idle count tells busy owners to expose whole buckets (pour);
+	// it goes down on every exit from the loop.
+	w.idle.Add(1)
 	idleDone := func() {
+		w.idle.Add(-1)
 		if w.opt.Timing {
 			w.m.IdleNS += int64(time.Since(spinStart))
 		}

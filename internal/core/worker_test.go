@@ -5,9 +5,11 @@ package core
 // path, exercised without running the full algorithm.
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
+	"wasp/internal/chunk"
 	"wasp/internal/dist"
 	"wasp/internal/graph"
 	"wasp/internal/metrics"
@@ -20,7 +22,7 @@ func testWorker(t *testing.T) *worker {
 	opt := Options{Workers: 1}.withDefaults()
 	m := metrics.NewSet(1)
 	ws := make([]*worker, 1)
-	ws[0] = newWorker(0, g, d, nil, opt, ws, new(atomic.Int64), &m.Workers[0])
+	ws[0] = newWorker(0, g, d, nil, opt, ws, new(atomic.Int64), new(atomic.Int32), &m.Workers[0])
 	return ws[0]
 }
 
@@ -98,37 +100,75 @@ func TestEnsureBucketPowersOfTwo(t *testing.T) {
 	}
 }
 
+// TestPourMovesChunksToDeque: pour exposes a bucket's chunks to thieves
+// by the idle count. With every worker busy the head chunk becomes the
+// private buffer and only the rest reach the deque; with a worker idle
+// every chunk is exposed. Either way all entries come back out.
 func TestPourMovesChunksToDeque(t *testing.T) {
+	for _, tc := range []struct {
+		idle    int32
+		private int // chunks pour makes the buffer, counted as drained
+		inBuf   int // entries in the buffer after pour
+	}{
+		// The head chunk is the newest, partly filled one.
+		{idle: 0, private: 1, inBuf: 200 % chunk.Size},
+		{idle: 1, private: 0, inBuf: 0},
+	} {
+		t.Run(fmt.Sprintf("idle=%d", tc.idle), func(t *testing.T) {
+			w := testWorker(t)
+			w.idle.Store(tc.idle)
+			for i := uint32(0); i < 200; i++ {
+				w.pushLocal(i, 4)
+			}
+			chunksInBucket := w.buckets[4].Len()
+			if chunksInBucket < 3 {
+				t.Fatalf("expected multiple chunks, got %d", chunksInBucket)
+			}
+			w.setCurr(4)
+			w.pour(4)
+			if !w.buckets[4].Empty() {
+				t.Fatal("bucket not drained by pour")
+			}
+			if want := chunksInBucket - tc.private; w.dq.Len() != want {
+				t.Fatalf("deque has %d chunks, want %d", w.dq.Len(), want)
+			}
+			if w.buf.Len() != tc.inBuf {
+				t.Fatalf("buffer holds %d entries, want %d", w.buf.Len(), tc.inBuf)
+			}
+			if w.m.ChunksDrained != int64(tc.private) {
+				t.Fatalf("pour counted %d drained chunks, want %d", w.m.ChunksDrained, tc.private)
+			}
+			// Everything pops back out with the right priority.
+			seen := 0
+			for {
+				_, prio, _, _, ok := w.popCurrent()
+				if !ok {
+					break
+				}
+				if prio != 4 {
+					t.Fatalf("popped priority %d, want 4", prio)
+				}
+				seen++
+			}
+			if seen != 200 {
+				t.Fatalf("recovered %d of 200", seen)
+			}
+		})
+	}
+}
+
+// TestPourExposesRangeHead: a range chunk at the head of the bucket is
+// never taken as the private buffer, even with every worker busy.
+func TestPourExposesRangeHead(t *testing.T) {
 	w := testWorker(t)
-	for i := uint32(0); i < 200; i++ {
-		w.pushLocal(i, 4)
-	}
-	chunksInBucket := w.buckets[4].Len()
-	if chunksInBucket < 3 {
-		t.Fatalf("expected multiple chunks, got %d", chunksInBucket)
-	}
-	w.setCurr(4)
-	w.pour(4)
-	if !w.buckets[4].Empty() {
-		t.Fatal("bucket not drained by pour")
-	}
-	if w.dq.Len() != chunksInBucket {
-		t.Fatalf("deque has %d chunks, want %d", w.dq.Len(), chunksInBucket)
-	}
-	// Everything pops back out with the right priority.
-	seen := 0
-	for {
-		_, prio, _, _, ok := w.popCurrent()
-		if !ok {
-			break
-		}
-		if prio != 4 {
-			t.Fatalf("popped priority %d, want 4", prio)
-		}
-		seen++
-	}
-	if seen != 200 {
-		t.Fatalf("recovered %d of 200", seen)
+	w.pushLocal(1, 2)
+	c := w.pool.Get()
+	c.SetRange(9, 128, 256, 2)
+	w.pushLocalChunk(c)
+	w.setCurr(2)
+	w.pour(2)
+	if w.dq.Len() != 2 || !w.buf.Empty() {
+		t.Fatalf("deque has %d chunks and buffer %d entries, want 2 and 0", w.dq.Len(), w.buf.Len())
 	}
 }
 

@@ -99,13 +99,20 @@ func (d *Deque) PushBottom(c *chunk.Chunk) {
 
 // PopBottom removes and returns the most recently pushed chunk.
 // Owner-only. Returns nil if the deque is empty or the last element was
-// lost to a concurrent thief.
+// lost to a concurrent thief. An empty deque is detected before the
+// reservation store: only the owner moves bottom and thieves only
+// advance top, so a deque the owner sees empty stays empty until the
+// owner pushes, and the pop costs two loads and no store.
 func (d *Deque) PopBottom() *chunk.Chunk {
-	b := d.bottom.Load() - 1
+	b := d.bottom.Load()
+	if b <= d.top.Load() {
+		return nil
+	}
+	b--
 	a := d.array.Load()
 	d.bottom.Store(b)
 	t := d.top.Load()
-	if b < t { // was empty: undo
+	if b < t { // thieves emptied it since the check: undo
 		d.bottom.Store(b + 1)
 		return nil
 	}

@@ -221,6 +221,63 @@ func TestStressSingleElementRaces(t *testing.T) {
 	}
 }
 
+// TestPopBottomEmptyCheckUnderStealing: once the owner's PopBottom
+// returns nil — by its empty check or by losing the last element to a
+// thief — the deque stays empty until the owner pushes again, however
+// many thieves keep trying, and every chunk is received exactly once.
+func TestPopBottomEmptyCheckUnderStealing(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	const rounds = 20000
+	d := New(8)
+	var got [3 * rounds]atomic.Int32
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if c := d.Steal(); c != nil {
+					got[c.Prio].Add(1)
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	next := 0
+	for i := 0; i < rounds; i++ {
+		for k := 0; k <= i%3; k++ {
+			d.PushBottom(&chunk.Chunk{Prio: uint64(next)})
+			next++
+		}
+		for {
+			c := d.PopBottom()
+			if c == nil {
+				break
+			}
+			got[c.Prio].Add(1)
+		}
+		if !d.Empty() || d.PopBottom() != nil {
+			close(done)
+			wg.Wait()
+			t.Fatalf("round %d: deque refilled after PopBottom saw it empty", i)
+		}
+	}
+	close(done)
+	wg.Wait()
+	for i := 0; i < next; i++ {
+		if n := got[i].Load(); n != 1 {
+			t.Fatalf("chunk %d received %d times", i, n)
+		}
+	}
+}
+
 func TestNewCapacityRounding(t *testing.T) {
 	for _, c := range []int{0, 1, 8, 9, 100} {
 		d := New(c)

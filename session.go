@@ -254,7 +254,7 @@ func (s *Session) emitCheckpoint(base time.Duration, start time.Time) *Checkpoin
 // is a no-op returning a nil-returning stop.
 //
 // Stall detection polls Solver.Progress, the relaxation count workers
-// publish at chunk boundaries: a solve that is merely slow keeps
+// publish once per chunk of entries: a solve that is merely slow keeps
 // moving it, while a wedged one (livelocked termination protocol,
 // deadlocked steal loop) freezes it. On detection the watchdog dumps
 // per-worker scheduler state, force-emits a final checkpoint (so the
