@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"wasp"
+	"wasp/internal/cli"
 )
 
 func main() {
@@ -81,7 +82,7 @@ func main() {
 	// signal is not swallowed while the partial report prints.
 	context.AfterFunc(ctx, stopSignals)
 
-	g, err := loadGraph(*name, *file, *n, *seed)
+	g, err := cli.LoadGraph(*name, *file, *n, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -360,23 +361,4 @@ func exportTrace(obs *wasp.Observer, path string) error {
 	}
 	fmt.Printf("\nscheduler trace (final trial) written to %s\n", path)
 	return obs.WriteSummary(os.Stdout)
-}
-
-func loadGraph(name, file string, n int, seed uint64) (*wasp.Graph, error) {
-	switch {
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if strings.HasSuffix(file, ".wspg") {
-			return wasp.ReadBinaryGraph(f)
-		}
-		return wasp.ReadTextGraph(f)
-	case name != "":
-		return wasp.GenerateWorkload(name, wasp.WorkloadConfig{N: n, Seed: seed})
-	default:
-		return nil, fmt.Errorf("need -graph or -file")
-	}
 }

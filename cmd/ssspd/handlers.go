@@ -410,11 +410,11 @@ type statsResponse struct {
 	Reloads wasp.RegistryReloadStats `json:"reloads"`
 	Graphs  map[string]graphStats    `json:"graphs"`
 
-	hasCkpt     bool                 // a checkpoint tracker is set
-	distrusted  int64                // checkpoint files renamed .bad after quarantines
-	quarantines int64                // quarantine transitions since startup
-	scanSkips   int64                // rescan skips of quarantined bundle files
-	observed    *wasp.ObserverTotals // summed over every session observer; nil when there are none
+	hasCkpt     bool             // a checkpoint tracker is set
+	distrusted  int64            // checkpoint files renamed .bad after quarantines
+	quarantines int64            // quarantine transitions since startup
+	scanSkips   int64            // rescan skips of quarantined bundle files
+	observed    *schedulerTotals // summed per solve in OnSolve; nil before the first observed solve
 }
 
 // graphStats is one graph's slice of /stats.
@@ -526,14 +526,8 @@ func (s *server) state() statsResponse {
 	if s.scan != nil {
 		st.scanSkips = s.scan.quarantineSkips()
 	}
-	if obs := s.reg.Observers(); len(obs) > 0 {
-		st.observed = &wasp.ObserverTotals{}
-		for _, o := range obs {
-			c := o.Cumulative()
-			st.observed.Solves += c.Solves
-			st.observed.DroppedEvents += c.DroppedEvents
-			st.observed.Metrics.Add(&c.Metrics)
-		}
+	if s.prom != nil {
+		st.observed = s.prom.observed()
 	}
 	return st
 }

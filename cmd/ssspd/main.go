@@ -67,18 +67,17 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"wasp"
+	"wasp/internal/cli"
 )
 
 func main() {
@@ -135,9 +134,10 @@ func main() {
 		opt.CheckpointInterval = *ckptEvery
 	}
 	// Every session gets its own Observer (the counters cost a few
-	// cache lines; the trace buffer is bounded by -trace-capacity), so
-	// /metrics aggregates scheduler internals across the whole registry
-	// and the slowest solves keep their Chrome traces for /debug/traces.
+	// cache lines; the trace buffer is bounded by -trace-capacity).
+	// OnSolve sums each solve's scheduler counters for /metrics, so they
+	// survive reloads, and keeps the slowest solves' Chrome traces for
+	// /debug/traces.
 	prom := newPromState(*slowTraceN)
 	// The result cache fronts every graph's pool: repeated sources are
 	// answered from memory and identical concurrent queries coalesce
@@ -242,7 +242,7 @@ func main() {
 	// Seed the registry: an explicit single graph, a bundle directory,
 	// or both (the single graph serves alongside the directory's).
 	if *name != "" || *file != "" {
-		g, err := loadGraph(*name, *file, *n, *seed)
+		g, err := cli.LoadGraph(*name, *file, *n, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -313,23 +313,4 @@ func main() {
 	}
 	log.Printf("drained: %d completed, %d degraded, %d shed, %d quarantined",
 		st.Completed, st.Degraded, st.Shed, st.Quarantined)
-}
-
-func loadGraph(name, file string, n int, seed uint64) (*wasp.Graph, error) {
-	switch {
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if strings.HasSuffix(file, ".wspg") {
-			return wasp.ReadBinaryGraph(f)
-		}
-		return wasp.ReadTextGraph(f)
-	case name != "":
-		return wasp.GenerateWorkload(name, wasp.WorkloadConfig{N: n, Seed: seed})
-	default:
-		return nil, fmt.Errorf("need -graph or -file")
-	}
 }

@@ -19,13 +19,20 @@ import (
 )
 
 // promState is the daemon's Prometheus surface: the solve-latency
-// histogram fed synchronously by the pool's OnSolve hook and the
-// mutation metrics fed by PATCH /graph, rendered ahead of the state()
-// snapshot. Everything is hand-rolled text exposition format — the
-// repo takes no dependencies, and the format is small enough to emit
-// (and lint, see the tests) directly.
+// histogram and scheduler totals fed synchronously by the pool's
+// OnSolve hook, and the mutation metrics fed by PATCH /graph. The
+// histograms render ahead of the state() snapshot, which carries the
+// scheduler totals. Everything is hand-rolled text exposition format —
+// the repo takes no dependencies, and the format is small enough to
+// emit (and lint, see the tests) directly.
 type promState struct {
 	solves promHistogram
+
+	// Scheduler counters summed per observed solve. They live here,
+	// not on any pool, so they keep counting across reloads, mutations
+	// and rollbacks.
+	schedMu sync.Mutex
+	sched   schedulerTotals
 
 	// Mutation-batch metrics: applied ops by MutationKind, plus an
 	// update-latency histogram (apply, smoke solve and swap) over the
@@ -70,6 +77,14 @@ func (h *promHistogram) write(w io.Writer, name, help string) {
 		float64(h.sumNS.Load())/float64(time.Second), n)
 }
 
+// schedulerTotals is the scheduler counters summed over observed
+// solves.
+type schedulerTotals struct {
+	Solves        int64
+	Metrics       wasp.WorkerMetrics
+	DroppedEvents uint64
+}
+
 func newPromState(slowN int) *promState {
 	return &promState{slow: newSlowTraces(slowN)}
 }
@@ -83,13 +98,34 @@ func (p *promState) onMutation(kinds [3]int64, elapsed time.Duration) {
 	p.mutations.observe(elapsed)
 }
 
-// onSolve is the pool's OnSolve hook: record the latency observation
-// and, when this solve ranks among the slowest seen, capture its
-// scheduler trace while the session (and so its Observer) is still
-// checked out and quiescent.
+// onSolve is the pool's OnSolve hook: record the latency observation,
+// fold the solve's scheduler counters into the running totals and,
+// when this solve ranks among the slowest seen, capture its scheduler
+// trace — all while the session (and so its Observer) is still checked
+// out and quiescent.
 func (p *promState) onSolve(o wasp.SolveObservation) {
 	p.solves.observe(o.Elapsed)
+	if o.Observer != nil {
+		t, dropped := o.Observer.Totals(), o.Observer.DroppedEvents()
+		p.schedMu.Lock()
+		p.sched.Solves++
+		p.sched.Metrics.Add(&t)
+		p.sched.DroppedEvents += dropped
+		p.schedMu.Unlock()
+	}
 	p.slow.consider(o)
+}
+
+// observed returns the scheduler totals folded in so far, or nil
+// before the first observed solve.
+func (p *promState) observed() *schedulerTotals {
+	p.schedMu.Lock()
+	defer p.schedMu.Unlock()
+	if p.sched.Solves == 0 {
+		return nil
+	}
+	t := p.sched
+	return &t
 }
 
 // handleMetrics renders the Prometheus text exposition format, one
@@ -230,7 +266,7 @@ func writeProm(w io.Writer, st statsResponse) {
 		return
 	}
 	m := st.observed.Metrics
-	counter(w, "ssspd_scheduler_solves_observed_total", "Solves absorbed by the session observers.", st.observed.Solves)
+	counter(w, "ssspd_scheduler_solves_observed_total", "Observed pool solves summed into the scheduler counters.", st.observed.Solves)
 	counter(w, "ssspd_scheduler_relaxations_total", "Edge relaxations attempted across all solves.", m.Relaxations)
 	counter(w, "ssspd_scheduler_improvements_total", "Relaxations that lowered a distance.", m.Improvements)
 	counter(w, "ssspd_scheduler_stale_skips_total", "Vertices skipped by the staleness check.", m.StaleSkips)

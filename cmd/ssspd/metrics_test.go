@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -317,6 +319,116 @@ func TestMetricsEndpoint(t *testing.T) {
 	getJSON(t, ts.URL+"/stats", http.StatusOK, &st)
 	if st.Cache == nil || st.Cache.Hits != 1 || st.Cache.Misses != solves {
 		t.Fatalf("/stats cache = %+v, want 1 hit / %d misses", st.Cache, solves)
+	}
+}
+
+// TestMetricsSchedulerCountersSurviveRedeploy: the scheduler counters
+// are summed per solve in OnSolve, so a reload, a mutation and a
+// rollback, each of which swaps in a fresh pool, never move them
+// backwards, and every observed solve counts once, exactly as the
+// latency histogram counts it.
+func TestMetricsSchedulerCountersSurviveRedeploy(t *testing.T) {
+	s, ts := newObservedServer(t, 0)
+	ctx := context.Background()
+	scrape := func() map[string]float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		series := map[string]float64{}
+		for _, f := range lintPromText(t, string(body)) {
+			maps.Copy(series, f.samples)
+		}
+		return series
+	}
+	var solves, relax float64
+	check := func(step string, wantSolves float64) {
+		t.Helper()
+		m := scrape()
+		gotSolves, gotRelax := m["ssspd_scheduler_solves_observed_total"], m["ssspd_scheduler_relaxations_total"]
+		if gotSolves < solves || gotRelax < relax {
+			t.Fatalf("%s: solves %v -> %v, relaxations %v -> %v: a scheduler counter dropped",
+				step, solves, gotSolves, relax, gotRelax)
+		}
+		if gotSolves != wantSolves {
+			t.Fatalf("%s: %v solves observed, want %v", step, gotSolves, wantSolves)
+		}
+		if hist := m["ssspd_solve_duration_seconds_count"]; gotSolves != hist {
+			t.Fatalf("%s: %v solves observed, latency histogram counts %v", step, gotSolves, hist)
+		}
+		solves, relax = gotSolves, gotRelax
+	}
+	next := 2 // sources 0 and 1 go to the concurrent pair below
+	solve := func() {
+		t.Helper()
+		getJSON(t, fmt.Sprintf("%s/sssp?source=%d", ts.URL, next), http.StatusOK, nil)
+		next++ // a fresh source every time: a miss on any version
+	}
+
+	// Both sessions fold a solve in at once while /metrics reads the
+	// totals, then a third solve follows.
+	var wg sync.WaitGroup
+	for src := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(fmt.Sprintf("%s/sssp?source=%d", ts.URL, src))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("source %d: status %d", src, resp.StatusCode)
+			}
+		}()
+	}
+	for range 3 {
+		scrape()
+	}
+	wg.Wait()
+	solve()
+	check("first solves", 3)
+	if relax <= 0 {
+		t.Fatal("no relaxations summed")
+	}
+
+	g2, err := wasp.GenerateWorkload("kron", wasp.WorkloadConfig{N: 4000, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var from wasp.Vertex
+	for g2.OutDegree(from) == 0 {
+		from++
+	}
+	to, w := g2.OutNeighbors(from)
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"reload", func() error { return s.reg.LoadGraph(ctx, "kron", g2) }},
+		{"mutation", func() error {
+			body := fmt.Sprintf(`{"mutations":[{"op":"set-weight","from":%d,"to":%d,"weight":%d}]}`, from, to[0], w[0]+1)
+			if code, resp := patchJSON(t, ts.URL+"/graph?graph=kron", body); code != http.StatusOK {
+				return fmt.Errorf("PATCH /graph: status %d: %s", code, resp)
+			}
+			return nil
+		}},
+		{"rollback", func() error { _, err := s.reg.Rollback(ctx, "kron"); return err }},
+	}
+	for _, st := range steps {
+		if err := st.do(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		check(st.name, solves)
+		solve()
+		check("solve after "+st.name, solves+1)
 	}
 }
 

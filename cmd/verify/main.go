@@ -14,11 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"runtime"
 	"strings"
 
 	"wasp"
+	"wasp/internal/cli"
 )
 
 func main() {
@@ -37,7 +37,7 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := loadGraph(*name, *file, *n, *seed)
+	g, err := cli.LoadGraph(*name, *file, *n, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,23 +94,4 @@ func main() {
 		log.Fatalf("%d algorithm/source combinations FAILED", failures)
 	}
 	fmt.Println("\nall verifications passed")
-}
-
-func loadGraph(name, file string, n int, seed uint64) (*wasp.Graph, error) {
-	switch {
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if strings.HasSuffix(file, ".wspg") {
-			return wasp.ReadBinaryGraph(f)
-		}
-		return wasp.ReadTextGraph(f)
-	case name != "":
-		return wasp.GenerateWorkload(name, wasp.WorkloadConfig{N: n, Seed: seed})
-	default:
-		return nil, fmt.Errorf("need -graph or -file")
-	}
 }

@@ -64,22 +64,20 @@ type ObserverConfig struct {
 // without an Observer pays one predictable branch per event, no
 // interface dispatch, no allocation.
 //
-// Attach an Observer through Options.Observer. One Observer serves one
+// Attach an Observer through Options.Observer, or let a Pool build one
+// per session through PoolOptions.Observe. One Observer serves one
 // solve at a time: a Session binds it for the session's lifetime (all
 // that session's runs feed it), a one-shot Run binds it for the call.
 // Binding it to two concurrent users is rejected by NewSession/Run
 // rather than racing.
 //
-// Two kinds of data come out:
-//
-//   - Per-run: Events, PerWorker, Totals, DroppedEvents,
-//     WriteChromeTrace and WriteSummary describe the most recent
-//     solve. Read them after the solve returns and before the next one
-//     starts — the buffers are live during a run.
-//   - Cumulative: Cumulative returns counters accumulated across every
-//     completed solve since the Observer was created. It is safe to
-//     call at any time, including mid-solve, and is the feed for
-//     long-running aggregation (ssspd's Prometheus /metrics).
+// Everything an Observer reports describes its most recent solve:
+// Events, PerWorker, Totals, DroppedEvents, WriteChromeTrace and
+// WriteSummary. Read them after the solve returns and before the next
+// one starts — the buffers are live during a run; on a pool, read them
+// inside PoolOptions.OnSolve. Nothing carries over from one solve to
+// the next, so a caller that wants running totals sums Totals per
+// solve (ssspd does so in its OnSolve hook).
 type Observer struct {
 	cfg   ObserverConfig
 	bound atomic.Bool // held by one Session or one-shot Run at a time
@@ -88,10 +86,6 @@ type Observer struct {
 	workers int
 	log     *trace.Log   // nil when TraceCapacity < 0
 	set     *metrics.Set // always non-nil once attached
-
-	cum        WorkerMetrics // absorbed totals across completed solves
-	cumDropped uint64
-	solves     int64
 }
 
 // NewObserver returns an Observer ready to pass as Options.Observer.
@@ -141,17 +135,6 @@ func (o *Observer) attach(p int) (*trace.Log, *metrics.Set) {
 	return o.log, o.set
 }
 
-// absorb folds the finished run's counters into the cumulative totals.
-// Called once per solve, after the workers joined.
-func (o *Observer) absorb() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	t := o.set.Totals()
-	o.cum.Add(&t)
-	o.cumDropped += o.log.Dropped()
-	o.solves++
-}
-
 // Workers returns the worker count the observer is currently sized
 // for (0 before the first attach).
 func (o *Observer) Workers() int {
@@ -190,24 +173,6 @@ func (o *Observer) Totals() WorkerMetrics {
 		return WorkerMetrics{}
 	}
 	return o.set.Totals()
-}
-
-// ObserverTotals is the cumulative view of an Observer: counters
-// summed over every completed solve since the Observer was created.
-type ObserverTotals struct {
-	Solves        int64         // completed solves absorbed
-	Metrics       WorkerMetrics // summed work counters
-	DroppedEvents uint64        // trace events lost to the cap, summed
-}
-
-// Cumulative returns counters accumulated across completed solves. It
-// never touches the live per-run buffers, so it is safe to call at any
-// time — this is the feed for long-running aggregation such as a
-// /metrics endpoint.
-func (o *Observer) Cumulative() ObserverTotals {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return ObserverTotals{Solves: o.solves, Metrics: o.cum, DroppedEvents: o.cumDropped}
 }
 
 // WriteChromeTrace renders the most recent solve's event trace in the

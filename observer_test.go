@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,8 +12,7 @@ import (
 )
 
 // TestObserverOnSession: an observer bound to a session collects a
-// fresh trace and fresh counters per run, and its cumulative totals
-// accumulate across runs.
+// fresh trace and fresh counters per run.
 func TestObserverOnSession(t *testing.T) {
 	g, err := wasp.GenerateWorkload("kron", wasp.WorkloadConfig{N: 3000, Seed: 9})
 	if err != nil {
@@ -28,7 +28,6 @@ func TestObserverOnSession(t *testing.T) {
 	}
 	src := wasp.SourceInLargestComponent(g, 1)
 
-	var runTotals []wasp.WorkerMetrics
 	for run := 0; run < 2; run++ {
 		res, err := sess.Run(context.Background(), src)
 		if err != nil {
@@ -59,15 +58,6 @@ func TestObserverOnSession(t *testing.T) {
 		if tot.Relaxations == 0 {
 			t.Fatalf("run %d: no relaxations observed", run)
 		}
-		runTotals = append(runTotals, tot)
-	}
-
-	cum := obs.Cumulative()
-	if cum.Solves != 2 {
-		t.Fatalf("cumulative solves = %d, want 2", cum.Solves)
-	}
-	if want := runTotals[0].Relaxations + runTotals[1].Relaxations; cum.Metrics.Relaxations != want {
-		t.Fatalf("cumulative relaxations = %d, want %d (sum of runs)", cum.Metrics.Relaxations, want)
 	}
 }
 
@@ -245,20 +235,18 @@ func TestObserverOnBaselineAlgorithm(t *testing.T) {
 			t.Fatalf("run %d: no relaxations observed on baseline path", i)
 		}
 	}
-	if cum := obs.Cumulative(); cum.Solves != 2 {
-		t.Fatalf("cumulative solves = %d, want 2", cum.Solves)
-	}
 }
 
-// TestPoolObservers: per-session observers aggregate the pool's whole
-// history and reach the OnSolve hook quiescent.
+// TestPoolObservers: per-session observers reach the OnSolve hook
+// quiescent, one solve at a time, and summing their per-solve Totals
+// there aggregates the pool's whole history.
 func TestPoolObservers(t *testing.T) {
 	g, err := wasp.GenerateWorkload("kron", wasp.WorkloadConfig{N: 2000, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hookCalls int
-	var hookHadObserver bool
+	var summed wasp.WorkerMetrics
 	pool, err := wasp.NewPool(g,
 		wasp.Options{Algorithm: wasp.AlgoWasp, Workers: 2, Delta: 4},
 		wasp.PoolOptions{
@@ -266,11 +254,16 @@ func TestPoolObservers(t *testing.T) {
 			Observe:  &wasp.ObserverConfig{},
 			OnSolve: func(o wasp.SolveObservation) {
 				hookCalls++
-				hookHadObserver = hookHadObserver || o.Observer != nil
-				if o.Observer != nil {
-					// The observer is quiescent here: exports must work.
-					_ = o.Observer.WriteSummary(&bytes.Buffer{})
+				if o.Observer == nil {
+					t.Error("OnSolve without an observer on an observing pool")
+					return
 				}
+				// The observer is quiescent here: exports must work.
+				if err := o.Observer.WriteSummary(&bytes.Buffer{}); err != nil {
+					t.Error(err)
+				}
+				tot := o.Observer.Totals()
+				summed.Add(&tot)
 			},
 		})
 	if err != nil {
@@ -284,38 +277,45 @@ func TestPoolObservers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	obsList := pool.SessionObservers()
-	if len(obsList) != 2 {
-		t.Fatalf("SessionObservers = %d entries, want 2", len(obsList))
+	if hookCalls != solves {
+		t.Fatalf("OnSolve: %d calls, want %d", hookCalls, solves)
 	}
-	var totalSolves, totalRelax int64
-	for _, o := range obsList {
-		c := o.Cumulative()
-		totalSolves += c.Solves
-		totalRelax += c.Metrics.Relaxations
-	}
-	if totalSolves != solves {
-		t.Fatalf("observers absorbed %d solves, want %d", totalSolves, solves)
-	}
-	if totalRelax == 0 {
+	if summed.Relaxations == 0 {
 		t.Fatal("observers saw no relaxations")
-	}
-	if hookCalls != solves || !hookHadObserver {
-		t.Fatalf("OnSolve: %d calls (want %d), observer seen: %v", hookCalls, solves, hookHadObserver)
 	}
 }
 
-// TestPoolObserveExclusiveWithOptionsObserver: the two ways of wiring
-// observers into a pool are mutually exclusive.
+// TestPoolObserveExclusiveWithOptionsObserver: a pool observes through
+// PoolOptions.Observe only. NewPool rejects Options.Observer at every
+// session count, with or without Observe, and a Registry whose Options
+// carry one rejects the load with the pool's error, before any smoke
+// solve.
 func TestPoolObserveExclusiveWithOptionsObserver(t *testing.T) {
 	g, err := wasp.GenerateWorkload("kron", wasp.WorkloadConfig{N: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = wasp.NewPool(g,
-		wasp.Options{Observer: wasp.NewObserver(wasp.ObserverConfig{})},
-		wasp.PoolOptions{Sessions: 2, Observe: &wasp.ObserverConfig{}})
-	if err == nil {
-		t.Fatal("NewPool accepted both Observe and Options.Observer")
+	const want = "PoolOptions.Observe"
+	for _, sessions := range []int{1, 2} {
+		for _, observe := range []*wasp.ObserverConfig{nil, {}} {
+			t.Run(fmt.Sprintf("sessions=%d/observe=%v", sessions, observe != nil), func(t *testing.T) {
+				_, err := wasp.NewPool(g,
+					wasp.Options{Observer: wasp.NewObserver(wasp.ObserverConfig{})},
+					wasp.PoolOptions{Sessions: sessions, Observe: observe})
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("NewPool with Options.Observer: %v, want an error naming %s", err, want)
+				}
+			})
+		}
 	}
+	t.Run("registry", func(t *testing.T) {
+		r := wasp.NewRegistry(wasp.RegistryOptions{
+			Options: wasp.Options{Observer: wasp.NewObserver(wasp.ObserverConfig{})},
+		})
+		defer r.Close(context.Background())
+		err := r.LoadGraph(context.Background(), "g", g)
+		if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "smoke solve") {
+			t.Fatalf("LoadGraph with Options.Observer: %v, want the pool's error naming %s", err, want)
+		}
+	})
 }

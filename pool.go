@@ -51,13 +51,15 @@ type PoolOptions struct {
 	// the caller's context degrades the same way.
 	Deadline time.Duration
 
-	// Observe, when non-nil, attaches a dedicated Observer (built from
-	// this config) to every session in the pool. Per-session observers
-	// never contend — concurrent solves write disjoint buffers — and
-	// survive quarantine rebuilds, so their Cumulative totals cover the
-	// slot's whole history. Read them via SessionObservers, or per
-	// solve through OnSolve. Options.Observer must be nil when this is
-	// set (one observer cannot serve K concurrent sessions).
+	// Observe, when non-nil, gives every session in the pool its own
+	// fresh Observer built from this config, a session rebuilt after a
+	// quarantine included. Per-session observers never contend —
+	// concurrent solves write disjoint buffers. Each holds its
+	// session's most recent solve only, and OnSolve is where it is
+	// read: SolveObservation.Observer, summed per solve by a caller
+	// that keeps running totals. This is the one way to observe a
+	// pool; NewPool rejects Options.Observer, since one observer
+	// cannot serve K concurrent sessions.
 	Observe *ObserverConfig
 
 	// OnSolve, when non-nil, is called synchronously after every solve
@@ -116,7 +118,8 @@ type PoolOptions struct {
 }
 
 // SolveObservation describes one finished pool solve to the OnSolve
-// hook.
+// hook. It is the one per-solve record a pool emits: latency, outcome
+// and, through Observer, the solve's scheduler counters and trace.
 type SolveObservation struct {
 	Source Vertex
 	// Elapsed is wall time spent inside this solve in this process —
@@ -129,7 +132,9 @@ type SolveObservation struct {
 	Complete bool  // the solve ran to termination
 	Err      error // as Pool.Run would return it (nil for degraded)
 	// Observer is the solving session's observer, quiescent for the
-	// duration of the callback. Nil unless PoolOptions.Observe is set.
+	// duration of the callback. It describes this solve alone; after a
+	// quarantine retry, the retry alone. Nil unless PoolOptions.Observe
+	// is set.
 	Observer *Observer
 }
 
@@ -207,8 +212,6 @@ type Pool struct {
 	gov        *Governor // nil unless conf.Governor was set
 	aud        *Auditor  // nil unless conf.Auditor was set
 
-	observers []*Observer // per-session observers; nil unless conf.Observe
-
 	mu     sync.Mutex // guards closed and the admission/wg ordering
 	closed bool
 	wg     sync.WaitGroup // admitted queries still inside Run
@@ -228,11 +231,12 @@ type Pool struct {
 // Run never allocates solver state.
 func NewPool(g *Graph, opt Options, conf PoolOptions) (*Pool, error) {
 	conf = conf.withDefaults()
-	if conf.Observe != nil && opt.Observer != nil {
-		return nil, fmt.Errorf("wasp: PoolOptions.Observe and Options.Observer are mutually exclusive (a pool needs one observer per session)")
+	if opt.Observer != nil {
+		return nil, fmt.Errorf("wasp: a Pool does not take Options.Observer (one observer cannot serve every session); set PoolOptions.Observe for one observer per session")
 	}
 	p := &Pool{
 		g:          g,
+		opt:        opt.withDefaults(),
 		conf:       conf,
 		cache:      conf.Cache,
 		cacheScope: conf.CacheScope, // audit identity even on cacheless pools
@@ -243,19 +247,12 @@ func NewPool(g *Graph, opt Options, conf PoolOptions) (*Pool, error) {
 		drain:      make(chan struct{}),
 	}
 	for i := 0; i < conf.Sessions; i++ {
-		sopt := opt
-		if conf.Observe != nil {
-			obs := NewObserver(*conf.Observe)
-			sopt.Observer = obs
-			p.observers = append(p.observers, obs)
-		}
-		sess, err := NewSession(g, sopt)
+		sess, err := p.newSession()
 		if err != nil {
 			return nil, err
 		}
 		p.slots <- sess
 	}
-	p.opt = opt.withDefaults()
 	for i := 0; i < cap(p.tickets); i++ {
 		p.tickets <- struct{}{}
 	}
@@ -486,13 +483,16 @@ func (p *Pool) admitAndSolve(ctx context.Context, source Vertex, warm *Checkpoin
 	return res, err
 }
 
-// SessionObservers returns the pool's per-session observers, one per
-// configured session, or nil when PoolOptions.Observe was not set.
-// Observers survive quarantine rebuilds, so each entry's Cumulative
-// totals cover its slot's entire history; summing them across the
-// slice aggregates the whole pool (ssspd's /metrics does exactly
-// this). The slice is owned by the pool — do not modify it.
-func (p *Pool) SessionObservers() []*Observer { return p.observers }
+// newSession builds one of the pool's sessions, whether it fills a
+// slot at NewPool or replaces a quarantined one, with a fresh observer
+// when the pool observes.
+func (p *Pool) newSession() (*Session, error) {
+	opt := p.opt
+	if p.conf.Observe != nil {
+		opt.Observer = NewObserver(*p.conf.Observe)
+	}
+	return NewSession(p.g, opt)
+}
 
 // solveOn runs one query on *sess, applying the deadline budget and
 // the quarantine-and-retry policy. On a panic the poisoned session is
@@ -527,13 +527,12 @@ func (p *Pool) solveOn(ctx context.Context, sess **Session, source Vertex, warm 
 		return res, err
 	}
 
-	// Quarantine: the panicked session's preallocated state is
-	// discarded wholesale and a fresh session takes its slot. NewSession
-	// cannot fail here — the same (g, opt) pair was validated at
-	// NewPool. The slot's observer (if any) moves to the fresh session:
-	// its cumulative totals span the rebuild.
+	// Quarantine: the panicked session's preallocated state (observer
+	// included) is discarded wholesale and a fresh session takes its
+	// slot. NewSession cannot fail here — the same (g, opt) pair was
+	// validated at NewPool.
 	p.quarantined.Add(1)
-	fresh, nerr := p.rebuildSession(*sess)
+	fresh, nerr := p.newSession()
 	if nerr != nil {
 		return nil, fmt.Errorf("wasp: rebuilding quarantined session: %w", nerr)
 	}
@@ -551,24 +550,12 @@ func (p *Pool) solveOn(ctx context.Context, sess **Session, source Vertex, warm 
 		// Second panic: quarantine again so the pool stays healthy,
 		// but surface the failure — retrying further would loop.
 		p.quarantined.Add(1)
-		if fresh, nerr := p.rebuildSession(*sess); nerr == nil {
+		if fresh, nerr := p.newSession(); nerr == nil {
 			*sess = fresh
 		}
 		return nil, err
 	}
 	return res, err
-}
-
-// rebuildSession constructs a replacement for a quarantined session,
-// re-binding the dead session's observer (when the pool observes) so
-// per-slot cumulative counters survive the rebuild.
-func (p *Pool) rebuildSession(dead *Session) (*Session, error) {
-	opt := p.opt
-	if obs := dead.Observer(); obs != nil {
-		obs.release() // the dead session no longer runs; free the binding
-		opt.Observer = obs
-	}
-	return NewSession(p.g, opt)
 }
 
 // isClosed reports whether Close has begun. The cache front-door uses

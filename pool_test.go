@@ -105,7 +105,9 @@ func TestPoolCallerDeadlineDegrades(t *testing.T) {
 // TestPoolQuarantineRetry: a solve killed by an injected worker panic
 // must not surface to the caller — the pool quarantines the poisoned
 // session, rebuilds it, retries once, and the retry produces the
-// complete, correct answer.
+// complete, correct answer. On an observing pool the rebuilt session
+// carries a fresh observer, and OnSolve sees it holding the retry's
+// counters.
 func TestPoolQuarantineRetry(t *testing.T) {
 	g, err := wasp.GenerateWorkload("kron", wasp.WorkloadConfig{N: 2000, Seed: 21})
 	if err != nil {
@@ -117,34 +119,65 @@ func TestPoolQuarantineRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// SolveStart is hit by every worker on every solve, so PanicOnHit 1
-	// deterministically kills the first solve after activation.
-	plan := fault.NewPlan(fault.Config{
-		Seed: 7, PanicOnHit: 1, PanicPoint: fault.SolveStart,
-	})
-	fault.Activate(plan)
-	defer fault.Deactivate()
+	for _, tc := range []struct {
+		name    string
+		observe bool
+	}{{"plain", false}, {"observed", true}} {
+		observe := tc.observe
+		t.Run(tc.name, func(t *testing.T) {
+			var hooked []wasp.SolveObservation
+			var hookRelax int64
+			conf := wasp.PoolOptions{Sessions: 1}
+			if observe {
+				conf.Observe = &wasp.ObserverConfig{}
+				conf.OnSolve = func(o wasp.SolveObservation) {
+					hooked = append(hooked, o)
+					if o.Observer != nil {
+						hookRelax = o.Observer.Totals().Relaxations
+					}
+				}
+			}
 
-	p, err := wasp.NewPool(g, wasp.Options{Workers: 2, Delta: 4}, wasp.PoolOptions{Sessions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close(context.Background())
+			// SolveStart is hit by every worker on every solve, so
+			// PanicOnHit 1 deterministically kills the first solve after
+			// activation.
+			plan := fault.NewPlan(fault.Config{
+				Seed: 7, PanicOnHit: 1, PanicPoint: fault.SolveStart,
+			})
+			fault.Activate(plan)
+			defer fault.Deactivate()
 
-	res, err := p.Run(context.Background(), src)
-	if err != nil || res == nil || !res.Complete {
-		t.Fatalf("run after injected panic: %v, %+v", err, res)
-	}
-	for v := range ref.Dist {
-		if res.Dist[v] != ref.Dist[v] {
-			t.Fatalf("retried solve wrong: d(%d) = %d, want %d", v, res.Dist[v], ref.Dist[v])
-		}
-	}
-	if plan.Hits() < 1 {
-		t.Fatal("injection hook never fired")
-	}
-	if s := p.Stats(); s.Quarantined != 1 || s.Completed != 1 {
-		t.Fatalf("stats = %+v, want Quarantined 1, Completed 1", s)
+			p, err := wasp.NewPool(g, wasp.Options{Workers: 2, Delta: 4}, conf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close(context.Background())
+
+			res, err := p.Run(context.Background(), src)
+			if err != nil || res == nil || !res.Complete {
+				t.Fatalf("run after injected panic: %v, %+v", err, res)
+			}
+			for v := range ref.Dist {
+				if res.Dist[v] != ref.Dist[v] {
+					t.Fatalf("retried solve wrong: d(%d) = %d, want %d", v, res.Dist[v], ref.Dist[v])
+				}
+			}
+			if plan.Hits() < 1 {
+				t.Fatal("injection hook never fired")
+			}
+			if s := p.Stats(); s.Quarantined != 1 || s.Completed != 1 {
+				t.Fatalf("stats = %+v, want Quarantined 1, Completed 1", s)
+			}
+			if !observe {
+				return
+			}
+			if len(hooked) != 1 || hooked[0].Observer == nil || hooked[0].Err != nil {
+				t.Fatalf("OnSolve saw %+v, want one retried solve with an observer", hooked)
+			}
+			if hookRelax <= 0 {
+				t.Fatalf("retried solve's observer holds %d relaxations, want > 0", hookRelax)
+			}
+		})
 	}
 }
 

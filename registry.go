@@ -174,15 +174,16 @@ type RegistryReloadStats struct {
 // graphVersion is one immutable deployment of one graph — the
 // candidate every deploy path hands to deploy. While active it owns a
 // Pool; once retired the pool is drained and dropped (under the
-// registry lock) but the graph and artifacts stay, so Rollback can
-// redeploy the version itself, with a fresh pool, without re-reading
-// the bundle.
+// registry lock) and the history keeps a copy holding the graph and
+// permutation alone, so Rollback can redeploy the version, with a
+// fresh pool, without re-reading the bundle. The warm seeds are not
+// kept: a rolled-back version answers cold until its cache refills.
 type graphVersion struct {
 	version uint64
 	g       *Graph
 	pool    *Pool                  // guarded by Registry.mu; nil once retired
 	perm    []Vertex               // old→new relabeling; nil when identity
-	warm    map[uint32]*Checkpoint // bundle checkpoints by (relabeled) source
+	warm    map[uint32]*Checkpoint // bundle checkpoints or Mutate repair seeds, by (relabeled) source
 	// quarantined marks a version that failed a result audit; set under
 	// Registry.mu by quarantineScope and never cleared — the version
 	// must stay out of the rollback history when it is later replaced.
@@ -492,7 +493,10 @@ func (r *Registry) activate(e *graphEntry, v *graphVersion, pool *Pool, kind Reg
 			// forward onto it.
 			old = nil
 		} else {
-			e.history = append(e.history, old)
+			// History keeps what Rollback redeploys, the graph and the
+			// permutation; the warm seeds, held outside the cache budget,
+			// stay with the live struct that in-flight queries may read.
+			e.history = append(e.history, &graphVersion{version: old.version, g: old.g, perm: old.perm})
 			if drop := len(e.history) - r.conf.History; drop > 0 {
 				e.history = append([]*graphVersion(nil), e.history[drop:]...)
 			}
@@ -580,10 +584,11 @@ func (r *Registry) quarantineScope(scope string, cause error) {
 func (r *Registry) Quarantined() int64 { return r.quarantined.Load() }
 
 // Rollback re-activates the most recently retired version of name: a
-// fresh pool is built from the retained graph and artifacts, smoke-
-// solved, and swapped in exactly like a load. The rolled-back-from
-// version enters the history, so rolling forward again is possible.
-// Returns the version now serving.
+// fresh pool is built from the retained graph and permutation, smoke-
+// solved, and swapped in exactly like a load. Warm seeds are not
+// retained, so the version answers cold until its cache refills. The
+// rolled-back-from version enters the history, so rolling forward
+// again is possible. Returns the version now serving.
 func (r *Registry) Rollback(ctx context.Context, name string) (uint64, error) {
 	e, err := r.entry(name, false)
 	if err != nil {
@@ -604,8 +609,8 @@ func (r *Registry) Rollback(ctx context.Context, name string) (uint64, error) {
 	target := e.history[len(e.history)-1]
 	r.mu.Unlock()
 
-	// The retired version kept its graph and artifacts: redeploying it
-	// builds a fresh pool, and activation pops it from the history.
+	// The retired version kept its graph and permutation: redeploying
+	// it builds a fresh pool, and activation pops it from the history.
 	if err := r.deploy(ctx, e, target, EventRolledBack); err != nil {
 		return 0, fmt.Errorf("wasp: rollback of %q to v%d rejected: %w", name, target.version, err)
 	}
@@ -891,22 +896,6 @@ func (r *Registry) Stats(name string) (PoolStats, bool) {
 		return PoolStats{}, false
 	}
 	return pool.Stats(), true
-}
-
-// Observers returns the session observers of every active version (nil
-// entries never occur; graphs without PoolOptions.Observe contribute
-// nothing). Pools retire on reload, so cumulative scheduler counters
-// restart per deployment — standard Prometheus counter-reset semantics.
-func (r *Registry) Observers() []*Observer {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var all []*Observer
-	for _, e := range r.graphs {
-		if e.active != nil && e.active.pool != nil {
-			all = append(all, e.active.pool.SessionObservers()...)
-		}
-	}
-	return all
 }
 
 // ReloadStats counts reload outcomes since construction.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -198,6 +199,74 @@ func TestRegistryHistoryBounded(t *testing.T) {
 	st, _ := r.Status("g")
 	if st.Version != 5 || len(st.History) != 2 || st.History[0] != 4 || st.History[1] != 3 {
 		t.Fatalf("Status = %+v, want version 5 with history [4 3]", st)
+	}
+}
+
+// TestRegistryHistoryDropsSeeds: a retired version enters the rollback
+// history as its graph and permutation alone. The repair seeds Mutate
+// built for it, each a full distance array held outside the cache
+// budget, stay behind, and a rollback still answers exactly, cold.
+func TestRegistryHistoryDropsSeeds(t *testing.T) {
+	const n = 32
+	r := NewRegistry(RegistryOptions{
+		Pool:         PoolOptions{Sessions: 2, QueueDepth: 64, QueueWait: 5 * time.Second},
+		DrainTimeout: 10 * time.Second,
+		Cache:        NewCache(CacheOptions{}),
+	})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = r.Close(ctx)
+	})
+	ctx := context.Background()
+	if err := r.LoadGraph(ctx, "g", chain(n, 1)); err != nil {
+		t.Fatal(err)
+	}
+	const sources = 3
+	for src := Vertex(0); src < sources; src++ {
+		if _, err := r.Run(ctx, "g", src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, m := range []Mutation{
+		{Kind: MutSetWeight, From: 0, To: 1, W: 7},
+		{Kind: MutSetWeight, From: 1, To: 2, W: 5},
+	} {
+		if _, _, err := r.Mutate(ctx, "g", []Mutation{m}); err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := r.Status("g"); i == 0 && st.WarmSources != sources {
+			t.Fatalf("v2 carries %d repair seeds, want %d", st.WarmSources, sources)
+		}
+	}
+
+	r.mu.RLock()
+	hist := append([]*graphVersion(nil), r.graphs["g"].history...)
+	r.mu.RUnlock()
+	if len(hist) != 2 || hist[1].version != 2 {
+		t.Fatalf("history holds %d versions, want v1 and v2", len(hist))
+	}
+	for _, v := range hist {
+		if len(v.warm) != 0 {
+			t.Fatalf("history v%d pins %d seeds, want none", v.version, len(v.warm))
+		}
+	}
+
+	if v, err := r.Rollback(ctx, "g"); err != nil || v != 2 {
+		t.Fatalf("Rollback: v=%d err=%v", v, err)
+	}
+	for src := Vertex(0); src < sources; src++ {
+		res, err := r.Run(ctx, "g", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Run(hist[1].g, src, Options{Algorithm: AlgoDijkstra})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Dist, ref.Dist) {
+			t.Fatalf("rolled-back v2 from %d: %v, want %v", src, res.Dist, ref.Dist)
+		}
 	}
 }
 

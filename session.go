@@ -95,8 +95,9 @@ func NewSession(g *Graph, opt Options) (*Session, error) {
 	return s, nil
 }
 
-// Observer returns the Observer bound at NewSession, or nil. The pool
-// uses it to carry an observer across a quarantine rebuild.
+// Observer returns the Observer bound at NewSession, or nil. Between
+// runs it holds the most recent run alone; the pool hands it to
+// PoolOptions.OnSolve as SolveObservation.Observer.
 func (s *Session) Observer() *Observer { return s.obs }
 
 // Run solves SSSP from source on the session's graph, reusing the
@@ -150,7 +151,7 @@ func (s *Session) run(ctx context.Context, source Vertex, warm *Checkpoint) (*Re
 	// preallocated path, s.m (when collecting or observing) otherwise —
 	// and the observer's event log, so Progress.Relaxations,
 	// Result.Metrics and the trace describe this run alone, even one
-	// that never starts. The observer's cumulative totals persist.
+	// that never starts.
 	m := s.m
 	if s.solver != nil {
 		m = s.solver.Metrics()
@@ -203,11 +204,6 @@ func (s *Session) run(ctx context.Context, source Vertex, warm *Checkpoint) (*Re
 	if s.m != nil {
 		t := s.m.Totals()
 		res.Metrics = &t
-	}
-	if s.obs != nil {
-		// Workers have joined: fold this run into the observer's
-		// cumulative totals (partial runs included — the work happened).
-		s.obs.absorb()
 	}
 	if pe := tok.Err(); pe != nil {
 		return nil, fmt.Errorf("wasp: %s solver panicked: %w", s.opt.Algorithm, pe)

@@ -212,6 +212,7 @@ type Options struct {
 	// interface dispatch, no allocation. One Observer serves one solve
 	// at a time: NewSession binds it for the session's lifetime, Run
 	// binds it per call, and a second concurrent user is rejected.
+	// NewPool rejects it; a pool observes through PoolOptions.Observe.
 	Observer *Observer
 
 	// CollectMetrics attaches per-worker counters to the Result.
