@@ -52,6 +52,7 @@ func TestObservedSolveMatrix(t *testing.T) {
 			if got := tl.CountKind(trace.Terminate); got != p {
 				t.Fatalf("terminate events = %d, want %d", got, p)
 			}
+			checkTraceAccounts(t, tl, m, true)
 			tot := m.Totals()
 			if tot.Relaxations == 0 || tot.BucketAdvances == 0 {
 				t.Fatalf("counters empty under policy %v: %+v", policy, tot)
@@ -125,7 +126,47 @@ func TestObservedCancelMidSolve(t *testing.T) {
 			if tl.CountKind(trace.Terminate) > p {
 				t.Fatalf("more terminates than workers: %d", tl.CountKind(trace.Terminate))
 			}
+			checkTraceAccounts(t, tl, m, res.Complete)
 		}
+	}
+}
+
+// checkTraceAccounts checks that a finished solve's trace accounts for
+// every advance and steal its counters saw: nothing dropped, each
+// worker's folded advances (the sum of B) equal to its BucketAdvances,
+// the steal-hit events' chunks equal to StealHits, and — on a complete
+// solve — each worker's last event its Terminate, so no advance was
+// left pending.
+func checkTraceAccounts(t *testing.T, tl *trace.Log, m *metrics.Set, complete bool) {
+	t.Helper()
+	if d := tl.Dropped(); d != 0 {
+		t.Fatalf("trace dropped %d events", d)
+	}
+	p := len(m.Workers)
+	advances := make([]int64, p)
+	last := make([]trace.Kind, p)
+	seen := make([]bool, p)
+	var hits int64
+	for _, e := range tl.Merged() {
+		switch e.Kind {
+		case trace.BucketAdvance:
+			advances[e.Worker] += int64(e.B)
+		case trace.StealHit:
+			hits += int64(e.B)
+		}
+		last[e.Worker], seen[e.Worker] = e.Kind, true
+	}
+	for w := range m.Workers {
+		if want := m.Workers[w].BucketAdvances; advances[w] != want {
+			t.Fatalf("worker %d: advance events stand for %d advances, counters say %d",
+				w, advances[w], want)
+		}
+		if complete && (!seen[w] || last[w] != trace.Terminate) {
+			t.Fatalf("worker %d: last event %v (seen %v), want terminate", w, last[w], seen[w])
+		}
+	}
+	if tot := m.Totals(); hits != tot.StealHits {
+		t.Fatalf("steal-hit events carry %d chunks, counters say %d", hits, tot.StealHits)
 	}
 }
 
@@ -252,31 +293,43 @@ func TestHotPathZeroAllocsSteadyTrace(t *testing.T) {
 
 // BenchmarkTraceOverhead measures a full solve with the trace disabled
 // (the nil-check branch only), enabled, and enabled with timing — the
-// numbers quoted in DESIGN.md §9. CI runs it with -benchmem as an
-// allocation smoke test: the steady-state solver reuses everything, so
-// per-solve allocations must stay flat across the three cases (the
-// strict 0 allocs/op claim is pinned by the TestHotPathZeroAllocs*
-// tests above, which bypass the goroutine spawn and Result wrapper).
+// numbers quoted in DESIGN.md §9. Two regimes: kron 2^15 at Δ=8, where
+// a worker rarely advances a bucket, and road-usa 2^16 at Δ=1 on two
+// workers with ssspd's default 4096-event cap, where it advances every
+// few dozen relaxations and the per-advance cost of tracing shows.
+// CI runs it with -benchmem as an allocation smoke test: the
+// steady-state solver reuses everything, so per-solve allocations must
+// stay flat across the cases of a graph (the strict 0 allocs/op claim
+// is pinned by the TestHotPathZeroAllocs* tests above, which bypass
+// the goroutine spawn and Result wrapper).
 func BenchmarkTraceOverhead(b *testing.B) {
-	g, err := gen.Generate("kron", gen.Config{N: 1 << 15, Seed: 1})
+	kron, err := gen.Generate("kron", gen.Config{N: 1 << 15, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := graph.SourceInLargestComponent(g, 1)
-	const p = 4
+	road, err := gen.Generate("road-usa", gen.Config{N: 1 << 16, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, bench := range []struct {
 		name   string
+		g      *graph.Graph
+		delta  uint32
+		p      int
 		tl     *trace.Log
 		timing bool
 	}{
-		{"disabled", nil, false},
-		{"enabled", trace.NewCapped(p, 1<<14), false},
-		{"enabled-timing", trace.NewCapped(p, 1<<14), true},
+		{"disabled", kron, 8, 4, nil, false},
+		{"enabled", kron, 8, 4, trace.NewCapped(4, 1<<14), false},
+		{"enabled-timing", kron, 8, 4, trace.NewCapped(4, 1<<14), true},
+		{"road-d1/disabled", road, 1, 2, nil, false},
+		{"road-d1/enabled", road, 1, 2, trace.NewCapped(2, 4096), false},
 	} {
-		b.Run(fmt.Sprintf("%s/p%d", bench.name, p), func(b *testing.B) {
-			m := metrics.NewSet(p)
-			s := NewSolver(g, Options{
-				Workers: p, Delta: 8, Trace: bench.tl, Metrics: m, Timing: bench.timing,
+		b.Run(fmt.Sprintf("%s/p%d", bench.name, bench.p), func(b *testing.B) {
+			src := graph.SourceInLargestComponent(bench.g, 1)
+			m := metrics.NewSet(bench.p)
+			s := NewSolver(bench.g, Options{
+				Workers: bench.p, Delta: bench.delta, Trace: bench.tl, Metrics: m, Timing: bench.timing,
 			})
 			s.Solve(src, nil) // warm the pools before timing
 			b.ReportAllocs()

@@ -103,8 +103,11 @@ type Options struct {
 	// timestamps cost more than a steal round.
 	Timing bool
 
-	// Trace, when non-nil, receives scheduler events (bucket advances,
-	// steal outcomes, idle transitions). Must be created for at least
+	// Trace, when non-nil, receives scheduler transitions: steal hits,
+	// contended steal misses, idle entries and terminations, plus
+	// bucket advances folded into one event per run of up to 64
+	// (trace.Log.Advance). Each worker flushes its pending advances as
+	// it leaves the run, cancelled or not. Must be created for at least
 	// Workers workers.
 	Trace *trace.Log
 

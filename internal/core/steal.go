@@ -14,7 +14,9 @@ import (
 // CAS (stealFrom) and, on success, curr is re-published to the best
 // stolen priority before the flag drops — the ordering the termination
 // protocol relies on (term.go). A round that finds every inspected
-// deque empty never raises it, so it stores to no shared line.
+// deque empty never raises it, so it stores to no shared line, and is
+// not traced: only a contended miss, a round that raised the flag but
+// won no chunk, records a StealMiss.
 func (w *worker) stealRound(next uint64) []*chunk.Chunk {
 	if w.opt.Workers == 1 {
 		return nil
@@ -46,10 +48,11 @@ func (w *worker) stealRound(next uint64) []*chunk.Chunk {
 		w.setCurr(minPrio)
 		w.m.StealHits += int64(len(stolen))
 		w.opt.Trace.Add(w.id, trace.StealHit, minPrio, uint64(len(stolen)))
-	} else {
-		w.opt.Trace.Add(w.id, trace.StealMiss, next, 0)
 	}
 	if w.stealing.Load() {
+		if len(stolen) == 0 {
+			w.opt.Trace.Add(w.id, trace.StealMiss, next, 0)
+		}
 		w.stealing.Store(false)
 	}
 	return stolen

@@ -16,7 +16,7 @@ func TestTraceRecordsSchedulerEvents(t *testing.T) {
 	src := graph.SourceInLargestComponent(g, 1)
 
 	// Termination and merge order are deterministic per solve. Bucket
-	// advances (recorded only on a drift) and idle transitions depend
+	// advances (folded, up to 64 per event) and idle transitions depend
 	// on how steals interleave: on a graph this small a single solve
 	// can legitimately see none of one kind, so those are asserted
 	// across a handful of solves rather than per solve.

@@ -148,6 +148,7 @@ func (w *worker) run() {
 	// independent of graph size or steal activity (see fault.SolveStart).
 	fault.Inject(fault.SolveStart, w.id)
 	defer w.publishProgress()
+	defer w.opt.Trace.Flush(w.id)
 	if w.warmHi > w.warmLo {
 		w.seedFrontier()
 	}
@@ -167,7 +168,7 @@ func (w *worker) run() {
 		// No steal: advance to the next local bucket (lines 29–32).
 		if next != infPrio {
 			w.m.BucketAdvances++
-			w.opt.Trace.Add(w.id, trace.BucketAdvance, next, 0)
+			w.opt.Trace.Advance(w.id, next)
 			w.setCurr(next)
 			w.pour(next)
 			continue

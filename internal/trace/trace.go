@@ -5,6 +5,15 @@
 // graph that should parallelize shows up immediately as one worker
 // advancing buckets while the rest log idle events.
 //
+// The log records scheduler transitions, not every step. A run of
+// quiet bucket advances (Advance) is folded into one BucketAdvance
+// event per 64 advances, whose B counts the advances it stands for;
+// the event is written early when the same worker records anything
+// else (Add) or its run ends (Flush). At Δ=1 on a road graph a worker
+// advances every few dozen relaxations, so an event per advance would
+// make a traced solve about 1.5 times as slow and overflow a
+// 4096-event buffer within milliseconds.
+//
 // Workers write to their own buffer with no synchronization; Merge is
 // called after the run. A nil *Log disables collection at the cost of
 // one predictable branch per event site.
@@ -28,12 +37,17 @@ type Kind uint8
 
 // Event kinds emitted by the Wasp scheduler.
 const (
-	// BucketAdvance: the worker moved to local priority level A.
+	// BucketAdvance: the worker made B consecutive advances through
+	// its local buckets, the last to priority level A. Advance writes
+	// B in 1..64; an event written with Add carries the caller's B.
 	BucketAdvance Kind = iota
 	// StealHit: a steal round got B chunks, best priority A.
 	StealHit
-	// StealMiss: a steal round found nothing (A = the next local
-	// priority the thief was trying to beat).
+	// StealMiss: a contended steal round — some victim's deque read
+	// non-empty, but the round won no chunk (A = the next local
+	// priority the thief was trying to beat). A round that finds every
+	// deque empty is not recorded: the advance or idle period that
+	// follows it implies it.
 	StealMiss
 	// IdleEnter: the worker published priority ∞.
 	IdleEnter
@@ -71,17 +85,27 @@ type Event struct {
 
 // DefaultCap is the per-worker event capacity used by New: at ~40
 // bytes per event a full buffer costs well under a megabyte per
-// worker, while still holding the entire schedule of any solve short
-// enough to eyeball.
+// worker. With quiet advances folded 64 to an event, even a quarter of
+// it holds a whole Δ=1 road-usa 2^18 solve on two workers, which
+// records about 1,000–1,600 events in all.
 const DefaultCap = 1 << 14
 
+// advanceFold is the most advances one BucketAdvance event written by
+// Advance stands for.
+const advanceFold = 64
+
 // ring is one worker's bounded event buffer. Events append until the
-// buffer reaches its capacity; after that each Add overwrites the
-// oldest event (head advances) and dropped counts the overwritten.
+// buffer reaches its capacity; after that each new event overwrites
+// the oldest (head advances) and dropped counts the overwritten.
 type ring struct {
 	buf     []Event
 	head    int // index of the oldest event once the ring wrapped
 	dropped uint64
+	pending uint64 // advances recorded by Advance and not yet written
+	level   uint64 // priority level the last pending advance reached
+	// Pad to 128 bytes: each worker writes these fields at every
+	// advance, so keep them off the cache lines its neighbours write.
+	_ [72]byte
 }
 
 // Log collects events for a fixed number of workers.
@@ -105,9 +129,10 @@ func NewCapped(p, capPerWorker int) *Log {
 	return &Log{start: time.Now(), cap: capPerWorker, buf: make([]ring, p)}
 }
 
-// Reset discards all recorded events and dropped counts and restarts
-// the clock, keeping the buffers' storage so a Log reused across the
-// solves of one session reaches a steady state with no allocation.
+// Reset discards all recorded events, dropped counts and pending
+// advances and restarts the clock, keeping the buffers' storage so a
+// Log reused across the solves of one session reaches a steady state
+// with no allocation.
 // Callers must ensure no worker is concurrently adding (i.e. between
 // runs).
 func (l *Log) Reset() {
@@ -120,6 +145,7 @@ func (l *Log) Reset() {
 		r.buf = r.buf[:0]
 		r.head = 0
 		r.dropped = 0
+		r.pending, r.level = 0, 0
 	}
 }
 
@@ -131,18 +157,62 @@ func (l *Log) Workers() int {
 	return len(l.buf)
 }
 
-// Add records an event for worker w. Nil-safe: a nil Log drops it.
+// Add records an event for worker w. Worker w's pending advances, if
+// any, are written first with the same timestamp, so the stream keeps
+// recording order. Nil-safe: a nil Log drops it.
 func (l *Log) Add(w int, kind Kind, a, b uint64) {
 	if l == nil {
 		return
 	}
-	e := Event{When: time.Since(l.start), Worker: w, Kind: kind, A: a, B: b}
+	now := time.Since(l.start)
 	r := &l.buf[w]
-	if len(r.buf) < l.cap {
+	r.writePending(l.cap, w, now)
+	r.put(l.cap, Event{When: now, Worker: w, Kind: kind, A: a, B: b})
+}
+
+// Advance records that worker w advanced to local priority level. It
+// only counts: every advanceFold advances become one BucketAdvance
+// event (A = level, B = advanceFold), and a shorter run is written by
+// w's next Add or Flush. Nil-safe.
+func (l *Log) Advance(w int, level uint64) {
+	if l == nil {
+		return
+	}
+	r := &l.buf[w]
+	r.pending++
+	r.level = level
+	if r.pending == advanceFold {
+		l.Flush(w)
+	}
+}
+
+// Flush writes worker w's pending advances as one event, for a run
+// that ends without a closing Add (a cancelled solve). With nothing
+// pending it records nothing. Nil-safe.
+func (l *Log) Flush(w int) {
+	if l == nil || l.buf[w].pending == 0 {
+		return
+	}
+	l.buf[w].writePending(l.cap, w, time.Since(l.start))
+}
+
+// writePending writes the pending advances, if any, as one
+// BucketAdvance event stamped now.
+func (r *ring) writePending(cap, w int, now time.Duration) {
+	if r.pending == 0 {
+		return
+	}
+	r.put(cap, Event{When: now, Worker: w, Kind: BucketAdvance, A: r.level, B: r.pending})
+	r.pending = 0
+}
+
+// put appends e, or once the ring holds cap events overwrites the
+// oldest and advances the ring head.
+func (r *ring) put(cap int, e Event) {
+	if len(r.buf) < cap {
 		r.buf = append(r.buf, e)
 		return
 	}
-	// Full: overwrite the oldest event and advance the ring head.
 	r.buf[r.head] = e
 	r.head++
 	if r.head == len(r.buf) {
@@ -216,6 +286,23 @@ func (l *Log) CountKind(kind Kind) int {
 		for _, e := range l.buf[i].buf {
 			if e.Kind == kind {
 				n++
+			}
+		}
+	}
+	return n
+}
+
+// Advances returns the number of bucket advances the retained
+// BucketAdvance events stand for: the sum of their B.
+func (l *Log) Advances() uint64 {
+	if l == nil {
+		return 0
+	}
+	var n uint64
+	for i := range l.buf {
+		for _, e := range l.buf[i].buf {
+			if e.Kind == BucketAdvance {
+				n += e.B
 			}
 		}
 	}

@@ -11,9 +11,11 @@ import (
 	"wasp/internal/trace"
 )
 
-// TraceEvent is one scheduler occurrence recorded by an Observer: a
-// bucket advance, a steal hit or miss, an idle transition or a
-// termination, timestamped relative to the start of its solve.
+// TraceEvent is one scheduler transition recorded by an Observer: a
+// run of bucket advances, a steal hit, a contended steal miss, an idle
+// transition or a termination, timestamped relative to the start of
+// its solve. Quiet bucket advances are folded: one TraceBucketAdvance
+// event stands for up to 64 of them.
 type TraceEvent = trace.Event
 
 // TraceKind classifies a TraceEvent.
@@ -21,11 +23,24 @@ type TraceKind = trace.Kind
 
 // Trace event kinds, re-exported from the scheduler's internal log.
 const (
+	// TraceBucketAdvance: the worker made B consecutive advances
+	// through its local buckets (1 to 64), the last to priority level
+	// A. A run is written when it reaches 64 advances or the worker
+	// records any other event or leaves the solve, so the sum of B
+	// over a worker's advance events is its WorkerMetrics.BucketAdvances
+	// when nothing was dropped.
 	TraceBucketAdvance = trace.BucketAdvance
-	TraceStealHit      = trace.StealHit
-	TraceStealMiss     = trace.StealMiss
-	TraceIdleEnter     = trace.IdleEnter
-	TraceTerminate     = trace.Terminate
+	// TraceStealHit: a steal round got B chunks, best priority A.
+	TraceStealHit = trace.StealHit
+	// TraceStealMiss: a contended steal round — a victim's deque read
+	// non-empty but the round won no chunk (A = the priority the thief
+	// tried to beat). Rounds that found nothing to contend for are
+	// counted in WorkerMetrics.StealRounds, not traced.
+	TraceStealMiss = trace.StealMiss
+	// TraceIdleEnter: the worker published priority ∞ and began idling.
+	TraceIdleEnter = trace.IdleEnter
+	// TraceTerminate: the worker concluded global termination.
+	TraceTerminate = trace.Terminate
 )
 
 // WorkerMetrics holds one worker's execution counters (relaxations,
@@ -191,7 +206,9 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 
 // WriteSummary renders a human-readable digest of the most recent
 // solve: per-worker work counters, the steal-tier breakdown of §4.2
-// and bucket-advance cadence. Call between solves.
+// and bucket-advance cadence. The events line counts advances, not
+// advance events: the sum of B over the retained advance events. Call
+// between solves.
 func (o *Observer) WriteSummary(w io.Writer) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -208,7 +225,7 @@ func (o *Observer) WriteSummary(w io.Writer) error {
 			fmt.Fprintf(w, " (+%d dropped by the %s)", d, "buffer cap")
 		}
 		fmt.Fprintf(w, " — advance=%d steal-hit=%d steal-miss=%d idle=%d terminate=%d\n",
-			o.log.CountKind(trace.BucketAdvance), o.log.CountKind(trace.StealHit),
+			o.log.Advances(), o.log.CountKind(trace.StealHit),
 			o.log.CountKind(trace.StealMiss), o.log.CountKind(trace.IdleEnter),
 			o.log.CountKind(trace.Terminate))
 	}

@@ -191,6 +191,51 @@ func TestObserverChromeTraceAndSummary(t *testing.T) {
 	}
 }
 
+// TestObserverDefaultCapHoldsRoadSolve: ssspd's default 4096-event cap
+// holds a whole Δ=1 road solve, the regime where workers advance a
+// bucket every few dozen relaxations. Folded advances keep the trace
+// inside the cap with nothing dropped, and the advance events still
+// account for every advance the counters saw.
+func TestObserverDefaultCapHoldsRoadSolve(t *testing.T) {
+	g, err := wasp.GenerateWorkload("road-usa", wasp.WorkloadConfig{N: 1 << 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := wasp.NewObserver(wasp.ObserverConfig{TraceCapacity: 4096})
+	sess, err := wasp.NewSession(g, wasp.Options{Workers: 2, Delta: 1, Observer: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range wasp.SourcesInLargestComponent(g, 1, 3) {
+		res, err := sess.Run(context.Background(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := wasp.Run(g, src, wasp.Options{Algorithm: wasp.AlgoDijkstra})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range ref.Dist {
+			if res.Dist[v] != ref.Dist[v] {
+				t.Fatalf("source %d: dist[%d] = %d, Dijkstra %d", src, v, res.Dist[v], ref.Dist[v])
+			}
+		}
+		if d := obs.DroppedEvents(); d != 0 {
+			t.Fatalf("source %d: %d events dropped at the default cap", src, d)
+		}
+		var advances int64
+		for _, e := range obs.Events() {
+			if e.Kind == wasp.TraceBucketAdvance {
+				advances += int64(e.B)
+			}
+		}
+		if want := obs.Totals().BucketAdvances; advances != want || want == 0 {
+			t.Fatalf("source %d: advance events stand for %d advances, counters say %d",
+				src, advances, want)
+		}
+	}
+}
+
 // TestObserverTraceDisabled: TraceCapacity < 0 collects counters only.
 func TestObserverTraceDisabled(t *testing.T) {
 	g, err := wasp.GenerateWorkload("kron", wasp.WorkloadConfig{N: 800, Seed: 2})
