@@ -7,11 +7,11 @@ import (
 )
 
 // Bundle is the on-disk deployment unit the Registry serves from: a
-// manifest naming and versioning a graph, the graph itself, and
-// optional warm-start checkpoints and a locality relabeling
-// permutation — each section length-framed and CRC-checked so a torn
-// or corrupted file is rejected as a whole rather than partially
-// applied. See internal/bundle for the format specification.
+// manifest naming and versioning a graph, the graph itself, and an
+// optional locality relabeling permutation — each section
+// length-framed and CRC-checked so a torn or corrupted file is
+// rejected as a whole rather than partially applied. See
+// internal/bundle for the format specification.
 type Bundle = bundle.Bundle
 
 // BundleManifest names and versions a bundle and pins its graph's
@@ -20,7 +20,7 @@ type BundleManifest = bundle.Manifest
 
 // ReadBundle decodes and fully validates a bundle from r. A bundle
 // that decodes without error is safe to deploy: checksums verified,
-// structure validated, artifacts bound to the graph's fingerprint.
+// structure validated, manifest bound to the graph's fingerprint.
 func ReadBundle(r io.Reader) (*Bundle, error) { return bundle.Read(r) }
 
 // WriteBundle validates and encodes b to w. Zero manifest shape and

@@ -165,7 +165,6 @@ func TestCacheMissSolvesCold(t *testing.T) {
 		conf  CacheOptions
 	}{
 		{"dijkstra", uchain(64, 2), Options{Algorithm: AlgoDijkstra}, CacheOptions{}},
-		{"pendant pruning", uchain(64, 2), Options{PendantPruning: true}, CacheOptions{}},
 		{"directed graph", chain(64, 2), Options{Workers: 2}, CacheOptions{}},
 		{"undirected wasp", uchain(64, 2), Options{Workers: 2}, CacheOptions{}},
 	}

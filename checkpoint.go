@@ -16,8 +16,9 @@ import (
 //
 // Resume is the one seeded-solve path. Seeds come from the periodic
 // CheckpointSink of a supervised session, LoadCheckpoint reading a file
-// a previous process saved, a bundle's warm-start artifacts, and
-// MutationDelta.Seed repairing an exact pre-mutation solution.
+// a previous process saved, and MutationDelta.Seed repairing an exact
+// pre-mutation solution (which Registry.Mutate does for every cached
+// answer of the retiring version).
 // SaveCheckpoint persists one crash-safely (atomic write-then-rename,
 // fsynced).
 type Checkpoint = checkpoint.Snapshot

@@ -323,10 +323,11 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestMetricsSchedulerCountersSurviveRedeploy: the scheduler counters
-// are summed per solve in OnSolve, so a reload, a mutation and a
-// rollback, each of which swaps in a fresh pool, never move them
-// backwards, and every observed solve counts once, exactly as the
-// latency histogram counts it.
+// are summed per solve in OnSolve, and the pool counters are kept per
+// graph, so a reload, a mutation and a rollback, each of which swaps in
+// a fresh pool, never move them backwards, and every observed solve
+// counts once, exactly as the latency histogram and
+// ssspd_solves_completed_total count it.
 func TestMetricsSchedulerCountersSurviveRedeploy(t *testing.T) {
 	s, ts := newObservedServer(t, 0)
 	ctx := context.Background()
@@ -347,14 +348,15 @@ func TestMetricsSchedulerCountersSurviveRedeploy(t *testing.T) {
 		}
 		return series
 	}
-	var solves, relax float64
+	var solves, relax, completed float64
 	check := func(step string, wantSolves float64) {
 		t.Helper()
 		m := scrape()
 		gotSolves, gotRelax := m["ssspd_scheduler_solves_observed_total"], m["ssspd_scheduler_relaxations_total"]
-		if gotSolves < solves || gotRelax < relax {
-			t.Fatalf("%s: solves %v -> %v, relaxations %v -> %v: a scheduler counter dropped",
-				step, solves, gotSolves, relax, gotRelax)
+		gotCompleted := m["ssspd_solves_completed_total"]
+		if gotSolves < solves || gotRelax < relax || gotCompleted < completed {
+			t.Fatalf("%s: solves %v -> %v, relaxations %v -> %v, completed %v -> %v: a counter dropped",
+				step, solves, gotSolves, relax, gotRelax, completed, gotCompleted)
 		}
 		if gotSolves != wantSolves {
 			t.Fatalf("%s: %v solves observed, want %v", step, gotSolves, wantSolves)
@@ -362,7 +364,10 @@ func TestMetricsSchedulerCountersSurviveRedeploy(t *testing.T) {
 		if hist := m["ssspd_solve_duration_seconds_count"]; gotSolves != hist {
 			t.Fatalf("%s: %v solves observed, latency histogram counts %v", step, gotSolves, hist)
 		}
-		solves, relax = gotSolves, gotRelax
+		if gotCompleted != gotSolves {
+			t.Fatalf("%s: %v solves completed, %v observed", step, gotCompleted, gotSolves)
+		}
+		solves, relax, completed = gotSolves, gotRelax, gotCompleted
 	}
 	next := 2 // sources 0 and 1 go to the concurrent pair below
 	solve := func() {

@@ -414,6 +414,18 @@ func TestRegistryMutate(t *testing.T) {
 	if err := r.Load(ctx, chainBundle("g", 1, n, 1)); err != nil {
 		t.Fatal(err)
 	}
+	// The pool counters are the graph's, not the version's: every run
+	// below adds to one series across the Mutate and the Rollback.
+	completed := func(want int64) {
+		t.Helper()
+		if st, _ := r.Stats("g"); st.Completed != want {
+			t.Fatalf("Stats(g).Completed = %d, want %d", st.Completed, want)
+		}
+	}
+	if _, err := r.Run(ctx, "g", 0); err != nil {
+		t.Fatal(err)
+	}
+	completed(1)
 
 	// Malformed batch: rejected whole, v1 keeps serving.
 	if _, _, err := r.Mutate(ctx, "g", []Mutation{{Kind: MutDelete, From: 0, To: 9}}); err == nil {
@@ -441,6 +453,7 @@ func TestRegistryMutate(t *testing.T) {
 	if got, want := res.Dist[n-1], uint32(5+(n-2)); got != want {
 		t.Fatalf("post-mutation dist[%d] = %d, want %d", n-1, got, want)
 	}
+	completed(2)
 	if st := r.ReloadStats(); st.Mutated != 1 {
 		t.Fatalf("ReloadStats.Mutated = %d, want 1", st.Mutated)
 	}
@@ -457,6 +470,7 @@ func TestRegistryMutate(t *testing.T) {
 	if got, want := res.Dist[n-1], uint32(n-1); got != want {
 		t.Fatalf("post-rollback dist[%d] = %d, want %d", n-1, got, want)
 	}
+	completed(3)
 }
 
 // TestRegistryMutateRejectsRelabeled: mutation batches address

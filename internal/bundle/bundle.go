@@ -1,14 +1,13 @@
 // Package bundle defines the on-disk unit of graph deployment: one
-// file ("WSPB") carrying a named, versioned graph together with its
-// optional precomputed artifacts — warm-start checkpoints in the WSCK
-// codec and a locality relabeling permutation. A bundle is what a
+// file ("WSPB") carrying a named, versioned graph together with an
+// optional locality relabeling permutation. A bundle is what a
 // registry hot-loads under live traffic, so the format is built to be
 // rejected safely: every section is length-framed and CRC-checked
 // (mirroring the checkpoint codec), allocation never trusts a header
 // beyond the bytes actually present, and Read validates the whole
-// artifact set — graph structure, manifest↔graph shape and content
-// fingerprint, checkpoint↔graph fingerprints, permutation bijectivity —
-// before any of it is handed to solver workers.
+// bundle — graph structure, manifest↔graph shape and content
+// fingerprint, permutation bijectivity — before any of it is handed to
+// solver workers.
 //
 // Layout (all integers little-endian):
 //
@@ -23,12 +22,15 @@
 //	  [16+L:20+L]    CRC-32 (IEEE) over kind, flags, length and payload
 //
 // Section kinds: 1 manifest (canonical JSON), 2 graph (a WSPG binary
-// CSR dump), 3 checkpoint (one WSCK stream; repeatable), 4 relabel
-// (vertex count + old→new permutation). Exactly one manifest and one
-// graph are required, the manifest first — a loader reports the bundle
-// identity in every later error. Unknown kinds and unknown flag bits
-// are rejected: a bundle is an instruction to replace live serving
-// state, so "skip what you don't understand" is the wrong default.
+// CSR dump), 4 relabel (vertex count + old→new permutation). Kind 3 is
+// retired: it once carried a warm-start checkpoint (one WSCK stream),
+// which no writer produced, and is now rejected like any unknown kind.
+// Exactly one manifest and one graph are required, the manifest first
+// — a loader reports the bundle identity in every later error; the
+// relabeling is optional and appears at most once. Unknown kinds and
+// unknown flag bits are rejected: a bundle is an instruction to
+// replace live serving state, so "skip what you don't understand" is
+// the wrong default.
 package bundle
 
 import (
@@ -40,7 +42,6 @@ import (
 	"hash/crc32"
 	"io"
 
-	"wasp/internal/checkpoint"
 	"wasp/internal/fault"
 	"wasp/internal/graph"
 )
@@ -55,14 +56,12 @@ const Version = 1
 const (
 	secManifest = 1
 	secGraph    = 2
-	secCheckpt  = 3
 	secRelabel  = 4
 )
 
-// maxSections bounds the section count a header may claim; a real
-// bundle has one manifest, one graph, one relabeling and a few
-// checkpoints.
-const maxSections = 4096
+// maxSections bounds the section count a header may claim: one
+// manifest, one graph and one relabeling.
+const maxSections = 3
 
 // Decode errors. Every decode failure wraps one of these (or an
 // underlying I/O error), so a registry can distinguish "not a bundle"
@@ -102,7 +101,7 @@ type Manifest struct {
 	// (graph.WeightFingerprint: wiring + weights), the graph's identity.
 	// Shape alone cannot distinguish two versions that differ only in
 	// edge weights — the stale-read hazard once fingerprints key result
-	// caches and warm-start artifacts. Required on disk; Write fills it.
+	// caches and warm-start seeds. Required on disk; Write fills it.
 	WeightFP uint64 `json:"weight_fp"`
 }
 
@@ -112,10 +111,6 @@ type Bundle struct {
 	// Graph is the deployable graph. When Relabel is present the graph
 	// is stored in relabeled (locality-optimized) id space.
 	Graph *graph.Graph
-	// Checkpoints are optional warm-start seeds, each fingerprint-bound
-	// to Graph. With Relabel present their sources and distance arrays
-	// are in relabeled id space, like the graph they were solved on.
-	Checkpoints []*checkpoint.Snapshot
 	// Relabel, when non-empty, is the old→new vertex permutation that
 	// produced Graph from the original id space (see
 	// graph.RelabelByDegree). A serving layer maps query sources
@@ -124,9 +119,10 @@ type Bundle struct {
 }
 
 // Validate checks the cross-section consistency of a decoded (or
-// hand-assembled) bundle: manifest identity, graph structure, and every
-// artifact's binding to the graph. Read calls it on every successful
-// decode; registries call it again on hand-assembled bundles.
+// hand-assembled) bundle: manifest identity, graph structure, and the
+// permutation's binding to the graph. Read calls it on every
+// successful decode; registries call it again on hand-assembled
+// bundles.
 func (b *Bundle) Validate() error {
 	if err := validateName(b.Manifest.Name); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalid, err)
@@ -142,17 +138,11 @@ func (b *Bundle) Validate() error {
 		return fmt.Errorf("%w: bundle %q: manifest fingerprint (%d vertices, %d edges, directed=%v) does not match graph (%d, %d, %v)",
 			ErrInvalid, b.Manifest.Name, b.Manifest.Vertices, b.Manifest.Edges, b.Manifest.Directed, n, m, dir)
 	}
-	// Content check beyond shape: the manifest and every checkpoint must
-	// carry this graph's actual wiring+weights fingerprint.
-	fp := b.Graph.WeightFingerprint()
-	if b.Manifest.WeightFP != fp {
+	// Content check beyond shape: the manifest must carry this graph's
+	// actual wiring+weights fingerprint.
+	if fp := b.Graph.WeightFingerprint(); b.Manifest.WeightFP != fp {
 		return fmt.Errorf("%w: bundle %q: manifest content fingerprint %016x does not match graph %016x",
 			ErrInvalid, b.Manifest.Name, b.Manifest.WeightFP, fp)
-	}
-	for i, cp := range b.Checkpoints {
-		if err := cp.Matches(n, m, dir, fp); err != nil {
-			return fmt.Errorf("%w: bundle %q: checkpoint %d: %w", ErrInvalid, b.Manifest.Name, i, err)
-		}
 	}
 	if len(b.Relabel) > 0 {
 		if err := validatePermutation(b.Relabel, n); err != nil {
@@ -236,7 +226,7 @@ func Write(w io.Writer, b *Bundle) error {
 	var hdr [12]byte
 	copy(hdr[0:4], Magic)
 	binary.LittleEndian.PutUint32(hdr[4:8], Version)
-	nSections := 2 + len(b.Checkpoints)
+	nSections := 2
 	if len(b.Relabel) > 0 {
 		nSections++
 	}
@@ -268,16 +258,6 @@ func Write(w io.Writer, b *Bundle) error {
 			binary.LittleEndian.PutUint32(rbuf[8+4*i:], uint32(v))
 		}
 		if err := writeSection(w, secRelabel, rbuf); err != nil {
-			return err
-		}
-	}
-
-	for i, cp := range b.Checkpoints {
-		var cbuf bytes.Buffer
-		if err := cp.Encode(&cbuf); err != nil {
-			return fmt.Errorf("bundle: encoding checkpoint %d: %w", i, err)
-		}
-		if err := writeSection(w, secCheckpt, cbuf.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -351,7 +331,8 @@ func readSection(r io.Reader) (kind uint32, payload []byte, err error) {
 
 // Read decodes one bundle from r and validates it end to end. A nil
 // error means the bundle is deployable: CRCs verified, graph
-// structurally sound, every artifact fingerprint-bound to the graph.
+// structurally sound and bound to the manifest's fingerprint, the
+// permutation a bijection.
 func Read(r io.Reader) (*Bundle, error) {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -400,12 +381,6 @@ func Read(r io.Reader) (*Bundle, error) {
 			}
 			b.Graph = g
 			haveGraph = true
-		case secCheckpt:
-			cp, err := checkpoint.Decode(bytes.NewReader(payload))
-			if err != nil {
-				return nil, fmt.Errorf("%w: checkpoint section: %v", ErrMalformed, err)
-			}
-			b.Checkpoints = append(b.Checkpoints, cp)
 		case secRelabel:
 			if len(b.Relabel) > 0 {
 				return nil, fmt.Errorf("%w: duplicate relabel section", ErrMalformed)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wasp/internal/checkpoint"
@@ -21,24 +22,14 @@ func testGraph(t *testing.T) *graph.Graph {
 	})
 }
 
-// testBundle assembles a full-featured bundle: graph, manifest, one
-// checkpoint and a relabel permutation.
+// testBundle assembles a full-featured bundle: manifest, graph and a
+// relabel permutation.
 func testBundle(t *testing.T) *Bundle {
 	t.Helper()
-	g := testGraph(t)
-	cp := &checkpoint.Snapshot{
-		Source:        0,
-		GraphVertices: g.NumVertices(),
-		GraphEdges:    g.NumEdges(),
-		Directed:      g.Directed(),
-		WeightFP:      g.WeightFingerprint(),
-		Dist:          []uint32{0, 1, 2, 4},
-	}
 	return &Bundle{
-		Manifest:    Manifest{Name: "diamond", Version: 3, Description: "test"},
-		Graph:       g,
-		Checkpoints: []*checkpoint.Snapshot{cp},
-		Relabel:     []graph.Vertex{0, 1, 2, 3},
+		Manifest: Manifest{Name: "diamond", Version: 3, Description: "test"},
+		Graph:    testGraph(t),
+		Relabel:  []graph.Vertex{0, 1, 2, 3},
 	}
 }
 
@@ -51,8 +42,8 @@ func encode(t *testing.T, b *Bundle) []byte {
 	return buf.Bytes()
 }
 
-// TestRoundTrip: Write∘Read preserves the manifest, graph shape,
-// checkpoints and permutation.
+// TestRoundTrip: Write∘Read preserves the manifest, graph shape and
+// permutation.
 func TestRoundTrip(t *testing.T) {
 	b := testBundle(t)
 	got, err := Read(bytes.NewReader(encode(t, b)))
@@ -64,10 +55,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got.Graph.NumVertices() != 4 || got.Graph.NumEdges() != 4 || !got.Graph.Directed() {
 		t.Fatalf("graph shape round-trip: %v", got.Graph)
-	}
-	if len(got.Checkpoints) != 1 || got.Checkpoints[0].Source != 0 ||
-		len(got.Checkpoints[0].Dist) != 4 {
-		t.Fatalf("checkpoints round-trip: %+v", got.Checkpoints)
 	}
 	if len(got.Relabel) != 4 {
 		t.Fatalf("relabel round-trip: %v", got.Relabel)
@@ -127,15 +114,34 @@ func TestRejectWrongFingerprint(t *testing.T) {
 	}
 }
 
-// TestRejectForeignCheckpoint: a checkpoint from another graph cannot
-// ride in the bundle.
+// TestRejectForeignCheckpoint: section kind 3, which once carried a
+// warm-start checkpoint, is retired. A well-framed WSCK section is
+// rejected as an unknown kind, even one whose checkpoint belongs to the
+// bundle's own graph.
 func TestRejectForeignCheckpoint(t *testing.T) {
-	b := testBundle(t)
-	b.Checkpoints[0].GraphEdges = 99
-	b.Checkpoints[0].Dist = []uint32{0, 1, 2, 4}
-	var buf bytes.Buffer
-	if err := Write(&buf, b); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("Write with foreign checkpoint: %v, want ErrInvalid", err)
+	b := &Bundle{Manifest: Manifest{Name: "g", Version: 1}, Graph: testGraph(t)}
+	data := encode(t, b)
+	g := b.Graph
+	cp := &checkpoint.Snapshot{
+		Source:        0,
+		GraphVertices: g.NumVertices(),
+		GraphEdges:    g.NumEdges(),
+		Directed:      g.Directed(),
+		WeightFP:      g.WeightFingerprint(),
+		Dist:          []uint32{0, 1, 2, 4},
+	}
+	var wsck, extra bytes.Buffer
+	if err := cp.Encode(&wsck); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeSection(&extra, 3, wsck.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	data[8]++ // one more section
+	data = append(data, extra.Bytes()...)
+	_, err := Read(bytes.NewReader(data))
+	if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "unknown section kind 3") {
+		t.Fatalf("bundle with a checkpoint section: %v, want ErrMalformed for unknown kind 3", err)
 	}
 }
 
@@ -149,7 +155,6 @@ func TestRejectBadPermutation(t *testing.T) {
 		{0, 1, 2, 3, 0}, // long
 	} {
 		b := testBundle(t)
-		b.Checkpoints = nil
 		b.Relabel = perm
 		var buf bytes.Buffer
 		if err := Write(&buf, b); !errors.Is(err, ErrInvalid) {
@@ -273,9 +278,9 @@ func TestRejectUnknownSection(t *testing.T) {
 // TestRejectSameShapeDifferentWeights is the regression test for the
 // content-fingerprint extension: two graphs with identical shape
 // (vertices, edges, directedness) but different edge weights must not
-// be able to exchange checkpoints or manifests. Shape checks alone
-// cannot catch this — it is exactly the stale-result hazard for
-// anything keyed by graph identity.
+// be able to exchange manifests. Shape checks alone cannot catch this —
+// it is exactly the stale-result hazard for anything keyed by graph
+// identity.
 func TestRejectSameShapeDifferentWeights(t *testing.T) {
 	mk := func(w graph.Weight) *graph.Graph {
 		return graph.FromEdges(4, true, []graph.Edge{
@@ -288,56 +293,13 @@ func TestRejectSameShapeDifferentWeights(t *testing.T) {
 		t.Fatal("same-shape different-weight graphs share a fingerprint")
 	}
 
-	cpOn := func(g *graph.Graph, fp uint64) *checkpoint.Snapshot {
-		return &checkpoint.Snapshot{
-			Source:        0,
-			GraphVertices: g.NumVertices(),
-			GraphEdges:    g.NumEdges(),
-			Directed:      g.Directed(),
-			WeightFP:      fp,
-			Dist:          []uint32{0, 1, 2, 4},
-		}
-	}
-
-	// A fingerprinted checkpoint taken on A rides in A's bundle...
-	bA := &Bundle{
-		Manifest:    Manifest{Name: "g", Version: 1},
-		Graph:       gA,
-		Checkpoints: []*checkpoint.Snapshot{cpOn(gA, gA.WeightFingerprint())},
-	}
-	if err := Write(&bytes.Buffer{}, bA); err != nil {
-		t.Fatalf("own-graph checkpoint rejected: %v", err)
-	}
-
-	// ...but is rejected when the graph underneath has the same shape
-	// and different weights.
-	bB := &Bundle{
-		Manifest:    Manifest{Name: "g", Version: 2},
-		Graph:       gB,
-		Checkpoints: []*checkpoint.Snapshot{cpOn(gB, gA.WeightFingerprint())},
-	}
-	if err := Write(&bytes.Buffer{}, bB); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("foreign-weights checkpoint: %v, want ErrInvalid", err)
-	}
-
-	// A manifest fingerprint from the wrong graph is caught the same way.
+	// A manifest fingerprint from the wrong graph is rejected.
 	bM := &Bundle{
 		Manifest: Manifest{Name: "g", Version: 2, WeightFP: gA.WeightFingerprint()},
 		Graph:    gB,
 	}
 	if err := Write(&bytes.Buffer{}, bM); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("foreign-weights manifest: %v, want ErrInvalid", err)
-	}
-
-	// A checkpoint without a fingerprint cannot name its graph, so it
-	// cannot ride in any bundle even when the shape matches.
-	bLegacy := &Bundle{
-		Manifest:    Manifest{Name: "g", Version: 2},
-		Graph:       gB,
-		Checkpoints: []*checkpoint.Snapshot{cpOn(gB, 0)},
-	}
-	if err := Write(&bytes.Buffer{}, bLegacy); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("zero-fingerprint checkpoint: %v, want ErrInvalid", err)
 	}
 
 	// On disk the manifest must carry weight_fp: Read does not fill it,

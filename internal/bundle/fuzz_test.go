@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"wasp/internal/checkpoint"
 	"wasp/internal/graph"
 )
 
@@ -21,15 +20,7 @@ func FuzzBundleDecode(f *testing.F) {
 	b := &Bundle{
 		Manifest: Manifest{Name: "fuzz", Version: 7},
 		Graph:    g,
-		Checkpoints: []*checkpoint.Snapshot{{
-			Source:        0,
-			GraphVertices: 3,
-			GraphEdges:    2,
-			Directed:      true,
-			WeightFP:      g.WeightFingerprint(),
-			Dist:          []uint32{0, 2, graph.Infinity},
-		}},
-		Relabel: []graph.Vertex{2, 0, 1},
+		Relabel:  []graph.Vertex{2, 0, 1},
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, b); err != nil {

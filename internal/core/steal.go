@@ -17,44 +17,48 @@ import (
 // deque empty never raises it, so it stores to no shared line, and is
 // not traced: only a contended miss, a round that raised the flag but
 // won no chunk, records a StealMiss.
+//
+// The policies collect chunks in w.stolen, which has room for one per
+// victim, so a round allocates nothing; the result aliases it until the
+// next round. A round that won nothing returns nil, which callers test.
 func (w *worker) stealRound(next uint64) []*chunk.Chunk {
 	if w.opt.Workers == 1 {
 		return nil
 	}
 	w.m.StealRounds++
-	var stolen []*chunk.Chunk
+	w.stolen = w.stolen[:0]
 	switch w.opt.Policy {
 	case PolicyRandom:
-		stolen = w.stealRandom()
+		w.stealRandom()
 	case PolicyTwoChoice:
-		stolen = w.stealTwoChoice()
+		w.stealTwoChoice()
 	default:
-		stolen = w.stealWasp(next)
+		w.stealWasp(next)
 	}
-	if len(stolen) > 0 {
-		// In-flight-steal window (§4.3): the chunks left their victims'
-		// deques but this thief's curr still reads stale/idle. The
-		// stealing flag raised before the CAS is what keeps the
-		// termination scan honest here; the fault hook stretches the
-		// window in tests.
-		fault.Inject(fault.PrePublish, w.id)
-		minPrio := infPrio
-		for _, c := range stolen {
-			if c.Prio < minPrio {
-				minPrio = c.Prio
-			}
-		}
-		w.ops.Add(1) // invalidates any in-flight termination scan
-		w.setCurr(minPrio)
-		w.m.StealHits += int64(len(stolen))
-		w.opt.Trace.Add(w.id, trace.StealHit, minPrio, uint64(len(stolen)))
-	}
-	if w.stealing.Load() {
-		if len(stolen) == 0 {
+	stolen := w.stolen
+	if len(stolen) == 0 {
+		if w.stealing.Load() { // a contended miss
 			w.opt.Trace.Add(w.id, trace.StealMiss, next, 0)
+			w.stealing.Store(false)
 		}
-		w.stealing.Store(false)
+		return nil
 	}
+	// In-flight-steal window (§4.3): the chunks left their victims'
+	// deques but this thief's curr still reads stale/idle. The stealing
+	// flag, always up after a won CAS, is what keeps the termination
+	// scan honest here; the fault hook stretches the window in tests.
+	fault.Inject(fault.PrePublish, w.id)
+	minPrio := infPrio
+	for _, c := range stolen {
+		if c.Prio < minPrio {
+			minPrio = c.Prio
+		}
+	}
+	w.ops.Add(1) // invalidates any in-flight termination scan
+	w.setCurr(minPrio)
+	w.m.StealHits += int64(len(stolen))
+	w.opt.Trace.Add(w.id, trace.StealHit, minPrio, uint64(len(stolen)))
+	w.stealing.Store(false)
 	return stolen
 }
 
@@ -76,9 +80,8 @@ func (w *worker) stealFrom(victim *worker) *chunk.Chunk {
 // stealWasp is Algorithm 2: walk NUMA tiers from closest to furthest;
 // within a tier, attempt to steal one chunk from every victim whose
 // current priority level is at least as urgent as next; stop at the
-// first tier that yields anything.
-func (w *worker) stealWasp(next uint64) []*chunk.Chunk {
-	var stolen []*chunk.Chunk
+// first tier that yields anything. Chunks go to w.stolen.
+func (w *worker) stealWasp(next uint64) {
 	for ti, tier := range w.tiers {
 		for _, t := range tier {
 			victim := w.workers[t]
@@ -86,25 +89,25 @@ func (w *worker) stealWasp(next uint64) []*chunk.Chunk {
 				continue
 			}
 			if c := w.stealFrom(victim); c != nil {
-				stolen = append(stolen, c)
+				w.stolen = append(w.stolen, c)
 			}
 		}
-		if len(stolen) > 0 {
+		if n := len(w.stolen); n > 0 {
 			// ti is the proximity rank of the yielding tier (empty
 			// tiers are trimmed by numa.Tiers, so rank, not absolute
 			// distance) — the locality breakdown of §4.2.
 			if ti < len(w.m.TierHits) {
-				w.m.TierHits[ti] += int64(len(stolen))
+				w.m.TierHits[ti] += int64(n)
 			}
-			return stolen
+			return
 		}
 	}
-	return nil
 }
 
 // stealRandom is the traditional protocol evaluated in §4.2: a uniform
-// random victim, any priority, up to Retries attempts.
-func (w *worker) stealRandom() []*chunk.Chunk {
+// random victim, any priority, up to Retries attempts. A chunk won goes
+// to w.stolen.
+func (w *worker) stealRandom() {
 	p := w.opt.Workers
 	for attempt := 0; attempt < w.opt.Retries; attempt++ {
 		t := w.r.IntN(p)
@@ -112,15 +115,16 @@ func (w *worker) stealRandom() []*chunk.Chunk {
 			continue
 		}
 		if c := w.stealFrom(w.workers[t]); c != nil {
-			return []*chunk.Chunk{c}
+			w.stolen = append(w.stolen, c)
+			return
 		}
 	}
-	return nil
 }
 
 // stealTwoChoice is the MultiQueue-like protocol of §4.2: two random
-// victims, steal from the one advertising the better priority.
-func (w *worker) stealTwoChoice() []*chunk.Chunk {
+// victims, steal from the one advertising the better priority. A chunk
+// won goes to w.stolen.
+func (w *worker) stealTwoChoice() {
 	p := w.opt.Workers
 	for attempt := 0; attempt < w.opt.Retries; attempt++ {
 		a := w.r.IntN(p)
@@ -139,8 +143,8 @@ func (w *worker) stealTwoChoice() []*chunk.Chunk {
 			t = b
 		}
 		if c := w.stealFrom(w.workers[t]); c != nil {
-			return []*chunk.Chunk{c}
+			w.stolen = append(w.stolen, c)
+			return
 		}
 	}
-	return nil
 }

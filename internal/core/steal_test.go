@@ -248,3 +248,49 @@ func TestIdleWorkerFedAtDeltaOne(t *testing.T) {
 	}
 	t.Fatalf("the idle worker never stole work in %d Δ=1 road solves", runs)
 }
+
+// TestHotPathZeroAllocsStealRound: a steal round collects its chunks in
+// the thief's preallocated buffer, so a hit allocates nothing under any
+// policy — PolicyWasp included, which takes a chunk from every eligible
+// victim of a tier in one round. Every victim holds a chunk at the
+// start of each round, and the chunks circulate through the thief's
+// pool, so only the round itself could allocate.
+func TestHotPathZeroAllocsStealRound(t *testing.T) {
+	g := graph.FromEdges(2, true, []graph.Edge{{From: 0, To: 1, W: 1}})
+	for _, pol := range []StealPolicy{PolicyWasp, PolicyRandom, PolicyTwoChoice} {
+		t.Run(pol.String(), func(t *testing.T) {
+			// Retries make a miss of the random policies all but
+			// impossible: every round must hit.
+			s := NewSolver(g, Options{Workers: 4, Delta: 1, Policy: pol, Retries: 64})
+			s.Reset(0) // every worker at curr = 0: eligible for PolicyWasp
+			thief := s.ws[0]
+			hits, misses := 0, 0
+			round := func() {
+				for _, victim := range s.ws[1:] {
+					if victim.dq.Empty() {
+						c := thief.pool.Get()
+						c.Push(1)
+						victim.dq.PushBottom(c)
+					}
+				}
+				stolen := thief.stealRound(0)
+				if len(stolen) == 0 {
+					misses++
+				}
+				hits += len(stolen)
+				for _, c := range stolen {
+					thief.pool.Put(c)
+				}
+			}
+			round() // the pool now holds a chunk for every victim
+			const rounds = 100
+			allocs := testing.AllocsPerRun(rounds, round)
+			if misses > 0 {
+				t.Fatalf("%d of %d rounds stole nothing", misses, rounds+2)
+			}
+			if allocs != 0 {
+				t.Fatalf("a steal round allocates %.1f objects (%d hits in %d rounds), want 0", allocs, hits, rounds+2)
+			}
+		})
+	}
+}

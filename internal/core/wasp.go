@@ -56,6 +56,7 @@ type worker struct {
 	idle     *atomic.Int32   // workers idling at priority ∞ (see pour)
 	cancel   *parallel.Token // cooperative cancellation; nil = never cancelled
 	tiers    [][]int         // steal victim ids by NUMA tier
+	stolen   []*chunk.Chunk  // one steal round's chunks; room for one per worker
 	r        *rng.Xoshiro256
 	buf      *chunk.Chunk // current bucket's buffer chunk (push and pop)
 	buckets  []chunk.List // thread-local buckets by priority level
@@ -86,6 +87,7 @@ func newWorker(id int, g *graph.Graph, d *dist.Array, leaves *graph.Bitmap,
 		idle:    idle,
 		cancel:  opt.Cancel,
 		tiers:   opt.Topology.Tiers(id, opt.Workers),
+		stolen:  make([]*chunk.Chunk, 0, len(all)),
 		r:       rng.NewXoshiro256(uint64(id)*0x9e3779b97f4a7c15 + 0xdead),
 		dq:      deque.New(16),
 		m:       m,
@@ -412,16 +414,10 @@ func (w *worker) pour(prio uint64) {
 }
 
 // processStolen drains stolen chunks immediately (lines 23–28); once
-// stolen, chunks are never re-exposed for stealing.
+// stolen, chunks are never re-exposed for stealing. stealRound has
+// already published the best stolen priority as curr.
 func (w *worker) processStolen(stolen []*chunk.Chunk) {
-	minPrio := infPrio
-	for _, c := range stolen {
-		if c.Prio < minPrio {
-			minPrio = c.Prio
-		}
-	}
-	w.setCurr(minPrio)
-	w.buf.Prio = minPrio
+	w.buf.Prio = w.currLoc
 	for i, c := range stolen {
 		if w.cancel.Cancelled() {
 			// Chunk-boundary cancellation point. Recycle the chunks we

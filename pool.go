@@ -154,7 +154,11 @@ func (o PoolOptions) withDefaults() PoolOptions {
 const retryBackoff = 2 * time.Millisecond
 
 // PoolStats is a point-in-time snapshot of a Pool's counters, the
-// observability surface behind a serving layer's /stats endpoint.
+// observability surface behind a serving layer's /stats endpoint. The
+// gauges (Sessions through Queued) describe the pool itself. The
+// counters and latency quantiles are cumulative over the pool's life;
+// under a Registry they are cumulative per graph name instead (see
+// Registry.Stats).
 type PoolStats struct {
 	Sessions int // configured session count
 	Idle     int // sessions currently free
@@ -216,8 +220,17 @@ type Pool struct {
 	closed bool
 	wg     sync.WaitGroup // admitted queries still inside Run
 
-	queued      atomic.Int64
-	inFlight    atomic.Int64
+	queued   atomic.Int64
+	inFlight atomic.Int64
+
+	*poolCounters
+}
+
+// poolCounters is the cumulative half of PoolStats: outcome counters
+// and the latency window. NewPool gives every pool its own block; a
+// Registry hands each version of one graph the block its graphEntry
+// owns, so the series survive reloads, mutations and rollbacks.
+type poolCounters struct {
 	completed   atomic.Int64
 	degraded    atomic.Int64
 	shed        atomic.Int64
@@ -230,6 +243,12 @@ type Pool struct {
 // sessions. Construction cost is Sessions × the cost of NewSession;
 // Run never allocates solver state.
 func NewPool(g *Graph, opt Options, conf PoolOptions) (*Pool, error) {
+	return newPool(g, opt, conf, new(poolCounters))
+}
+
+// newPool is NewPool feeding ctr, which it shares with any other pool
+// given the same block.
+func newPool(g *Graph, opt Options, conf PoolOptions, ctr *poolCounters) (*Pool, error) {
 	conf = conf.withDefaults()
 	if opt.Observer != nil {
 		return nil, fmt.Errorf("wasp: a Pool does not take Options.Observer (one observer cannot serve every session); set PoolOptions.Observe for one observer per session")
@@ -245,6 +264,8 @@ func NewPool(g *Graph, opt Options, conf PoolOptions) (*Pool, error) {
 		slots:      make(chan *Session, conf.Sessions),
 		tickets:    make(chan struct{}, conf.Sessions+conf.QueueDepth),
 		drain:      make(chan struct{}),
+
+		poolCounters: ctr,
 	}
 	for i := 0; i < conf.Sessions; i++ {
 		sess, err := p.newSession()

@@ -144,14 +144,16 @@ type GraphStatus struct {
 	Directed bool  `json:"directed"`
 	// WeightFP is the active version's weight-covering content
 	// fingerprint (Graph.WeightFingerprint) — the identity that keys
-	// result caching and warm-start artifacts.
+	// result caching and warm-start seeds.
 	WeightFP uint64 `json:"weight_fp,omitempty"`
 	// Relabeled reports whether the active version serves through a
 	// locality relabeling permutation (queries are translated in and
 	// results translated back automatically).
 	Relabeled bool `json:"relabeled"`
-	// WarmSources is the number of bundle-provided warm-start
-	// checkpoints the active version answers from.
+	// WarmSources is the number of sources the active version answers
+	// warm, from the repair seeds Mutate built out of its predecessor's
+	// cached answers (zero for a version deployed by Load, LoadGraph or
+	// Rollback).
 	WarmSources int `json:"warm_sources"`
 
 	// LastError is the most recent rejection's message, empty after a
@@ -183,7 +185,7 @@ type graphVersion struct {
 	g       *Graph
 	pool    *Pool                  // guarded by Registry.mu; nil once retired
 	perm    []Vertex               // old→new relabeling; nil when identity
-	warm    map[uint32]*Checkpoint // bundle checkpoints or Mutate repair seeds, by (relabeled) source
+	warm    map[uint32]*Checkpoint // Mutate repair seeds, by source; nil for other deploys
 	// quarantined marks a version that failed a result audit; set under
 	// Registry.mu by quarantineScope and never cleared — the version
 	// must stay out of the rollback history when it is later replaced.
@@ -202,6 +204,10 @@ type graphEntry struct {
 	history []*graphVersion // retired, oldest first
 	state   GraphState
 	lastErr error
+
+	// counters is fed by every version's pool, so Stats reports one
+	// series per graph name across reloads, mutations and rollbacks.
+	counters poolCounters
 }
 
 // Registry is a set of named, versioned graphs, each served by its own
@@ -339,7 +345,7 @@ func (r *Registry) load(ctx context.Context, b *Bundle, next bool) error {
 	}
 	r.mu.Unlock()
 
-	v := &graphVersion{version: version, g: b.Graph, warm: warmBySource(b.Checkpoints)}
+	v := &graphVersion{version: version, g: b.Graph}
 	if len(b.Relabel) > 0 {
 		v.perm = b.Relabel
 	}
@@ -348,16 +354,6 @@ func (r *Registry) load(ctx context.Context, b *Bundle, next bool) error {
 	}
 	r.loaded.Add(1)
 	return nil
-}
-
-// warmBySource indexes warm-start checkpoints by their (serving-id)
-// source.
-func warmBySource(cps []*Checkpoint) map[uint32]*Checkpoint {
-	warm := make(map[uint32]*Checkpoint, len(cps))
-	for _, cp := range cps {
-		warm[cp.Source] = cp
-	}
-	return warm
 }
 
 // entry returns (creating, when create is set) the record for name.
@@ -397,7 +393,7 @@ func (r *Registry) deploy(ctx context.Context, e *graphEntry, v *graphVersion, k
 	e.state = GraphReloading
 	r.mu.Unlock()
 
-	pool, err := r.build(ctx, e.name, v)
+	pool, err := r.build(ctx, e, v)
 	if err != nil {
 		r.mu.Lock()
 		e.lastErr = err
@@ -428,30 +424,30 @@ func (r *Registry) deploy(ctx context.Context, e *graphEntry, v *graphVersion, k
 	return nil
 }
 
-// build constructs v's pool and proves v out with a bounded smoke
-// solve. The smoke runs as a one-shot direct solve rather than through
-// the candidate pool, so a deployment never pollutes the pool's
-// operator-facing counters, latency histograms or checkpoint files with
-// synthetic work (RunContext ignores the checkpoint options); pool
-// construction itself (NewPool preallocates and validates every
-// session) covers the admission machinery.
-func (r *Registry) build(ctx context.Context, name string, v *graphVersion) (*Pool, error) {
+// build constructs v's pool, feeding e's counters, and proves v out
+// with a bounded smoke solve. The smoke runs as a one-shot direct
+// solve rather than through the candidate pool, so a deployment never
+// pollutes the graph's operator-facing counters, latency histograms or
+// checkpoint files with synthetic work (RunContext ignores the
+// checkpoint options); pool construction itself (newPool preallocates
+// and validates every session) covers the admission machinery.
+func (r *Registry) build(ctx context.Context, e *graphEntry, v *graphVersion) (*Pool, error) {
 	opt := r.conf.Options
 	if r.conf.ConfigureOptions != nil {
-		opt = r.conf.ConfigureOptions(name, v.version, opt)
+		opt = r.conf.ConfigureOptions(e.name, v.version, opt)
 	}
 	popt := r.conf.Pool
 	// The scope is set unconditionally: it keys cache entries when a
 	// cache is attached and names the deployment in audit failures
 	// (the identity quarantineScope resolves) either way.
-	popt.CacheScope = cacheScopeFor(name, v.version)
+	popt.CacheScope = cacheScopeFor(e.name, v.version)
 	if r.conf.Cache != nil {
 		popt.Cache = r.conf.Cache
 	}
 	if r.auditor != nil {
 		popt.Auditor = r.auditor
 	}
-	pool, err := NewPool(v.g, opt, popt)
+	pool, err := newPool(v.g, opt, popt, &e.counters)
 	if err != nil {
 		return nil, fmt.Errorf("building pool: %w", err)
 	}
@@ -673,17 +669,15 @@ func (r *Registry) Mutate(ctx context.Context, name string, batch []Mutation) (u
 	// activation invalidates its scope, and repair each into a warm
 	// checkpoint stamped with the successor's fingerprint. Only cache
 	// entries qualify as repair priors: they are exact finished solves.
-	// (The retiring version's bundle checkpoints in v.warm are mere
-	// upper bounds and must NOT seed cone invalidation.)
-	var seeds []*Checkpoint
+	warm := map[uint32]*Checkpoint{}
 	if r.conf.Cache != nil {
 		for _, cp := range r.conf.Cache.harvestScope(cacheScopeFor(name, v.version), v.g.WeightFingerprint()) {
 			if repaired, err := delta.Seed(Vertex(cp.Source), cp.Dist); err == nil {
-				seeds = append(seeds, repaired)
+				warm[repaired.Source] = repaired
 			}
 		}
 	}
-	next := &graphVersion{version: v.version + 1, g: ng, warm: warmBySource(seeds)}
+	next := &graphVersion{version: v.version + 1, g: ng, warm: warm}
 	if err := r.deploy(ctx, e, next, EventMutated); err != nil {
 		return 0, nil, fmt.Errorf("wasp: mutation of %q to v%d rejected: %w", name, next.version, err)
 	}
@@ -758,9 +752,9 @@ func (r *Registry) closedOr(err error) error {
 
 // Run solves SSSP on the named graph's active version, in original
 // vertex ids: when the version serves a relabeled graph the source is
-// translated in and the distance array translated back, and when the
-// bundle shipped a warm-start checkpoint for the source the solve
-// resumes from it instead of starting cold. All Pool semantics pass
+// translated in and the distance array translated back, and when a
+// Mutate left a repair seed for the source the solve resumes from it
+// instead of starting cold. All Pool semantics pass
 // through — ErrOverloaded fail-fast, deadline-degraded partials,
 // quarantine-and-retry.
 //
@@ -817,8 +811,8 @@ func (r *Registry) serve(ctx context.Context, name string, source Vertex, cp *Ch
 
 // runOn executes one query on a specific version: cp, when non-nil,
 // is the caller's seed (Resume); otherwise source is an original id,
-// translated in and answered from the version's bundle warm-start
-// artifact when one exists. Relabeled results are translated back.
+// translated in and answered from the version's repair seed when one
+// exists. Relabeled results are translated back.
 func (r *Registry) runOn(ctx context.Context, v *graphVersion, pool *Pool, source Vertex, cp *Checkpoint) (*Result, error) {
 	if pool == nil {
 		return nil, ErrPoolClosed // retired while routing; serve retries
@@ -830,10 +824,10 @@ func (r *Registry) runOn(ctx context.Context, v *graphVersion, pool *Pool, sourc
 		if v.perm != nil {
 			source = v.perm[source]
 		}
-		// Bundle warm-start artifacts are an internally triggered warm
-		// start: when the deployment's options cannot accept a seed
-		// (non-Wasp algorithm, pendant pruning), degrade to a cold solve
-		// — the artifact is an accelerator, never a requirement.
+		// A repair seed is an internally triggered warm start: when the
+		// deployment's options cannot accept a seed (a non-Wasp
+		// algorithm), degrade to a cold solve — the seed is an
+		// accelerator, never a requirement.
 		if warm, ok := v.warm[uint32(source)]; ok && warmStartSupported(pool.opt) == nil {
 			cp = warm
 		}
@@ -889,7 +883,12 @@ func (r *Registry) Status(name string) (GraphStatus, bool) {
 	return st, true
 }
 
-// Stats snapshots the named graph's active pool counters.
+// Stats snapshots the named graph's serving counters. The gauges
+// (sessions, idle, in-flight, queued) are the active pool's. The
+// counters and latency quantiles are cumulative per graph name: every
+// version's pool feeds them, so a reload, mutation or rollback
+// continues the series, and Remove ends it. ok is false while no
+// version serves (never activated, quarantined or removed).
 func (r *Registry) Stats(name string) (PoolStats, bool) {
 	_, pool, err := r.activeVersion(name)
 	if err != nil || pool == nil {

@@ -446,40 +446,43 @@ func TestRegistryRelabeledBundle(t *testing.T) {
 	}
 }
 
-// TestRegistryWarmStart: a bundle-carried checkpoint answers its source
-// via warm resume, including concurrently (the seed is shared
-// read-only), and produces the same distances as a cold solve.
+// TestRegistryWarmStart: Mutate repairs the retiring version's cached
+// answer into a seed, and the successor answers that source by warm
+// resume — including concurrently (the seed is shared read-only) —
+// with the distances a cold solve of the mutated graph produces.
 func TestRegistryWarmStart(t *testing.T) {
-	g := chain(32, 3)
-	cold, err := Run(g, 0, Options{})
-	if err != nil {
+	cache := NewCache(CacheOptions{})
+	r := NewRegistry(RegistryOptions{
+		Pool:         PoolOptions{Sessions: 2, QueueDepth: 64, QueueWait: 5 * time.Second},
+		DrainTimeout: 10 * time.Second,
+		Cache:        cache,
+	})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = r.Close(ctx)
+	})
+	ctx := context.Background()
+	if err := r.LoadGraph(ctx, "g", chain(32, 3)); err != nil {
 		t.Fatal(err)
 	}
-	// A genuine partial checkpoint: first half settled.
-	dist := make([]uint32, 32)
-	for i := range dist {
-		if i < 16 {
-			dist[i] = uint32(i) * 3
-		} else {
-			dist[i] = Infinity
-		}
+	if _, err := r.Run(ctx, "g", 0); err != nil {
+		t.Fatal(err)
 	}
-	cp := &Checkpoint{
-		Source: 0, GraphVertices: 32, GraphEdges: 31, Directed: true,
-		WeightFP: g.WeightFingerprint(), Dist: dist,
-	}
-	r := testRegistry(t)
-	ctx := context.Background()
-	err = r.Load(ctx, &Bundle{
-		Manifest:    BundleManifest{Name: "g", Version: 1},
-		Graph:       g,
-		Checkpoints: []*Checkpoint{cp},
-	})
-	if err != nil {
-		t.Fatalf("Load with checkpoint: %v", err)
+	// Decrease-only: a shortcut to the middle of the chain.
+	if _, _, err := r.Mutate(ctx, "g", []Mutation{{Kind: MutInsert, From: 0, To: 16, W: 1}}); err != nil {
+		t.Fatal(err)
 	}
 	if st, _ := r.Status("g"); st.WarmSources != 1 {
 		t.Fatalf("WarmSources = %d, want 1", st.WarmSources)
+	}
+	r.mu.RLock()
+	v := r.graphs["g"].active
+	r.mu.RUnlock()
+	seed := slices.Clone(v.warm[0].Dist)
+	cold, err := Run(v.g, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	var wg sync.WaitGroup
@@ -501,9 +504,12 @@ func TestRegistryWarmStart(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if st := cache.Stats(); st.WarmStarts != 1 {
+		t.Fatalf("WarmStarts = %d, want 1: the repair seed did not seed the solve", st.WarmStarts)
+	}
 	// The shared seed must not have been mutated by the resumes.
-	if cp.Dist[31] != Infinity || cp.Dist[15] != 45 {
-		t.Fatalf("bundle checkpoint mutated by serving: %v", cp.Dist[14:])
+	if !slices.Equal(v.warm[0].Dist, seed) {
+		t.Fatalf("repair seed mutated by serving: %v, was %v", v.warm[0].Dist, seed)
 	}
 }
 

@@ -14,25 +14,16 @@ import (
 )
 
 // fullBundle builds a bundle exercising every WSPB section kind:
-// manifest, graph, a warm-start checkpoint, and a relabel permutation.
+// manifest, graph and a relabel permutation.
 func fullBundle(n int, w Weight) *Bundle {
-	dist := make([]uint32, n)
-	for i := range dist {
-		dist[i] = uint32(i) * w
-	}
 	perm := make([]Vertex, n)
 	for i := range perm {
 		perm[i] = Vertex(i) // identity is a legal bijection
 	}
-	g := chain(n, w)
 	return &Bundle{
 		Manifest: BundleManifest{Name: "scrubme", Version: 1},
-		Graph:    g,
-		Checkpoints: []*Checkpoint{{
-			Source: 0, GraphVertices: n, GraphEdges: int64(n - 1),
-			Directed: true, WeightFP: g.WeightFingerprint(), Dist: dist,
-		}},
-		Relabel: perm,
+		Graph:    chain(n, w),
+		Relabel:  perm,
 	}
 }
 
@@ -100,9 +91,10 @@ func TestScrubberCleanPass(t *testing.T) {
 }
 
 // TestScrubberCorruptArtifacts is the corruption table: a WSCK flip, a
-// flip inside every WSPB section kind, a truncation, and a WSCK stream
-// without a content fingerprint. Each must be detected by a full
-// re-decode and renamed aside to .bad.
+// flip inside every WSPB section kind, a WSPB image carrying the retired
+// checkpoint section, a truncation, and a WSCK stream without a content
+// fingerprint. Each must be detected by a full re-decode and renamed
+// aside to .bad.
 func TestScrubberCorruptArtifacts(t *testing.T) {
 	var bundleImage []byte
 	{
@@ -149,7 +141,15 @@ func TestScrubberCorruptArtifacts(t *testing.T) {
 			flipByteAt(t, path, sectionOffset(t, bundleImage, secGraph))
 		}},
 		{"wspb-checkpoint", "b.wspb", func(t *testing.T, path string) {
-			flipByteAt(t, path, sectionOffset(t, bundleImage, secCheckpt))
+			// A well-framed WSCK stream for the bundle's own graph, in
+			// the retired kind-3 section.
+			wsck := filepath.Join(t.TempDir(), "ckpt.wsck")
+			writeTestCheckpoint(t, wsck, 8, 2)
+			payload, err := os.ReadFile(wsck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendSection(t, path, secCheckpt, payload)
 		}},
 		{"wspb-relabel", "b.wspb", func(t *testing.T, path string) {
 			flipByteAt(t, path, sectionOffset(t, bundleImage, secRelabel))
@@ -207,6 +207,29 @@ func flipByteAt(t *testing.T, path string, off int) {
 		off = len(data) / 2
 	}
 	data[off] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendSection appends one well-framed WSPB section — kind, zero flags,
+// length, payload, CRC — to the bundle file at path and bumps its
+// section count: every checksum in the file stays valid.
+func appendSection(t *testing.T, path string, kind uint32, payload []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:12], binary.LittleEndian.Uint32(data[8:12])+1)
+	var frame [16]byte
+	binary.LittleEndian.PutUint32(frame[0:4], kind)
+	binary.LittleEndian.PutUint64(frame[8:16], uint64(len(payload)))
+	crc := crc32.NewIEEE()
+	crc.Write(frame[:])
+	crc.Write(payload)
+	data = append(append(data, frame[:]...), payload...)
+	data = binary.LittleEndian.AppendUint32(data, crc.Sum32())
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

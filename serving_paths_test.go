@@ -2,12 +2,12 @@ package wasp_test
 
 // The serving-path differential table: every way a query can be
 // answered — cold, exact cache hit, coalesced singleflight follower,
-// cold miss beside a cached source, bundle warm start, relabeled
-// deployment, repair-seeded Resume after a mutation, and deadline
-// degradation — on directed and undirected graphs, through each layer
-// (Session, Pool, Registry) where the path exists. Exact answers must
-// match the Dijkstra oracle bit for bit; degraded answers must pass
-// the upper-bound certificate.
+// cold miss beside a cached source, the Registry's warm Run from a
+// Mutate repair seed, relabeled deployment, repair-seeded Resume after
+// a mutation, and deadline degradation — on directed and undirected
+// graphs, through each layer (Session, Pool, Registry) where the path
+// exists. Exact answers must match the Dijkstra oracle bit for bit;
+// degraded answers must pass the upper-bound certificate.
 
 import (
 	"context"
@@ -40,7 +40,7 @@ func TestServingPaths(t *testing.T) {
 		{"hit", sharedLayers, servingHit},
 		{"coalesced", sharedLayers, servingCoalesced},
 		{"cached-miss", sharedLayers, servingCachedMiss},
-		{"bundle-warm", registryLayer, servingBundleWarm},
+		{"mutate-warm", registryLayer, servingMutateWarm},
 		{"relabeled", registryLayer, servingRelabeled},
 		{"repair-seeded", allLayers, servingRepairSeeded},
 		{"seed-rejected", allLayers, servingSeedRejected},
@@ -78,10 +78,12 @@ func servingGraph(directed bool) *wasp.Graph {
 	return wasp.FromEdges(servingN, directed, edges)
 }
 
-// servingFront is one serving layer reduced to its two solve verbs.
+// servingFront is one serving layer reduced to its two solve verbs,
+// plus Mutate on the registry layer.
 type servingFront struct {
 	run    func(context.Context, wasp.Vertex) (*wasp.Result, error)
 	resume func(context.Context, *wasp.Checkpoint) (*wasp.Result, error)
+	mutate func(context.Context, []wasp.Mutation) error // registry only
 }
 
 // frontConfig carries the per-path extras a layer is built with.
@@ -142,6 +144,10 @@ func newFront(t *testing.T, layer string, g *wasp.Graph, fc frontConfig) serving
 			},
 			resume: func(ctx context.Context, cp *wasp.Checkpoint) (*wasp.Result, error) {
 				return r.Resume(ctx, "g", cp)
+			},
+			mutate: func(ctx context.Context, batch []wasp.Mutation) error {
+				_, _, err := r.Mutate(ctx, "g", batch)
+				return err
 			},
 		}
 	}
@@ -244,35 +250,28 @@ func servingCachedMiss(t *testing.T, layer string, g *wasp.Graph) {
 	requireExact(t, res, err, g, 3)
 }
 
-// upperBoundSeed knocks every third vertex of exact distances back to
-// Infinity: a valid mid-solve upper-bound state.
-func upperBoundSeed(dist []uint32, src wasp.Vertex) []uint32 {
-	out := append([]uint32(nil), dist...)
-	for i := range out {
-		if i%3 == 0 && wasp.Vertex(i) != src {
-			out[i] = wasp.Infinity
-		}
+// servingMutateWarm: Mutate repairs the retiring version's cached
+// answer into a seed for its successor, and the next Run of that
+// source resumes from it instead of solving cold.
+func servingMutateWarm(t *testing.T, layer string, g *wasp.Graph) {
+	cache := wasp.NewCache(wasp.CacheOptions{})
+	f := newFront(t, layer, g, frontConfig{cache: cache})
+	ctx := context.Background()
+	if _, err := f.run(ctx, 0); err != nil {
+		t.Fatal(err)
 	}
-	return out
-}
-
-func servingBundleWarm(t *testing.T, layer string, g *wasp.Graph) {
-	const prior = time.Hour
-	f := newFront(t, layer, g, frontConfig{bundle: func(b *wasp.Bundle) {
-		b.Checkpoints = []*wasp.Checkpoint{{
-			Source:        0,
-			GraphVertices: g.NumVertices(),
-			GraphEdges:    g.NumEdges(),
-			Directed:      g.Directed(),
-			WeightFP:      g.WeightFingerprint(),
-			Elapsed:       prior,
-			Dist:          upperBoundSeed(dijkstra.Distances(g, 0), 0),
-		}}
-	}})
-	res, err := f.run(context.Background(), 0)
-	requireExact(t, res, err, g, 0)
-	if res.PriorElapsed != prior {
-		t.Fatalf("PriorElapsed = %v, want %v: the bundle checkpoint did not seed the solve", res.PriorElapsed, prior)
+	batch := servingMutation(t, g)
+	ng, _, err := wasp.ApplyMutations(g, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.mutate(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.run(ctx, 0)
+	requireExact(t, res, err, ng, 0)
+	if st := cache.Stats(); st.WarmStarts != 1 {
+		t.Fatalf("cache stats %+v, want 1 warm start: the repair seed did not seed the solve", st)
 	}
 }
 

@@ -41,12 +41,11 @@ var ErrSessionBusy = errors.New("wasp: session already running a solve")
 //     drains whatever the interrupted workers left behind and starts
 //     fresh. Scheduling RNGs are reseeded per run, so a reused session
 //     behaves identically to a fresh one.
-//   - Full preallocation applies to AlgoWasp without PendantPruning
-//     (the pruned core is a different graph per source). Other
-//     configurations still work — Run solves them without
-//     preallocation inside the same body, with the same result
-//     contract — so generic batch drivers need no special cases. A
-//     one-shot RunContext is itself a Session used once.
+//   - Full preallocation applies to AlgoWasp. The other algorithms
+//     still work — Run solves them without preallocation inside the
+//     same body, with the same result contract — so generic batch
+//     drivers need no special cases. A one-shot RunContext is itself a
+//     Session used once.
 type Session struct {
 	g        *Graph
 	opt      Options      // defaults applied
@@ -71,8 +70,8 @@ func NewSession(g *Graph, opt Options) (*Session, error) {
 		return nil, fmt.Errorf("wasp: unknown algorithm %d", opt.Algorithm)
 	}
 	supervised := (opt.CheckpointInterval > 0 && opt.CheckpointSink != nil) || opt.StallTimeout > 0
-	if supervised && (opt.Algorithm != AlgoWasp || opt.PendantPruning) {
-		return nil, fmt.Errorf("wasp: checkpoint/stall supervision requires AlgoWasp without PendantPruning")
+	if supervised && opt.Algorithm != AlgoWasp {
+		return nil, fmt.Errorf("wasp: checkpoint/stall supervision requires AlgoWasp, not %s", opt.Algorithm)
 	}
 	s := &Session{g: g, opt: opt}
 	if opt.Observer != nil {
@@ -89,7 +88,7 @@ func NewSession(g *Graph, opt Options) (*Session, error) {
 	} else if opt.CollectMetrics || opt.QueueTiming {
 		s.m = metrics.NewSet(opt.Workers)
 	}
-	if opt.Algorithm == AlgoWasp && !opt.PendantPruning {
+	if opt.Algorithm == AlgoWasp {
 		s.solver = core.NewSolver(g, coreOptions(opt, s.m, s.tl))
 	}
 	return s, nil
@@ -117,14 +116,13 @@ func (s *Session) Run(ctx context.Context, source Vertex) (*Result, error) {
 // workers rebuild the frontier with a repair scan over violated
 // triangle inequalities, so the work the seed already paid for is kept
 // and the solve converges to exactly the distances a cold run
-// produces. Any upper-bound seed qualifies — a crash checkpoint, a
-// bundle artifact, or MutationDelta.Seed's repair of an exact
-// pre-mutation solution. The checkpoint must belong to the session's
-// graph (checked against the shape triple and the weight-covering
-// content fingerprint). Resume requires the preallocated Wasp path —
-// the same configurations NewSession accepts supervision for. Result.Elapsed continues from
-// cp.Elapsed rather than restarting the clock; Result.PriorElapsed
-// records the inherited portion.
+// produces. Any upper-bound seed qualifies — a crash checkpoint or
+// MutationDelta.Seed's repair of an exact pre-mutation solution. The
+// checkpoint must belong to the session's graph (checked against the
+// shape triple and the weight-covering content fingerprint). Resume
+// requires AlgoWasp, whose sessions run on the preallocated solver.
+// Result.Elapsed continues from cp.Elapsed rather than restarting the
+// clock; Result.PriorElapsed records the inherited portion.
 func (s *Session) Resume(ctx context.Context, cp *Checkpoint) (*Result, error) {
 	if err := seedMatches(s.g, cp); err != nil {
 		return nil, err
@@ -195,7 +193,7 @@ func (s *Session) run(ctx context.Context, source Vertex, warm *Checkpoint) (*Re
 		}
 		res.Dist = r.Dist
 	} else {
-		res.Dist, res.Steps = solveOnce(s.g, source, s.opt, m, s.tl, tok)
+		res.Dist, res.Steps = solveOnce(s.g, source, s.opt, m, tok)
 	}
 
 	res.Elapsed = base + time.Since(start)

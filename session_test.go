@@ -89,9 +89,8 @@ func TestSessionReuseAfterCancel(t *testing.T) {
 	}
 }
 
-// TestSessionFallback: configurations outside the preallocated Wasp
-// path (other algorithms, pendant pruning) still run through a session
-// with identical results.
+// TestSessionFallback: algorithms outside the preallocated Wasp path
+// still run through a session with identical results.
 func TestSessionFallback(t *testing.T) {
 	g, err := wasp.GenerateWorkload("urand", wasp.WorkloadConfig{N: 1000, Seed: 5})
 	if err != nil {
@@ -100,7 +99,6 @@ func TestSessionFallback(t *testing.T) {
 	for _, opt := range []wasp.Options{
 		{Algorithm: wasp.AlgoGAP, Workers: 2, Delta: 16},
 		{Algorithm: wasp.AlgoDijkstra},
-		{Algorithm: wasp.AlgoWasp, Workers: 2, PendantPruning: true},
 	} {
 		sess, err := wasp.NewSession(g, opt)
 		if err != nil {

@@ -22,7 +22,6 @@ import (
 	"wasp/internal/metrics"
 	"wasp/internal/numa"
 	"wasp/internal/parallel"
-	"wasp/internal/prune"
 	"wasp/internal/smq"
 	"wasp/internal/trace"
 )
@@ -172,22 +171,13 @@ type Options struct {
 	NoBidirectional bool
 	Theta           int
 
-	// PendantPruning strips pendant trees (maximal subtrees hanging
-	// off the graph by one vertex) before the solve and restores their
-	// distances afterwards — the graph-aware preprocessing the paper's
-	// §4.4 cites as future work ([21], FCPC 2025). Works with every
-	// algorithm on undirected graphs; skipped automatically when the
-	// source itself is pendant or the graph is directed.
-	PendantPruning bool
-
 	// CheckpointInterval, with CheckpointSink, enables periodic
 	// checkpointing on a supervised Session: every interval the running
 	// solve's upper-bound state is snapshotted — workers keep running;
 	// the capture is a racy-but-valid atomic copy — and handed to the
 	// sink. Supervision requires the preallocated session path
-	// (AlgoWasp without PendantPruning); NewSession rejects other
-	// configurations. One-shot Run/RunContext zero it: they run
-	// unsupervised. Zero disables.
+	// (AlgoWasp); NewSession rejects other algorithms. One-shot
+	// Run/RunContext zero it: they run unsupervised. Zero disables.
 	CheckpointInterval time.Duration
 
 	// CheckpointSink receives each periodic (and stall-forced)
@@ -257,10 +247,9 @@ type Progress struct {
 	Reached int
 	// Relaxations is the number of edge relaxations attempted, plumbed
 	// from the per-worker counters in internal/metrics. It is always
-	// available for AlgoWasp without PendantPruning, one-shot Run
-	// included (the preallocated solver owns a metrics set); in other
-	// configurations it is nonzero only when CollectMetrics was set or
-	// an Observer is bound.
+	// available for AlgoWasp, one-shot Run included (the preallocated
+	// solver owns a metrics set); for the other algorithms it is
+	// nonzero only when CollectMetrics was set or an Observer is bound.
 	Relaxations int64
 }
 
@@ -358,24 +347,18 @@ func RunContext(ctx context.Context, g *Graph, source Vertex, opt Options) (*Res
 
 // warmStartSupported reports whether the option set can seed a solve
 // from a prior distance array at all: warm starts are a Wasp-only
-// facility (the repair scan lives in the Wasp solver) and incompatible
-// with PendantPruning (the pruned core is a different graph than the
-// one a snapshot describes). Session.Resume and the Registry's bundle
-// warm-start artifacts consult this one helper, so no path can smuggle
-// a seed past the compatibility rules.
+// facility (the repair scan lives in the Wasp solver). Session.Resume
+// and the Registry's Mutate repair seeds consult this one helper, so no
+// path can smuggle a seed past the compatibility rule.
 func warmStartSupported(opt Options) error {
 	if opt.Algorithm != AlgoWasp {
 		return fmt.Errorf("wasp: warm start requires AlgoWasp, not %s", opt.Algorithm)
-	}
-	if opt.PendantPruning {
-		return fmt.Errorf("wasp: warm start is incompatible with PendantPruning")
 	}
 	return nil
 }
 
 // coreOptions translates opt into the Wasp solver's options, with m and
-// tl as the solver's collectors. NewSession and pruned Wasp runs both
-// build their solver from it.
+// tl as the solver's collectors. NewSession builds its solver from it.
 func coreOptions(opt Options, m *metrics.Set, tl *trace.Log) core.Options {
 	return core.Options{
 		Delta:           opt.Delta,
@@ -394,27 +377,14 @@ func coreOptions(opt Options, m *metrics.Set, tl *trace.Log) core.Options {
 }
 
 // solveOnce runs opt.Algorithm from source on g without preallocation:
-// Session.run calls it for every configuration outside the preallocated
-// Wasp path and owns everything around it (clock, progress, metrics,
-// observer, panics, cancellation, Verify). opt has defaults applied and
-// an algorithm NewSession accepted; m and tl are the session's
-// collectors (nil when not collecting; tl is AlgoWasp only) and tok the
-// run's cancellation token. Pendant pruning wraps any solver: solve the
-// stripped core, then reconstruct the pendant distances — the prep is
-// part of the algorithm's cost.
-func solveOnce(g *Graph, source Vertex, opt Options, m *metrics.Set, tl *trace.Log, tok *parallel.Token) (dist []uint32, steps int64) {
-	var pruned *prune.Pruned
-	if opt.PendantPruning {
-		if p := prune.Prepare(g); p.Stripped() > 0 && p.SourceUsable(source) {
-			pruned, g = p, p.Core
-		}
-	}
-
+// Session.run calls it for every algorithm but AlgoWasp, which runs on
+// the session's preallocated solver, and owns everything around it
+// (clock, progress, metrics, observer, panics, cancellation, Verify).
+// opt has defaults applied and an algorithm NewSession accepted; m is
+// the session's metrics set (nil when not collecting) and tok the run's
+// cancellation token.
+func solveOnce(g *Graph, source Vertex, opt Options, m *metrics.Set, tok *parallel.Token) (dist []uint32, steps int64) {
 	switch opt.Algorithm {
-	case AlgoWasp:
-		copt := coreOptions(opt, m, tl)
-		copt.Cancel = tok
-		dist = core.Run(g, source, copt).Dist
 	case AlgoDijkstra:
 		r := dijkstra.RunToken(g, source, tok)
 		dist = r.Dist
@@ -478,9 +448,6 @@ func solveOnce(g *Graph, source Vertex, opt Options, m *metrics.Set, tl *trace.L
 			Delta: opt.Delta, Workers: opt.Workers, Metrics: m, Cancel: tok,
 		})
 		dist, steps = r.Dist, r.Steps
-	}
-	if pruned != nil {
-		pruned.Restore(dist)
 	}
 	return dist, steps
 }
