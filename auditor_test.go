@@ -279,6 +279,75 @@ func TestRegistryAuditQuarantine(t *testing.T) {
 	}
 }
 
+// TestRegistryQuarantineKeepsCounters: a graph's pool counters are
+// kept per graph name, so they keep counting while its active version
+// is quarantined — Stats reports them with the gauges at zero — and
+// never drop across the quarantine and the heal that ends it.
+func TestRegistryQuarantineKeepsCounters(t *testing.T) {
+	r := NewRegistry(RegistryOptions{
+		Pool:         PoolOptions{Sessions: 1, QueueDepth: 16, QueueWait: 5 * time.Second},
+		Audit:        &AuditorOptions{SampleRate: 1}, // sync: the flip quarantines before Run returns
+		DrainTimeout: 10 * time.Second,
+	})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = r.Close(ctx)
+	}()
+	ctx := context.Background()
+	var last int64
+	check := func(step string, completed int64, sessions int) {
+		t.Helper()
+		st, ok := r.Stats("line")
+		if st.Completed < last {
+			t.Fatalf("%s: Completed dropped %d -> %d", step, last, st.Completed)
+		}
+		if !ok {
+			t.Fatalf("%s: Stats not ok for a registered graph", step)
+		}
+		last = st.Completed
+		if st.Completed != completed || st.Sessions != sessions {
+			t.Fatalf("%s: Completed %d, Sessions %d; want %d, %d", step, st.Completed, st.Sessions, completed, sessions)
+		}
+	}
+	if err := r.Load(ctx, chainBundle("line", 1, 16, 3)); err != nil {
+		t.Fatal(err)
+	}
+	for src := Vertex(0); src < 2; src++ {
+		if _, err := r.Run(ctx, "line", src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("two solves", 2, 1)
+
+	fault.Activate(fault.NewPlan(fault.Config{Seed: 9, DistFlip: 1000}))
+	_, err := r.Run(ctx, "line", 2)
+	fault.Deactivate()
+	if err != nil {
+		t.Fatalf("flipped Run: %v", err)
+	}
+	if st, _ := r.Status("line"); st.State != GraphQuarantined {
+		t.Fatalf("state %q after a failed audit, want %q", st.State, GraphQuarantined)
+	}
+	check("quarantined", 3, 0)
+	if _, err := r.Run(ctx, "line", 0); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("Run on quarantined graph: %v, want ErrQuarantined", err)
+	}
+	check("refused while quarantined", 3, 0)
+
+	if err := r.Load(ctx, chainBundle("line", 1, 16, 3)); err != nil {
+		t.Fatalf("healing Load: %v", err)
+	}
+	check("healed", 3, 1)
+	if _, err := r.Run(ctx, "line", 3); err != nil {
+		t.Fatal(err)
+	}
+	check("solve after heal", 4, 1)
+	if _, ok := r.Stats("absent"); ok {
+		t.Fatal("Stats ok for an unregistered graph")
+	}
+}
+
 // TestRegistryAuditCleanRunNoFailures: with no faults injected, a fully
 // sampled workload produces zero audit failures — the certificate
 // never cries wolf on honest results, including degraded ones.

@@ -645,6 +645,11 @@ func TestDaemonCorruptionDetection(t *testing.T) {
 	if code, body = get("/sssp?graph=alpha&source=0&target=255"); code != http.StatusServiceUnavailable {
 		t.Fatalf("query on quarantined graph: status %d: %s", code, body)
 	}
+	// alpha's pool counters outlive its quarantine: the flipped solve
+	// stays counted while no version of alpha serves.
+	if _, body = get("/metrics"); !strings.Contains(string(body), "ssspd_solves_completed_total 1\n") {
+		t.Fatalf("ssspd_solves_completed_total dropped the quarantined graph's solve:\n%s", body)
+	}
 	// The other graph is untouched — corruption in one version never
 	// takes the daemon down.
 	code, body = get("/sssp?graph=beta&source=0&target=255")
@@ -702,6 +707,7 @@ func TestDaemonCorruptionDetection(t *testing.T) {
 		"ssspd_audit_failures_total 1",
 		"ssspd_checkpoints_distrusted_total 1",
 		"ssspd_scrub_corrupt_total 1",
+		"ssspd_solves_completed_total 2", // alpha's flipped solve and beta's
 	} {
 		if !strings.Contains(string(body), want+"\n") {
 			t.Errorf("metrics missing %q", want)

@@ -129,7 +129,12 @@ func (l *List) Pop() *Chunk {
 // churn on the hot path. It is single-owner like everything else here.
 type Pool struct {
 	free List
+	made int // chunks Get allocated
 }
+
+// MaxFree caps the chunks a pool retains (memory per worker): Put drops
+// a chunk beyond it.
+const MaxFree = 1024
 
 // Get returns an empty chunk, reusing a freed one when available.
 func (p *Pool) Get() *Chunk {
@@ -137,15 +142,19 @@ func (p *Pool) Get() *Chunk {
 		c.Reset()
 		return c
 	}
+	p.made++
 	return new(Chunk)
 }
 
 // Put recycles a chunk. The chunk must no longer be referenced anywhere.
 func (p *Pool) Put(c *Chunk) {
-	if p.free.Len() < 1024 { // cap retained memory per worker
+	if p.free.Len() < MaxFree {
 		p.free.Push(c)
 	}
 }
+
+// Made reports the number of chunks Get has allocated.
+func (p *Pool) Made() int { return p.made }
 
 // Reclaim drains every chunk of l into the pool's free list, emptying
 // the list. Solver sessions use it between runs to recover the chunks a

@@ -209,3 +209,19 @@ func TestPoolReclaim(t *testing.T) {
 		t.Fatalf("free list holds %d chunks, want 0", p.Free())
 	}
 }
+
+// TestPoolMadeCountsAllocations: Made counts only the chunks Get had to
+// allocate, not the ones it reused.
+func TestPoolMadeCountsAllocations(t *testing.T) {
+	var p Pool
+	a, b := p.Get(), p.Get()
+	if p.Made() != 2 {
+		t.Fatalf("Made() = %d after two allocating Gets, want 2", p.Made())
+	}
+	p.Put(a)
+	p.Put(b)
+	p.Get()
+	if p.Made() != 2 || p.Free() != 1 {
+		t.Fatalf("Made() = %d, Free() = %d after a reusing Get, want 2 and 1", p.Made(), p.Free())
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"wasp/internal/chunk"
 	"wasp/internal/dist"
 	"wasp/internal/fault"
 	"wasp/internal/graph"
@@ -263,10 +264,10 @@ func (s *Solver) PartialSnapshot(source graph.Vertex) []uint32 {
 // Reset restores the pre-run state for a solve from source: distances
 // refilled, every worker's buffer/deque/buckets drained back into its
 // chunk pool (a completed run leaves them empty; a cancelled one does
-// not), scheduling RNGs reseeded so a reused solver schedules
-// identically to a fresh one, and the idle count zeroed (a worker that
-// panicked inside its idle loop never lowered it). Solve calls it
-// automatically.
+// not) and each pool handed back the chunks thieves took from it,
+// scheduling RNGs reseeded so a reused solver schedules identically to
+// a fresh one, and the idle count zeroed (a worker that panicked inside
+// its idle loop never lowered it). Solve calls it automatically.
 func (s *Solver) Reset(source graph.Vertex) {
 	s.ops.Store(0)
 	s.idle.Store(0)
@@ -274,5 +275,29 @@ func (s *Solver) Reset(source graph.Vertex) {
 	s.d.Reset(source)
 	for _, w := range s.ws {
 		w.reset()
+	}
+	s.balancePools()
+}
+
+// balancePools hands every pool back the chunks its worker lent out.
+// A stolen chunk is recycled into its thief's pool, so over a solve
+// chunks drift from victims to thieves, and a victim whose pool ran dry
+// would allocate again in the next solve. Between solves every chunk
+// but each worker's buffer sits in some pool, so a worker is owed the
+// chunks it made less its buffer (at most chunk.MaxFree); chunks move
+// from pools above what they are owed to pools below it. Every pool is
+// quiescent here, so they move without synchronization.
+func (s *Solver) balancePools() {
+	owed := func(w *worker) int { return min(w.pool.Made()-1, chunk.MaxFree) }
+	donor := 0
+	for _, w := range s.ws {
+		for w.pool.Free() < owed(w) {
+			for s.ws[donor].pool.Free() <= owed(s.ws[donor]) {
+				if donor++; donor == len(s.ws) {
+					return // chunks were dropped at a pool's cap
+				}
+			}
+			w.pool.Put(s.ws[donor].pool.Get())
+		}
 	}
 }

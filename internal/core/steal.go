@@ -14,9 +14,9 @@ import (
 // CAS (stealFrom) and, on success, curr is re-published to the best
 // stolen priority before the flag drops — the ordering the termination
 // protocol relies on (term.go). A round that finds every inspected
-// deque empty never raises it, so it stores to no shared line, and is
-// not traced: only a contended miss, a round that raised the flag but
-// won no chunk, records a StealMiss.
+// deque empty, or holding work only above next, never raises it, so it
+// stores to no shared line, and is not traced: only a contended miss,
+// a round that raised the flag but won no chunk, records a StealMiss.
 //
 // The policies collect chunks in w.stolen, which has room for one per
 // victim, so a round allocates nothing; the result aliases it until the
@@ -63,12 +63,18 @@ func (w *worker) stealRound(next uint64) []*chunk.Chunk {
 }
 
 // stealFrom is one steal attempt against victim, shared by every
-// policy. A deque that reads empty is skipped; otherwise the stealing
-// flag is raised, once per round, and a chunk is CASed off the top.
-func (w *worker) stealFrom(victim *worker) *chunk.Chunk {
+// policy. A deque that reads empty is skipped, and so is a victim whose
+// level is above next (Algorithm 2's curr ≤ next rule; the random
+// policies and idle rounds pass infPrio, which every level meets);
+// otherwise the stealing flag is raised, once per round, and a chunk
+// is CASed off the top. The deque is tested first because its indices
+// move only when the victim pushes or pops a whole chunk, while the
+// victim stores curr at every bucket advance: at small Δ, reading curr
+// first pulls a line the victim has just written on nearly every round.
+func (w *worker) stealFrom(victim *worker, next uint64) *chunk.Chunk {
 	w.m.StealAttempts++
 	fault.Inject(fault.StealAttempt, w.id)
-	if victim.dq.Empty() {
+	if victim.dq.Empty() || victim.curr.Load() > next {
 		return nil
 	}
 	if !w.stealing.Load() {
@@ -79,16 +85,13 @@ func (w *worker) stealFrom(victim *worker) *chunk.Chunk {
 
 // stealWasp is Algorithm 2: walk NUMA tiers from closest to furthest;
 // within a tier, attempt to steal one chunk from every victim whose
-// current priority level is at least as urgent as next; stop at the
-// first tier that yields anything. Chunks go to w.stolen.
+// current priority level is at least as urgent as next (stealFrom
+// applies the rule); stop at the first tier that yields anything.
+// Chunks go to w.stolen.
 func (w *worker) stealWasp(next uint64) {
 	for ti, tier := range w.tiers {
 		for _, t := range tier {
-			victim := w.workers[t]
-			if victim.curr.Load() > next {
-				continue
-			}
-			if c := w.stealFrom(victim); c != nil {
+			if c := w.stealFrom(w.workers[t], next); c != nil {
 				w.stolen = append(w.stolen, c)
 			}
 		}
@@ -114,7 +117,7 @@ func (w *worker) stealRandom() {
 		if t == w.id {
 			continue
 		}
-		if c := w.stealFrom(w.workers[t]); c != nil {
+		if c := w.stealFrom(w.workers[t], infPrio); c != nil {
 			w.stolen = append(w.stolen, c)
 			return
 		}
@@ -142,7 +145,7 @@ func (w *worker) stealTwoChoice() {
 		if w.workers[b].curr.Load() < w.workers[a].curr.Load() && b != w.id {
 			t = b
 		}
-		if c := w.stealFrom(w.workers[t]); c != nil {
+		if c := w.stealFrom(w.workers[t], infPrio); c != nil {
 			w.stolen = append(w.stolen, c)
 			return
 		}

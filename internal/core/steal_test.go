@@ -12,6 +12,7 @@ import (
 	"wasp/internal/graph"
 	"wasp/internal/metrics"
 	"wasp/internal/numa"
+	"wasp/internal/trace"
 	"wasp/internal/verify"
 )
 
@@ -292,5 +293,108 @@ func TestHotPathZeroAllocsStealRound(t *testing.T) {
 				t.Fatalf("a steal round allocates %.1f objects (%d hits in %d rounds), want 0", allocs, hits, rounds+2)
 			}
 		})
+	}
+}
+
+// TestStealingLevelRuleNonEmptyVictim pins Algorithm 2's rule under the
+// order stealFrom inspects a victim in — deque first, then level: a
+// victim holding a chunk is robbed only when its curr is at most the
+// thief's next, or in an idle round (next = infPrio) at any level, and
+// a victim the rule excludes never raises the thief's stealing flag
+// (stealRound traces a StealMiss exactly when a round raised the flag
+// and won nothing). Every inspected victim counts as a steal attempt,
+// an empty one at any level included.
+func TestStealingLevelRuleNonEmptyVictim(t *testing.T) {
+	g := graph.FromEdges(2, true, []graph.Edge{{From: 0, To: 1, W: 1}})
+	tl := trace.New(2)
+	s := NewSolver(g, Options{Workers: 2, Delta: 1, Trace: tl})
+	thief, victim := s.ws[0], s.ws[1]
+	for _, tc := range []struct {
+		name       string
+		victimCurr uint64
+		next       uint64
+		chunk      bool // the victim's deque holds a chunk
+		robbed     bool
+	}{
+		{"curr above next", 5, 3, true, false},
+		{"curr at next", 3, 3, true, true},
+		{"curr below next", 2, 3, true, true},
+		{"idle round", 1 << 40, infPrio, true, true},
+		{"idle round, idle victim", infPrio, infPrio, true, true},
+		{"empty victim below next", 0, 3, false, false},
+		{"empty victim above next", 5, 3, false, false},
+		{"empty victim, idle round", infPrio, infPrio, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s.Reset(0)
+			tl.Reset()
+			victim.setCurr(tc.victimCurr)
+			if tc.chunk {
+				c := victim.pool.Get()
+				c.Prio = tc.victimCurr
+				c.Push(1)
+				victim.dq.PushBottom(c)
+			}
+			attempts := thief.m.StealAttempts
+			stolen := thief.stealRound(tc.next)
+			if got := thief.m.StealAttempts - attempts; got != 1 {
+				t.Fatalf("round counted %d steal attempts, want 1 (one victim inspected)", got)
+			}
+			if robbed := len(stolen) == 1; robbed != tc.robbed {
+				t.Fatalf("robbed = %v (victim curr %d, next %d), want %v", robbed, tc.victimCurr, tc.next, tc.robbed)
+			}
+			if tc.chunk && victim.dq.Empty() != tc.robbed {
+				t.Fatalf("victim deque empty = %v after the round, want %v", victim.dq.Empty(), tc.robbed)
+			}
+			if !tc.robbed && tl.CountKind(trace.StealMiss) != 0 {
+				t.Fatal("the round raised the stealing flag for a victim it may not rob")
+			}
+			if thief.stealing.Load() {
+				t.Fatal("stealing flag left up after the round")
+			}
+			for _, c := range stolen {
+				thief.pool.Put(c)
+			}
+		})
+	}
+}
+
+// TestHotPathZeroAllocsStealRecycle: a stolen chunk is recycled into
+// the thief's pool, so a victim that fills its deque from its own pool
+// every solve would find it dry and allocate, were its chunks not
+// handed back at Reset. Two workers; each solve resets the solver, the
+// victim fills chunks from its pool and the thief steals and drains
+// every one of them, as a solve's steals do.
+func TestHotPathZeroAllocsStealRecycle(t *testing.T) {
+	g := graph.FromEdges(2, true, []graph.Edge{{From: 0, To: 1, W: 1}})
+	s := NewSolver(g, Options{Workers: 2, Delta: 1})
+	thief, victim := s.ws[0], s.ws[1]
+	const chunks = 4
+	stolen := 0
+	solve := func() {
+		s.Reset(0) // both workers at curr = 0: the victim is eligible
+		for i := 0; i < chunks; i++ {
+			c := victim.pool.Get()
+			c.Push(1)
+			victim.dq.PushBottom(c)
+		}
+		for i := 0; i < chunks; i++ {
+			got := thief.stealRound(0)
+			stolen += len(got)
+			thief.processStolen(got)
+		}
+	}
+	// Warm up: the victim's first solve makes its chunks.
+	for i := 0; i < 2; i++ {
+		solve()
+	}
+	stolen = 0
+	const solves = 20
+	allocs := testing.AllocsPerRun(solves, solve)
+	if want := chunks * (solves + 1); stolen != want {
+		t.Fatalf("thief stole %d chunks, want %d", stolen, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("a solve whose chunks are all stolen allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -19,7 +19,7 @@ type Worker struct {
 	Relaxations    int64 // edge relaxations attempted (paper Fig 8 counts these)
 	Improvements   int64 // relaxations that lowered a distance
 	StaleSkips     int64 // vertices skipped by the staleness check (Alg 1 line 20)
-	StealAttempts  int64 // victims inspected
+	StealAttempts  int64 // victims inspected, empty ones and ones above the thief's level included
 	StealHits      int64 // chunks successfully stolen
 	StealRounds    int64 // work_stealing() invocations
 	ChunksDrained  int64 // chunks fully processed

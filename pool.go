@@ -617,16 +617,22 @@ func (p *Pool) Close(ctx context.Context) error {
 
 // Stats snapshots the pool's counters.
 func (p *Pool) Stats() PoolStats {
-	p50, p99 := p.lat.quantiles()
+	st := p.poolCounters.stats()
+	st.Sessions = p.conf.Sessions
+	st.Idle = len(p.slots)
+	st.InFlight = int(p.inFlight.Load())
+	st.Queued = int(p.queued.Load())
+	return st
+}
+
+// stats snapshots the cumulative half of a PoolStats, gauges zero.
+func (c *poolCounters) stats() PoolStats {
+	p50, p99 := c.lat.quantiles()
 	return PoolStats{
-		Sessions:    p.conf.Sessions,
-		Idle:        len(p.slots),
-		InFlight:    int(p.inFlight.Load()),
-		Queued:      int(p.queued.Load()),
-		Completed:   p.completed.Load(),
-		Degraded:    p.degraded.Load(),
-		Shed:        p.shed.Load(),
-		Quarantined: p.quarantined.Load(),
+		Completed:   c.completed.Load(),
+		Degraded:    c.degraded.Load(),
+		Shed:        c.shed.Load(),
+		Quarantined: c.quarantined.Load(),
 		P50:         p50,
 		P99:         p99,
 	}

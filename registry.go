@@ -883,16 +883,26 @@ func (r *Registry) Status(name string) (GraphStatus, bool) {
 	return st, true
 }
 
-// Stats snapshots the named graph's serving counters. The gauges
-// (sessions, idle, in-flight, queued) are the active pool's. The
-// counters and latency quantiles are cumulative per graph name: every
-// version's pool feeds them, so a reload, mutation or rollback
-// continues the series, and Remove ends it. ok is false while no
-// version serves (never activated, quarantined or removed).
+// Stats snapshots the named graph's serving counters. The counters
+// and latency quantiles are cumulative per graph name: every version's
+// pool feeds them, so a reload, mutation, rollback or quarantine
+// continues the series, and Remove ends it. The gauges (sessions,
+// idle, in-flight, queued) are the active pool's, and zero while no
+// version serves (before the first activation, or quarantined). ok is
+// false when no graph of that name is registered.
 func (r *Registry) Stats(name string) (PoolStats, bool) {
-	_, pool, err := r.activeVersion(name)
-	if err != nil || pool == nil {
+	r.mu.RLock()
+	e := r.graphs[name]
+	var pool *Pool
+	if e != nil && e.active != nil {
+		pool = e.active.pool // nil while quarantined
+	}
+	r.mu.RUnlock()
+	switch {
+	case e == nil:
 		return PoolStats{}, false
+	case pool == nil:
+		return e.counters.stats(), true
 	}
 	return pool.Stats(), true
 }
