@@ -331,7 +331,12 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			s := NewSolver(bench.g, Options{
 				Workers: bench.p, Delta: bench.delta, Trace: bench.tl, Metrics: m, Timing: bench.timing,
 			})
-			s.Solve(src, nil) // warm the pools before timing
+			// Warm the pools before timing. One solve is not enough on a
+			// loaded host: a worker the OS leaves unscheduled makes its
+			// chunks in whichever later solve it first runs.
+			for i := 0; i < 8; i++ {
+				s.Solve(src, nil)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

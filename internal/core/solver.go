@@ -220,7 +220,9 @@ func (s *Solver) Progress() int64 {
 
 // DumpState renders each worker's termination-relevant state plus all
 // goroutine stacks — the post-mortem a stall watchdog attaches before
-// failing a wedged solve.
+// failing a wedged solve. A worker's curr= is its last published level
+// (its latest exposed or stolen work, ∞ while idle), which trails the
+// bucket it is draining when it advanced without exposing anything.
 func (s *Solver) DumpState() string {
 	return dumpWorkerStates(s.ws)
 }

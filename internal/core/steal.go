@@ -68,9 +68,11 @@ func (w *worker) stealRound(next uint64) []*chunk.Chunk {
 // policies and idle rounds pass infPrio, which every level meets);
 // otherwise the stealing flag is raised, once per round, and a chunk
 // is CASed off the top. The deque is tested first because its indices
-// move only when the victim pushes or pops a whole chunk, while the
-// victim stores curr at every bucket advance: at small Δ, reading curr
-// first pulls a line the victim has just written on nearly every round.
+// move only when the victim pushes or pops a whole chunk, and because
+// curr is the level of the victim's latest exposed or stolen work: a
+// bucket advance publishes nothing until a chunk at the new level is
+// exposed (expose), so curr describes the deque's chunks only while
+// the deque holds some.
 func (w *worker) stealFrom(victim *worker, next uint64) *chunk.Chunk {
 	w.m.StealAttempts++
 	fault.Inject(fault.StealAttempt, w.id)
@@ -125,8 +127,10 @@ func (w *worker) stealRandom() {
 }
 
 // stealTwoChoice is the MultiQueue-like protocol of §4.2: two random
-// victims, steal from the one advertising the better priority. A chunk
-// won goes to w.stolen.
+// victims, steal from the one advertising the better priority. It
+// compares published levels (curr), which trail a busy victim's
+// private bucket advances until it exposes work. A chunk won goes to
+// w.stolen.
 func (w *worker) stealTwoChoice() {
 	p := w.opt.Workers
 	for attempt := 0; attempt < w.opt.Retries; attempt++ {

@@ -398,3 +398,44 @@ func TestHotPathZeroAllocsStealRecycle(t *testing.T) {
 		t.Fatalf("a solve whose chunks are all stolen allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// TestStealingLevelRuleAfterPrivateAdvances: a victim's bucket advances
+// publish no level until it exposes a chunk, and Algorithm 2's rule
+// then applies to the level it exposed at. The victim advances twice
+// privately (levels 2 and 5, one chunk each, no worker idle), so a
+// thief reading its curr would see the stale level 0 — but its deque is
+// empty, so no thief reads it. Its full buffer then reaches the deque
+// at level 5: a thief whose next is below 5 does not rob it, one at or
+// above 5 does.
+func TestStealingLevelRuleAfterPrivateAdvances(t *testing.T) {
+	g := graph.FromEdges(2, true, []graph.Edge{{From: 0, To: 1, W: 1}})
+	s := NewSolver(g, Options{Workers: 2, Delta: 1})
+	thief, victim := s.ws[0], s.ws[1]
+	for _, tc := range []struct {
+		next   uint64
+		robbed bool
+	}{{4, false}, {5, true}, {6, true}} {
+		s.Reset(0) // both workers at curr = 0
+		for _, lvl := range []uint64{2, 5} {
+			victim.pushLocal(1, lvl)
+			victim.pour(lvl)
+			if stolen := thief.stealRound(tc.next); stolen != nil {
+				t.Fatalf("next %d: robbed a victim with an empty deque", tc.next)
+			}
+		}
+		if victim.curr.Load() != 0 {
+			t.Fatalf("private advances published curr %d", victim.curr.Load())
+		}
+		for victim.dq.Empty() {
+			victim.pushCurrent(1)
+		}
+		stolen := thief.stealRound(tc.next)
+		if robbed := len(stolen) == 1; robbed != tc.robbed {
+			t.Fatalf("next %d: robbed = %v (victim exposed at level 5), want %v", tc.next, robbed, tc.robbed)
+		}
+		if tc.robbed && (stolen[0].Prio != 5 || thief.curr.Load() != 5) {
+			t.Fatalf("next %d: stole a level-%d chunk, thief published %d, want 5 and 5", tc.next, stolen[0].Prio, thief.curr.Load())
+		}
+		thief.processStolen(stolen)
+	}
+}

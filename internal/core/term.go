@@ -34,6 +34,13 @@ import "wasp/internal/fault"
 // bumps the counter) before holding work again, so once every worker
 // satisfies the predicate with no counter movement, no work exists and
 // none can appear: the state is stable and the decision is final.
+//
+// Bucket advances publish curr lazily (expose): a busy worker's curr
+// is the level of its latest exposed or stolen work, which may trail
+// the bucket it drains. The scan needs only "finite while not idle",
+// and that holds: the published level is finite from Reset or the
+// steal hit that ended the last idle spell, and stays finite until the
+// owner itself stores ∞ at idle entry.
 func (w *worker) allIdle() bool {
 	c := w.ops.Load()
 	if !w.scanIdle() || !w.scanIdle() {

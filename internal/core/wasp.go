@@ -32,7 +32,7 @@ func Run(g *graph.Graph, source graph.Vertex, opt Options) *Result {
 // owner's hot fields.
 type worker struct {
 	// Shared with thieves.
-	curr     atomic.Uint64 // current priority level; infPrio when idle
+	curr     atomic.Uint64 // level of the latest exposed or stolen work; infPrio when idle (see expose)
 	stealing atomic.Bool   // up from before a round's first steal CAS to its end (termination fence)
 	_        [48]byte
 	dq       *deque.Deque // the current bucket's stealable chunks
@@ -63,7 +63,7 @@ type worker struct {
 	minLocal int          // scan hint: no non-empty bucket below this index
 	pool     chunk.Pool
 	m        *metrics.Worker
-	currLoc  uint64 // owner's cached copy of curr
+	currLoc  uint64 // current priority level; curr trails it until work at it is exposed
 	// countdown counts entries until the next progress publish and
 	// in-bucket cancellation poll; it carries across bucket advances.
 	countdown int
@@ -130,13 +130,15 @@ func (w *worker) reset() {
 // publishProgress re-publishes the private relaxation counter for
 // observers (Solver.Progress, checkpoints, stall watchdogs). Called once
 // per chunk.Size entries drained, once per stolen chunk and at exit —
-// never per relaxation, and not per bucket advance, so an advance
-// stores to no shared line but curr.
+// never per relaxation, and not per bucket advance, so an advance that
+// exposes nothing stores to no shared line.
 func (w *worker) publishProgress() {
 	w.relaxPub.Store(w.m.Relaxations)
 }
 
-// setCurr publishes a new current priority level.
+// setCurr moves to and publishes a new priority level at once: a steal
+// hit, idle entry (∞) and reset. A bucket advance publishes lazily
+// (pour, expose).
 func (w *worker) setCurr(prio uint64) {
 	w.currLoc = prio
 	w.curr.Store(prio)
@@ -171,7 +173,6 @@ func (w *worker) run() {
 		if next != infPrio {
 			w.m.BucketAdvances++
 			w.opt.Trace.Advance(w.id, next)
-			w.setCurr(next)
 			w.pour(next)
 			continue
 		}
@@ -252,19 +253,17 @@ func (w *worker) processEntry(u uint32, prio uint64, begin, end uint32) {
 		w.m.StaleSkips++
 		return
 	}
-	if end == 0 { // full neighborhood: maybe decompose (§4.4)
+	if end == 0 { // full neighborhood: maybe decompose or pull (§4.4)
 		deg := w.g.OutDegree(u)
 		if !w.opt.NoDecomposition && deg > w.opt.Theta {
 			w.decompose(u, prio, deg)
 			return
 		}
-		begin, end = 0, uint32(deg)
-		if w.bidirectionalPull(u, int(deg)) {
-			// u's distance improved via its in-neighbors; its bucket
-			// level may have dropped, but relaxations below use the
-			// fresh distance either way.
-			prio = prioOf(w.d.Get(u), w.delta)
+		if deg <= 8 && deg > 0 && !w.opt.NoBidirectional && !w.g.Directed() {
+			w.relaxBidirectional(u)
+			return
 		}
+		begin, end = 0, uint32(deg)
 	}
 	w.processNeighborhood(u, begin, end)
 }
@@ -298,14 +297,26 @@ func (w *worker) pushVertex(v uint32, prio uint64) {
 }
 
 // pushCurrent adds v to the current bucket via the buffer chunk; full
-// buffers are published to the deque, where thieves can take them.
+// buffers are exposed on the deque, where thieves can take them.
 func (w *worker) pushCurrent(v uint32) {
 	if w.buf.Full() {
-		w.dq.PushBottom(w.buf)
+		w.expose(w.buf)
 		w.buf = w.pool.Get()
 		w.buf.Prio = w.currLoc
 	}
 	w.buf.Push(v)
+}
+
+// expose puts c on the current bucket's deque, where thieves can take
+// it, first publishing the worker's level if an advance left it
+// unpublished. So curr is the level of the latest exposed or stolen
+// work, and every chunk a thief can see was pushed after its level was
+// published; a thief reads curr only behind a non-empty deque.
+func (w *worker) expose(c *chunk.Chunk) {
+	if w.curr.Load() != w.currLoc {
+		w.curr.Store(w.currLoc)
+	}
+	w.dq.PushBottom(c)
 }
 
 // popCurrent removes the next entry from the current bucket: buffer
@@ -386,17 +397,21 @@ func (w *worker) minNonEmptyLocal() uint64 {
 	return infPrio
 }
 
-// pour moves bucket prio's chunks into the (empty) current bucket
-// (Algorithm 1 line 32). While no worker idles, the head chunk becomes
-// the buffer directly and only the rest reach the deque — the state
-// the owner reaches whenever its PopBottom beats every thief, without
-// the PushBottom and PopBottom CAS that made a one-chunk bucket cost
-// more to advance to than to drain at small Δ. While any worker idles
+// pour advances to bucket prio and moves its chunks into the (empty)
+// current bucket (Algorithm 1 line 32). The level stays private
+// until a chunk at it is exposed. While no worker idles, the head chunk
+// becomes the buffer directly and only the rest reach the deque — the
+// state the owner reaches whenever its PopBottom beats every thief,
+// without the PushBottom and PopBottom CAS that made a one-chunk bucket
+// cost more to advance to than to drain at small Δ. So an advance onto
+// a one-chunk bucket stores to no shared line. While any worker idles
 // (solve start and tail) every chunk is exposed so idle workers are
 // fed; the owner reads the idle count again at its next advance. Range
-// chunks are always exposed. A worker holding a private chunk has a
-// finite curr, so the termination scan never counts it idle.
+// chunks are always exposed. A busy worker's curr keeps the finite
+// level it last published, so the termination scan never counts it
+// idle.
 func (w *worker) pour(prio uint64) {
+	w.currLoc = prio
 	lst := &w.buckets[prio]
 	if c := lst.Head(); w.idle.Load() == 0 && !c.IsRange() {
 		lst.Pop()
@@ -409,7 +424,7 @@ func (w *worker) pour(prio uint64) {
 		if c == nil {
 			return
 		}
-		w.dq.PushBottom(c)
+		w.expose(c)
 	}
 }
 

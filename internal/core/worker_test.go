@@ -6,24 +6,17 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"wasp/internal/chunk"
-	"wasp/internal/dist"
 	"wasp/internal/graph"
-	"wasp/internal/metrics"
 )
 
 func testWorker(t *testing.T) *worker {
 	t.Helper()
-	g := graph.FromEdges(4, true, []graph.Edge{{From: 0, To: 1, W: 1}})
-	d := dist.New(4, 0)
-	opt := Options{Workers: 1}.withDefaults()
-	m := metrics.NewSet(1)
-	ws := make([]*worker, 1)
-	ws[0] = newWorker(0, g, d, nil, opt, ws, new(atomic.Int64), new(atomic.Int32), &m.Workers[0])
-	return ws[0]
+	return loneWorker(graph.FromEdges(4, true, []graph.Edge{{From: 0, To: 1, W: 1}}), nil, nil, Options{})
 }
 
 func TestPushPopCurrentThroughBuffer(t *testing.T) {
@@ -203,5 +196,104 @@ func TestSetCurrPublishes(t *testing.T) {
 	w.setCurr(42)
 	if w.curr.Load() != 42 || w.currLoc != 42 {
 		t.Fatal("setCurr did not publish both copies")
+	}
+}
+
+// TestPourPublishesLevelOnlyWhenExposing: a bucket advance sets only
+// the private level; curr, the level thieves read, is published when a
+// chunk at the new level is first exposed on the deque (expose). An
+// advance onto a one-chunk bucket with no worker idle exposes nothing
+// and leaves curr at the old level; with a worker idle pour exposes
+// every chunk, so curr reads the new level; a full buffer and a
+// current-level decomposition each publish as they expose.
+func TestPourPublishesLevelOnlyWhenExposing(t *testing.T) {
+	t.Run("private advance", func(t *testing.T) {
+		w := testWorker(t)
+		w.setCurr(2)
+		w.pushLocal(1, 5)
+		w.pour(5)
+		if w.currLoc != 5 || w.curr.Load() != 2 || !w.dq.Empty() {
+			t.Fatalf("currLoc %d, curr %d, deque empty %v: want 5, 2 (unpublished), empty",
+				w.currLoc, w.curr.Load(), w.dq.Empty())
+		}
+		// The buffer fills, and the first full one reaches the deque
+		// under the new level.
+		for w.dq.Empty() {
+			if w.curr.Load() != 2 {
+				t.Fatalf("curr %d published before any chunk was exposed", w.curr.Load())
+			}
+			w.pushCurrent(1)
+		}
+		if w.curr.Load() != 5 {
+			t.Fatalf("a full buffer reached the deque under curr %d, want 5", w.curr.Load())
+		}
+	})
+	t.Run("idle worker", func(t *testing.T) {
+		w := testWorker(t)
+		w.setCurr(2)
+		w.idle.Store(1)
+		w.pushLocal(1, 5)
+		w.pour(5)
+		if w.curr.Load() != 5 || w.dq.Len() != 1 {
+			t.Fatalf("curr %d with %d exposed chunks, want 5 and 1", w.curr.Load(), w.dq.Len())
+		}
+	})
+	t.Run("decompose", func(t *testing.T) {
+		edges := make([]graph.Edge, 100)
+		for i := range edges {
+			edges[i] = graph.Edge{From: 0, To: graph.Vertex(i + 1), W: 1}
+		}
+		w := loneWorker(graph.FromEdges(101, true, edges), nil, nil, Options{Theta: 32})
+		w.setCurr(2)
+		w.pushLocal(9, 3)
+		w.pour(3)
+		w.decompose(0, 7, 100) // a later level: ranges stay local
+		if w.curr.Load() != 2 || !w.dq.Empty() {
+			t.Fatalf("a decomposition at a later level published curr %d, exposed %d", w.curr.Load(), w.dq.Len())
+		}
+		w.decompose(0, 3, 100) // the current level: ranges are exposed
+		if w.curr.Load() != 3 || w.dq.Len() != 3 {
+			t.Fatalf("curr %d with %d exposed ranges, want 3 and 3", w.curr.Load(), w.dq.Len())
+		}
+	})
+}
+
+// TestPourPublishesBeforeExposing: a thief that sees a chunk on the
+// deque and then reads curr must read at least the chunk's level —
+// expose publishes before PushBottom. The owner advances through
+// rising levels with a worker idle, so every chunk is exposed, and
+// never pops; the lone thief therefore steals exactly the chunk that
+// made the deque non-empty.
+func TestPourPublishesBeforeExposing(t *testing.T) {
+	w := testWorker(t)
+	w.idle.Store(1)
+	const levels = 2000
+	var done atomic.Bool
+	bad := make(chan string, 1)
+	go func() {
+		defer close(bad)
+		for !done.Load() {
+			if w.dq.Empty() {
+				continue
+			}
+			lvl := w.curr.Load()
+			if c := w.dq.Steal(); c != nil && c.Prio > lvl {
+				select {
+				case bad <- fmt.Sprintf("stole a level-%d chunk after reading curr %d", c.Prio, lvl):
+				default:
+				}
+			}
+		}
+	}()
+	for lvl := uint64(1); lvl <= levels; lvl++ {
+		w.pushLocal(1, lvl)
+		w.pour(lvl)
+	}
+	for !w.dq.Empty() {
+		runtime.Gosched()
+	}
+	done.Store(true)
+	if msg, ok := <-bad; ok {
+		t.Fatal(msg)
 	}
 }

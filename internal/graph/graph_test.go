@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -299,5 +301,58 @@ func TestMaxOutDegree(t *testing.T) {
 	v, d := g.MaxOutDegree()
 	if v != 2 || d != 3 {
 		t.Fatalf("MaxOutDegree = (%d,%d), want (2,3)", v, d)
+	}
+}
+
+// TestUndirectedInAdjacencyAliasesOut: an undirected graph stores one
+// CSR, and its in-adjacency is the out-adjacency itself, whichever way
+// the graph was made. The solver's one-pass bidirectional relaxation
+// pulls through a vertex's out-neighbors on that basis.
+func TestUndirectedInAdjacencyAliasesOut(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	g, edges := randMutable(r, 60, false, 2)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := Mutation{Kind: MutInsert, From: 0, To: 1, W: 3}
+	for _, ok := g.FindEdge(0, insert.To); ok; _, ok = g.FindEdge(0, insert.To) {
+		insert.To++
+	}
+	topo, _, err := ApplyMutations(g, []Mutation{
+		insert, {Kind: MutDelete, From: edges[1].From, To: edges[1].To},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights, _, err := ApplyMutations(g, []Mutation{
+		{Kind: MutSetWeight, From: edges[2].From, To: edges[2].To, W: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relabeled, _ := RelabelByDegree(g)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"Builder", g}, {"binary round trip", read}, {"mutation batch", topo},
+		{"weight-only batch", weights}, {"RelabelByDegree", relabeled},
+	} {
+		if tc.g.Directed() {
+			t.Fatalf("%s: graph became directed", tc.name)
+		}
+		for u := 0; u < tc.g.NumVertices(); u++ {
+			src, inW := tc.g.InNeighbors(Vertex(u))
+			dst, outW := tc.g.OutNeighbors(Vertex(u))
+			if len(src) != len(dst) || len(inW) != len(outW) ||
+				len(dst) > 0 && (&src[0] != &dst[0] || &inW[0] != &outW[0]) {
+				t.Fatalf("%s: vertex %d's in-adjacency does not alias its out-adjacency", tc.name, u)
+			}
+		}
 	}
 }
