@@ -5,9 +5,9 @@
 // rejected safely: every section is length-framed and CRC-checked
 // (mirroring the checkpoint codec), allocation never trusts a header
 // beyond the bytes actually present, and Read validates the whole
-// bundle — graph structure, manifest↔graph shape and content
-// fingerprint, permutation bijectivity — before any of it is handed to
-// solver workers.
+// bundle — graph structure (graph.ReadBinary, the one decoder of graph
+// bytes), manifest↔graph shape and content fingerprint, permutation
+// bijectivity — before any of it is handed to solver workers.
 //
 // Layout (all integers little-endian):
 //
@@ -119,19 +119,18 @@ type Bundle struct {
 }
 
 // Validate checks the cross-section consistency of a decoded (or
-// hand-assembled) bundle: manifest identity, graph structure, and the
-// permutation's binding to the graph. Read calls it on every
-// successful decode; registries call it again on hand-assembled
-// bundles.
+// hand-assembled) bundle: manifest identity and the binding of the
+// manifest and the permutation to the graph. The graph's own structure
+// is not rescanned: every graph.Graph constructor yields a valid graph,
+// and the decoder of a graph section is graph.ReadBinary. Read calls
+// Validate on every successful decode; registries call it again on
+// hand-assembled bundles.
 func (b *Bundle) Validate() error {
 	if err := validateName(b.Manifest.Name); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	if b.Graph == nil {
 		return fmt.Errorf("%w: bundle %q has no graph", ErrInvalid, b.Manifest.Name)
-	}
-	if err := graph.Validate(b.Graph); err != nil {
-		return fmt.Errorf("%w: bundle %q: %w", ErrInvalid, b.Manifest.Name, err)
 	}
 	n, m, dir := b.Graph.NumVertices(), b.Graph.NumEdges(), b.Graph.Directed()
 	if b.Manifest.Vertices != int64(n) || b.Manifest.Edges != m || b.Manifest.Directed != dir {
@@ -404,33 +403,17 @@ func Read(r io.Reader) (*Bundle, error) {
 }
 
 // decodeGraphSection parses a WSPG dump whose exact byte length is
-// known from the section frame. The WSPG header's counts are
-// cross-checked against that length before the CSR arrays are
-// allocated, so a corrupted count cannot demand memory the payload does
-// not contain.
+// known from the section frame. graph.ReadBinary bounds allocation by
+// the bytes present and checks the graph; a graph it rejects fails the
+// bundle with ErrInvalid. The dump must fill the section exactly.
 func decodeGraphSection(payload []byte) (*graph.Graph, error) {
-	const wspgHeader = 4 + 4*8 // magic + version, flags, n, m
-	if len(payload) < wspgHeader {
-		return nil, fmt.Errorf("%w: graph section too short (%d bytes)", ErrMalformed, len(payload))
-	}
-	n := binary.LittleEndian.Uint64(payload[20:28])
-	m := binary.LittleEndian.Uint64(payload[28:36])
-	directed := binary.LittleEndian.Uint64(payload[12:20])&1 != 0
-	if n > 1<<31 {
-		return nil, fmt.Errorf("%w: graph section claims %d vertices", ErrMalformed, n)
-	}
-	csr := (n+1)*8 + m*4 + m*4 // offsets + endpoints + weights
-	want := uint64(wspgHeader) + csr
-	if directed {
-		want += csr
-	}
-	if uint64(len(payload)) != want {
-		return nil, fmt.Errorf("%w: graph section is %d bytes, header claims %d vertices / %d edges (%d bytes)",
-			ErrMalformed, len(payload), n, m, want)
-	}
-	g, err := graph.ReadBinary(bytes.NewReader(payload))
+	r := bytes.NewReader(payload)
+	g, err := graph.ReadBinary(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: graph section: %v", ErrMalformed, err)
+		return nil, fmt.Errorf("%w: graph section: %w", ErrInvalid, err)
+	}
+	if r.Len() > 0 {
+		return nil, fmt.Errorf("%w: graph section has %d bytes after the graph", ErrMalformed, r.Len())
 	}
 	return g, nil
 }

@@ -186,9 +186,10 @@ func frame(t *testing.T, manifest, graphPayload []byte) []byte {
 // TestRejectBadWeights: a graph section whose weights reach Infinity is
 // structurally invalid — a hand-built WSPG payload must not smuggle the
 // "unreachable" sentinel past the loader as an edge weight. The bundle
-// is framed by hand (valid CRCs, a manifest matching the graph's shape
-// and fingerprint) so that only the structural validation layer can
-// object.
+// is framed by hand (valid CRCs, a manifest matching the graph's shape)
+// so that only the structural validation layer can object. No
+// constructor builds the saturated graph, so the manifest carries the
+// honest graph's fingerprint, and the error must name the weight.
 func TestRejectBadWeights(t *testing.T) {
 	g := graph.FromEdges(2, true, []graph.Edge{{From: 0, To: 1, W: 1}})
 	gbad := graph.FromEdges(2, true, []graph.Edge{{From: 0, To: 1, W: 7}})
@@ -216,14 +217,11 @@ func TestRejectBadWeights(t *testing.T) {
 		payload[j+k] = 0xff
 	}
 
-	saturated, err := graph.ReadBinary(bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
 	manifest := []byte(fmt.Sprintf(`{"name":"bad","version":1,"vertices":2,"edges":1,"directed":true,"weight_fp":%d}`,
-		saturated.WeightFingerprint()))
-	if _, err := Read(bytes.NewReader(frame(t, manifest, payload))); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("saturated weight: %v, want ErrInvalid", err)
+		g.WeightFingerprint()))
+	_, err := Read(bytes.NewReader(frame(t, manifest, payload)))
+	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "not below Infinity") {
+		t.Fatalf("saturated weight: %v, want ErrInvalid naming the weight", err)
 	}
 }
 

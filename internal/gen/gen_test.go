@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -31,6 +32,26 @@ func TestRegistryAllGenerate(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGeneratorsMeetGraphInvariants: every generator's graph passes
+// ReadBinary's check, so its dump loads and reads back identical.
+func TestGeneratorsMeetGraphInvariants(t *testing.T) {
+	for _, spec := range Registry {
+		g := spec.Gen(Config{N: 600, Seed: 3})
+		var buf bytes.Buffer
+		if err := graph.WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		read, err := graph.ReadBinary(&buf)
+		if err != nil {
+			t.Errorf("%s: %v", spec.Name, err)
+			continue
+		}
+		if read.WeightFingerprint() != g.WeightFingerprint() {
+			t.Errorf("%s: dump read back as a different graph", spec.Name)
+		}
 	}
 }
 

@@ -27,10 +27,16 @@ func NewBuilder(n int, directed bool) *Builder {
 }
 
 // AddEdge adds a weighted edge. Self-loops are silently dropped (they can
-// never participate in a shortest path with non-negative weights).
+// never participate in a shortest path with non-negative weights). It
+// panics on an endpoint out of range and on a weight that is not below
+// Infinity, the "unreached" sentinel, so every Builder yields a graph
+// ReadBinary would accept.
 func (b *Builder) AddEdge(u, v Vertex, w Weight) {
 	if int(u) >= b.n || int(v) >= b.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range for %d vertices", u, v, b.n))
+	}
+	if w >= Infinity {
+		panic(fmt.Sprintf("graph: edge (%d,%d): weight %d is not below Infinity", u, v, w))
 	}
 	if u == v {
 		return
@@ -72,12 +78,8 @@ func (b *Builder) Build() *Graph {
 	edges = dedupe(edges)
 
 	g := &Graph{n: b.n, directed: b.directed}
-	g.outOff, g.outDst, g.outW = toCSR(b.n, edges, false)
-	if b.directed {
-		g.inOff, g.inSrc, g.inW = toCSR(b.n, edges, true)
-	} else {
-		g.inOff, g.inSrc, g.inW = g.outOff, g.outDst, g.outW
-	}
+	g.outOff, g.outDst, g.outW = toCSR(b.n, edges)
+	g.deriveIn()
 	return g
 }
 
@@ -107,59 +109,55 @@ func dedupe(edges []Edge) []Edge {
 	return out
 }
 
-// toCSR converts a deduplicated edge list into offset/target/weight
-// arrays. If transpose is true, the in-adjacency is built instead.
-func toCSR(n int, edges []Edge, transpose bool) ([]int64, []Vertex, []Weight) {
+// toCSR converts a deduplicated edge list, sorted by (From, To), into
+// offset/target/weight arrays whose per-vertex lists ascend.
+func toCSR(n int, edges []Edge) ([]int64, []Vertex, []Weight) {
 	off := make([]int64, n+1)
 	for _, e := range edges {
-		k := e.From
-		if transpose {
-			k = e.To
-		}
-		off[k+1]++
+		off[e.From+1]++
 	}
 	for i := 0; i < n; i++ {
 		off[i+1] += off[i]
 	}
 	dst := make([]Vertex, len(edges))
 	w := make([]Weight, len(edges))
-	cursor := make([]int64, n)
-	copy(cursor, off[:n])
-	for _, e := range edges {
-		k, other := e.From, e.To
-		if transpose {
-			k, other = e.To, e.From
-		}
-		p := cursor[k]
-		cursor[k]++
-		dst[p] = other
-		w[p] = e.W
-	}
-	// Neighbor lists within a vertex are already ordered because edges
-	// were sorted by (From, To); the transpose needs a per-vertex sort.
-	if transpose {
-		for u := 0; u < n; u++ {
-			lo, hi := off[u], off[u+1]
-			sortAdj(dst[lo:hi], w[lo:hi])
-		}
+	for i, e := range edges {
+		dst[i], w[i] = e.To, e.W
 	}
 	return off, dst, w
 }
 
-func sortAdj(dst []Vertex, w []Weight) {
-	sort.Sort(&adjSorter{dst, w})
-}
-
-type adjSorter struct {
-	dst []Vertex
-	w   []Weight
-}
-
-func (a *adjSorter) Len() int           { return len(a.dst) }
-func (a *adjSorter) Less(i, j int) bool { return a.dst[i] < a.dst[j] }
-func (a *adjSorter) Swap(i, j int) {
-	a.dst[i], a.dst[j] = a.dst[j], a.dst[i]
-	a.w[i], a.w[j] = a.w[j], a.w[i]
+// deriveIn sets the in-adjacency from the out-CSR: the transpose on a
+// directed graph, and the out-CSR itself on an undirected one, where
+// every arc has its twin. Build, ApplyMutations and ReadBinary all end
+// here, so an in-list is never stored or built any other way.
+func (g *Graph) deriveIn() {
+	n, off, dst, w := g.n, g.outOff, g.outDst, g.outW
+	if !g.directed {
+		g.inOff, g.inSrc, g.inW = off, dst, w
+		return
+	}
+	inOff := make([]int64, n+1)
+	for _, v := range dst {
+		inOff[v+1]++
+	}
+	for i := 0; i < n; i++ {
+		inOff[i+1] += inOff[i]
+	}
+	inSrc, inW := make([]Vertex, len(dst)), make([]Weight, len(dst))
+	// Scattering in ascending source order leaves every in-list sorted
+	// by source.
+	cursor := make([]int64, n)
+	copy(cursor, inOff[:n])
+	for u := 0; u < n; u++ {
+		for p := off[u]; p < off[u+1]; p++ {
+			v := dst[p]
+			q := cursor[v]
+			cursor[v]++
+			inSrc[q], inW[q] = Vertex(u), w[p]
+		}
+	}
+	g.inOff, g.inSrc, g.inW = inOff, inSrc, inW
 }
 
 // FromEdges is a convenience constructor building a graph directly from

@@ -25,11 +25,13 @@ type Edge struct {
 	W        Weight
 }
 
-// Graph is an immutable weighted graph in CSR form. For directed graphs
-// both the out-adjacency (used by push-style relaxation) and the
-// in-adjacency (used by pull-style optimizations) are stored. For
-// undirected graphs every edge appears in both endpoints' out-lists and
-// the in-adjacency aliases the out-adjacency.
+// Graph is an immutable weighted graph in CSR form. The out-adjacency
+// (used by push-style relaxation) is the graph of record; the
+// in-adjacency (used by pull-style optimizations) is derived from it.
+// For directed graphs it is the out-CSR's transpose. For undirected
+// graphs every edge appears in both endpoints' out-lists and the
+// in-adjacency aliases the out-adjacency. Every constructor yields a
+// graph meeting the invariants validate.go lists.
 type Graph struct {
 	n int // number of vertices
 

@@ -88,6 +88,66 @@ func TestBuilderPanicsOutOfRange(t *testing.T) {
 	b.AddEdge(0, 5, 1)
 }
 
+func TestBuilderPanicsOnInfiniteWeight(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	b := NewBuilder(2, true)
+	b.AddEdge(0, 1, Infinity)
+}
+
+// TestConstructorsMeetInvariants: every constructor yields a graph that
+// passes validate, ReadBinary's check, so no Graph needs rescanning
+// once it exists. Builder gets parallel edges and self-loops to fold;
+// the generators are covered in internal/gen through ReadBinary.
+func TestConstructorsMeetInvariants(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, directed := range []bool{false, true} {
+		n := 40
+		var edges []Edge
+		for i := 0; i < 200; i++ {
+			edges = append(edges, Edge{From: Vertex(r.Intn(n)), To: Vertex(r.Intn(n)), W: Weight(r.Intn(20))})
+		}
+		built := FromEdges(n, directed, edges)
+
+		var text, bin bytes.Buffer
+		if err := WriteText(&text, built); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := ReadText(&text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteBinary(&bin, built); err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadBinary(&bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutable, list := randMutable(r, n, directed, 2)
+		batch, _ := randBatch(r, mutable, list, 8)
+		mutated, _, err := ApplyMutations(mutable, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relabeled, _ := RelabelByDegree(built)
+		for _, tc := range []struct {
+			name string
+			g    *Graph
+		}{
+			{"Builder", built}, {"ReadText", parsed}, {"ReadBinary", read},
+			{"ApplyMutations", mutated}, {"RelabelByDegree", relabeled},
+		} {
+			if err := validate(tc.g); err != nil {
+				t.Errorf("directed=%v %s: %v", directed, tc.name, err)
+			}
+		}
+	}
+}
+
 func TestDegreeAccessors(t *testing.T) {
 	g := diamond(true)
 	cases := []struct{ v, out, in int }{

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -15,15 +16,29 @@ import (
 //
 //   - Text: one edge per line, "u v w", '#'-prefixed comments, and an
 //     optional header line "n <vertices> <directed|undirected>".
-//   - Binary: magic "WSPG", version, flags, then the CSR arrays in
-//     little-endian order. Loading a binary graph is O(m) with no
-//     re-sorting, which is what makes the cmd/graphgen → cmd/sssp
-//     pipeline fast.
+//   - Binary (WSPG version 2): the header wspgHeader, then the out-CSR
+//     (n+1 int64 offsets, m uint32 targets, m uint32 weights), all
+//     little-endian: 36 + 8(n+1) + 8m bytes.
+//
+// A file stores one adjacency: ReadBinary derives a directed graph's
+// in-adjacency by one transpose, and an undirected graph's out-CSR is
+// its in-CSR. Version 1, which also stored a directed graph's in-CSR,
+// is rejected. A load is O(m) with no re-sorting, plus the twin check
+// on undirected graphs, which is what makes the cmd/graphgen →
+// cmd/sssp pipeline fast.
 
 const (
 	binaryMagic   = "WSPG"
-	binaryVersion = uint32(1)
+	binaryVersion = 2
 )
+
+// wspgHeader is the 36-byte head of a WSPG stream.
+type wspgHeader struct {
+	Magic   [4]byte
+	Version uint64
+	Flags   uint64 // bit 0: directed; no other bit is defined
+	N, M    uint64 // vertices; arcs, two per undirected edge
+}
 
 // WriteText writes the graph as a weighted edge list with a header.
 // Undirected edges are written once (u < v).
@@ -138,30 +153,15 @@ func ReadText(r io.Reader) (*Graph, error) {
 	return FromEdges(n, directed, edges), nil
 }
 
-// WriteBinary dumps the CSR arrays in the WSPG binary format.
+// WriteBinary dumps the out-CSR in the WSPG binary format.
 func WriteBinary(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	flags := uint32(0)
+	h := wspgHeader{Version: binaryVersion, N: uint64(g.n), M: uint64(len(g.outDst))}
+	copy(h.Magic[:], binaryMagic)
 	if g.directed {
-		flags = 1
+		h.Flags = 1
 	}
-	header := []uint64{
-		uint64(binaryVersion), uint64(flags),
-		uint64(g.n), uint64(len(g.outDst)),
-	}
-	for _, h := range header {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	sections := []any{g.outOff, g.outDst, g.outW}
-	if g.directed {
-		sections = append(sections, g.inOff, g.inSrc, g.inW)
-	}
-	for _, sec := range sections {
+	for _, sec := range []any{&h, g.outOff, g.outDst, g.outW} {
 		if err := binary.Write(bw, binary.LittleEndian, sec); err != nil {
 			return err
 		}
@@ -169,45 +169,71 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary loads a WSPG binary graph.
+// ReadBinary loads a WSPG graph. It is the one place untrusted bytes
+// become a Graph. Each array grows only as its bytes arrive, so a
+// header cannot demand memory the stream does not hold, and a stream
+// that ends early fails with an error wrapping io.ErrUnexpectedEOF.
+// The graph is returned only if it meets every invariant the solvers
+// assume (validate.go lists them): strictly ascending out-lists of
+// in-range endpoints without self-loops, weights below Infinity, and a
+// twin (v,u,w) for every arc (u,v,w) of an undirected graph. ReadBinary
+// reads no byte past the graph.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	var h wspgHeader
+	if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
+		return nil, truncated("header", err)
+	}
+	switch {
+	case string(h.Magic[:]) != binaryMagic:
+		return nil, fmt.Errorf("graph: bad magic %q", h.Magic[:])
+	case h.Version != binaryVersion:
+		return nil, fmt.Errorf("graph: unsupported WSPG version %d (this build reads version %d)", h.Version, binaryVersion)
+	case h.Flags&^1 != 0:
+		return nil, fmt.Errorf("graph: unknown WSPG flag bits %#x", h.Flags&^1)
+	case h.N == 0 || h.N > 1<<31:
+		return nil, fmt.Errorf("graph: vertex count %d out of range [1, 2^31]", h.N)
+	}
+	g := &Graph{n: int(h.N), directed: h.Flags&1 != 0}
+	var err error
+	if g.outOff, err = readArray[int64](r, h.N+1); err != nil {
+		return nil, truncated("offsets", err)
+	}
+	if g.outDst, err = readArray[Vertex](r, h.M); err != nil {
+		return nil, truncated("targets", err)
+	}
+	if g.outW, err = readArray[Weight](r, h.M); err != nil {
+		return nil, truncated("weights", err)
+	}
+	if err := validate(g); err != nil {
 		return nil, err
 	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	var version, flags, n, m uint64
-	for _, p := range []*uint64{&version, &flags, &n, &m} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
-	}
-	if uint32(version) != binaryVersion {
-		return nil, fmt.Errorf("graph: unsupported version %d", version)
-	}
-	g := &Graph{n: int(n), directed: flags&1 != 0}
-	g.outOff = make([]int64, n+1)
-	g.outDst = make([]Vertex, m)
-	g.outW = make([]Weight, m)
-	for _, target := range []any{g.outOff, g.outDst, g.outW} {
-		if err := binary.Read(br, binary.LittleEndian, target); err != nil {
-			return nil, err
-		}
-	}
-	if g.directed {
-		g.inOff = make([]int64, n+1)
-		g.inSrc = make([]Vertex, m)
-		g.inW = make([]Weight, m)
-		for _, target := range []any{g.inOff, g.inSrc, g.inW} {
-			if err := binary.Read(br, binary.LittleEndian, target); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		g.inOff, g.inSrc, g.inW = g.outOff, g.outDst, g.outW
-	}
+	g.deriveIn()
 	return g, nil
+}
+
+// firstRead is how many values readArray reads before an array grows.
+const firstRead = 1 << 13
+
+// readArray reads count little-endian values in reads that double up to
+// count, so an array's size tracks the bytes that have arrived.
+func readArray[T int64 | uint32](r io.Reader, count uint64) ([]T, error) {
+	var out []T
+	for uint64(len(out)) < count {
+		k := int(min(count-uint64(len(out)), max(uint64(len(out)), firstRead)))
+		out = slices.Grow(out, k)
+		if err := binary.Read(r, binary.LittleEndian, out[len(out):len(out)+k]); err != nil {
+			return nil, err
+		}
+		out = out[:len(out)+k]
+	}
+	return out, nil
+}
+
+// truncated names the part of a WSPG stream that a read error cut
+// short; a stream ending there wraps io.ErrUnexpectedEOF.
+func truncated(part string, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("graph: WSPG %s: %w", part, err)
 }

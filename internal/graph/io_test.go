@@ -112,11 +112,16 @@ func TestReadTextMaxFiniteWeight(t *testing.T) {
 	}
 }
 
+// TestBinaryRoundTripDirected: a dump is its header and the out-CSR
+// alone, and ReadBinary derives the in-lists Builder built.
 func TestBinaryRoundTripDirected(t *testing.T) {
 	g := diamond(true)
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
+	}
+	if want := 36 + 8*(g.NumVertices()+1) + 8*int(g.NumEdges()); buf.Len() != want {
+		t.Fatalf("dump is %d bytes, want %d", buf.Len(), want)
 	}
 	g2, err := ReadBinary(&buf)
 	if err != nil {
@@ -130,6 +135,9 @@ func TestBinaryRoundTripUndirected(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
+	}
+	if want := 36 + 8*(g.NumVertices()+1) + 8*int(g.NumEdges()); buf.Len() != want {
+		t.Fatalf("dump is %d bytes, want %d", buf.Len(), want)
 	}
 	g2, err := ReadBinary(&buf)
 	if err != nil {

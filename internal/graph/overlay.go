@@ -11,9 +11,10 @@ import (
 // cache, checkpoint validation) keys on its content fingerprint and
 // reads its CSR arrays without synchronization. Mutation therefore
 // produces a NEW Graph: ApplyMutations merges a sorted batch of edge
-// operations into the base CSR in one pass per direction, yielding a
-// graph that is bit-identical to rebuilding from scratch with Builder —
-// same array layout, same WeightFingerprint. That canonical-form
+// operations into the base out-CSR in one pass and derives the
+// in-adjacency as Builder does, yielding a graph that is bit-identical
+// to rebuilding from scratch with Builder — same arrays in both
+// directions, same WeightFingerprint. That canonical-form
 // guarantee is what makes incremental serving sound: applying a batch
 // and then its inverse restores the original fingerprint exactly, and
 // a cache keyed on fingerprints can never confuse pre- and
@@ -234,39 +235,8 @@ func ApplyMutations(g *Graph, muts []Mutation) (*Graph, *Delta, error) {
 		ng.outOff[u+1] = cursor
 	}
 
-	if g.directed {
-		ng.inOff, ng.inSrc, ng.inW = transposeCSR(n, ng.outOff, ng.outDst, ng.outW)
-	} else {
-		ng.inOff, ng.inSrc, ng.inW = ng.outOff, ng.outDst, ng.outW
-	}
+	ng.deriveIn()
 	return ng, d, nil
-}
-
-// transposeCSR builds the in-adjacency from an out-CSR. Scattering in
-// ascending source order leaves every per-vertex in-list sorted by
-// source, matching Builder's transpose exactly.
-func transposeCSR(n int, outOff []int64, outDst []Vertex, outW []Weight) ([]int64, []Vertex, []Weight) {
-	inOff := make([]int64, n+1)
-	for _, v := range outDst {
-		inOff[v+1]++
-	}
-	for i := 0; i < n; i++ {
-		inOff[i+1] += inOff[i]
-	}
-	inSrc := make([]Vertex, len(outDst))
-	inW := make([]Weight, len(outDst))
-	cursor := make([]int64, n)
-	copy(cursor, inOff[:n])
-	for u := 0; u < n; u++ {
-		for p := outOff[u]; p < outOff[u+1]; p++ {
-			v := outDst[p]
-			q := cursor[v]
-			cursor[v]++
-			inSrc[q] = Vertex(u)
-			inW[q] = outW[p]
-		}
-	}
-	return inOff, inSrc, inW
 }
 
 // RepairSeed turns exact distances from source on the OLD graph into a

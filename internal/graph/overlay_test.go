@@ -90,8 +90,9 @@ func randBatch(r *rand.Rand, g *Graph, edges []Edge, size int) ([]Mutation, []Ed
 }
 
 // TestApplyMutationsCanonical: the merged rebuild must be bit-identical
-// to Builder's from-scratch construction — same fingerprint, valid CSR —
-// across random graphs, batches, and both directedness modes.
+// to Builder's from-scratch construction — same fingerprint, valid CSR,
+// the same out- and in-list at every vertex — across random graphs,
+// batches, and both directedness modes.
 func TestApplyMutationsCanonical(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		r := rand.New(rand.NewSource(7))
@@ -105,7 +106,7 @@ func TestApplyMutationsCanonical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("directed=%v trial=%d round=%d: %v", directed, trial, round, err)
 				}
-				if err := Validate(ng); err != nil {
+				if err := validate(ng); err != nil {
 					t.Fatalf("mutated graph invalid: %v", err)
 				}
 				want := FromEdges(n, directed, edges)
@@ -113,6 +114,7 @@ func TestApplyMutationsCanonical(t *testing.T) {
 					t.Fatalf("directed=%v trial=%d round=%d: merged rebuild fingerprint %x != builder %x",
 						directed, trial, round, ng.WeightFingerprint(), want.WeightFingerprint())
 				}
+				assertGraphsEqual(t, ng, want)
 				if ng.NumEdges() != want.NumEdges() {
 					t.Fatalf("edge count %d != %d", ng.NumEdges(), want.NumEdges())
 				}

@@ -2,81 +2,72 @@ package graph
 
 import "fmt"
 
-// Validate checks the structural invariants of a deserialized graph —
-// the CSR analogue of ReadText's line-numbered edge validation. ReadText
-// can reject bad input edge by edge as it parses; a binary CSR dump
-// (ReadBinary, or a bundle's graph section) is trusted memory layout the
-// moment it loads, so anything feeding solver workers from an untrusted
-// file must call Validate first or risk an out-of-bounds neighbor index
-// panicking a worker mid-solve.
+// validate checks that g's out-CSR meets every invariant the solvers
+// assume. ReadBinary runs it on every graph it decodes, before deriving
+// the in-adjacency; the other constructors meet the invariants by
+// construction (Builder, and through it ReadText, RelabelByDegree and
+// the generators, and ApplyMutations). So every Graph satisfies:
 //
-// Checked invariants, with the offending vertex/edge index in every
-// error:
-//
-//   - offset arrays have length n+1, start at 0, end at m, and are
-//     monotone non-decreasing;
-//   - every destination (and source, on the in-CSR of a directed graph)
-//     is a valid vertex id;
+//   - the offsets start at 0, end at m and never decrease;
+//   - each out-list ascends strictly (FindEdge binary-searches it and
+//     ApplyMutations merges it) and holds only in-range endpoints other
+//     than its own vertex;
 //   - every weight is below Infinity, the "unreached" sentinel of all
 //     distance arrays (a real edge must stay distinguishable from no
-//     path, and SatAdd must not be able to overflow a single hop).
-func Validate(g *Graph) error {
-	if g == nil {
-		return fmt.Errorf("graph: nil graph")
-	}
-	if g.n < 0 {
-		return fmt.Errorf("graph: negative vertex count %d", g.n)
-	}
-	m := int64(len(g.outDst))
-	if int64(len(g.outW)) != m {
-		return fmt.Errorf("graph: %d out-weights for %d out-edges", len(g.outW), m)
-	}
-	if err := validateCSR("out", g.n, m, g.outOff, g.outDst, g.outW); err != nil {
-		return err
-	}
-	if g.directed {
-		if int64(len(g.inSrc)) != m || int64(len(g.inW)) != m {
-			return fmt.Errorf("graph: in-CSR has %d edges and %d weights, out-CSR has %d",
-				len(g.inSrc), len(g.inW), m)
-		}
-		if err := validateCSR("in", g.n, m, g.inOff, g.inSrc, g.inW); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateCSR checks one direction's offset/endpoint/weight triple.
-func validateCSR(dir string, n int, m int64, off []int64, dst []Vertex, w []Weight) error {
-	if len(off) != n+1 {
-		return fmt.Errorf("graph: %s-offset array has %d entries for %d vertices (want %d)",
-			dir, len(off), n, n+1)
-	}
-	if n == 0 {
-		return nil
-	}
-	if off[0] != 0 {
-		return fmt.Errorf("graph: %s-offsets start at %d, want 0", dir, off[0])
-	}
-	if off[n] != m {
-		return fmt.Errorf("graph: %s-offsets end at %d for %d edges", dir, off[n], m)
+//     path, and SatAdd must not be able to overflow a single hop);
+//   - on an undirected graph every arc (u,v,w) has a twin (v,u,w), so
+//     the out-CSR can serve as the in-CSR.
+//
+// A graph meeting them is exactly one Builder can build. The vertex
+// count (1 to 2^31) is checked by ReadBinary before any array is read.
+func validate(g *Graph) error {
+	n, off, dst, w := g.n, g.outOff, g.outDst, g.outW
+	m := int64(len(dst))
+	if off[0] != 0 || off[n] != m {
+		return fmt.Errorf("graph: offsets run from %d to %d for %d arcs", off[0], off[n], m)
 	}
 	for u := 0; u < n; u++ {
-		if off[u+1] < off[u] {
-			return fmt.Errorf("graph: vertex %d: %s-offsets decrease (%d after %d)",
-				u, dir, off[u+1], off[u])
+		lo, hi := off[u], off[u+1]
+		if hi < lo || hi > m {
+			return fmt.Errorf("graph: vertex %d: offsets %d, %d out of order for %d arcs", u, lo, hi, m)
+		}
+		for p := lo; p < hi; p++ {
+			v := dst[p]
+			switch {
+			case int(v) >= n:
+				return fmt.Errorf("graph: arc %d (%d,%d): endpoint out of range for %d vertices", p, u, v, n)
+			case v == Vertex(u):
+				return fmt.Errorf("graph: arc %d (%d,%d): self-loop", p, u, v)
+			case p > lo && v <= dst[p-1]:
+				return fmt.Errorf("graph: arc %d (%d,%d): out-list of %d does not ascend strictly (%d after %d)",
+					p, u, v, u, v, dst[p-1])
+			case w[p] >= Infinity:
+				return fmt.Errorf("graph: arc %d (%d,%d): weight %d is not below Infinity (%d)",
+					p, u, v, w[p], uint32(Infinity))
+			}
 		}
 	}
-	for i, v := range dst {
-		if int(v) >= n {
-			return fmt.Errorf("graph: %s-edge %d: endpoint %d out of range for %d vertices",
-				dir, i, v, n)
-		}
+	if g.directed {
+		return nil
 	}
-	for i, wt := range w {
-		if uint32(wt) >= Infinity {
-			return fmt.Errorf("graph: %s-edge %d: weight %d is not below Infinity (%d)",
-				dir, i, wt, uint32(Infinity))
+	// Scanning sources in ascending order meets the arcs into each
+	// vertex in ascending source order, the order of its own out-list
+	// when every arc has its twin, so one cursor per vertex matches
+	// every twin in one pass.
+	next := make([]int64, n)
+	copy(next, off[:n])
+	for u := 0; u < n; u++ {
+		for p := off[u]; p < off[u+1]; p++ {
+			v, q := dst[p], next[dst[p]]
+			if q < off[v+1] && dst[q] == Vertex(u) && w[q] == w[p] {
+				next[v]++
+				continue
+			}
+			if q < off[v+1] && dst[q] < Vertex(u) {
+				// Every source below u is scanned: none had an arc to v.
+				return fmt.Errorf("graph: undirected arc (%d,%d,%d) has no twin", v, dst[q], w[q])
+			}
+			return fmt.Errorf("graph: undirected arc (%d,%d,%d) has no twin", u, v, w[p])
 		}
 	}
 	return nil

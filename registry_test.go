@@ -3,12 +3,15 @@ package wasp
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -323,6 +326,72 @@ func TestRegistryRejectCorruptFile(t *testing.T) {
 	}
 	if res.Dist[7] != 63 {
 		t.Fatalf("dist[7] = %d, want 63 (v2)", res.Dist[7])
+	}
+}
+
+// TestRegistryRejectAsymmetricGraph: an "undirected" WSPG graph with an
+// arc that has no twin — arcs 0→1:5, 1→0:5, 1→2:1, 2→0:1, 2→1:1,
+// which Wasp would answer [0 2 1] from 0 where Dijkstra reads [0 5 6]
+// — is refused by ReadBinaryGraph, by ReadBundle and by the registry's
+// file load path, and never serves.
+func TestRegistryRejectAsymmetricGraph(t *testing.T) {
+	var honest bytes.Buffer
+	if err := WriteBinaryGraph(&honest, chain(2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	var wspg bytes.Buffer
+	wspg.WriteString("WSPG")
+	for _, field := range []any{
+		binary.LittleEndian.Uint64(honest.Bytes()[4:12]), uint64(0), uint64(3), uint64(5), // version, undirected, n, m
+		[]int64{0, 1, 3, 5}, []uint32{1, 0, 2, 0, 1}, []uint32{5, 5, 1, 1, 1},
+	} {
+		if err := binary.Write(&wspg, binary.LittleEndian, field); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fp := uint64(1) // any nonzero value: the graph section must fail first
+	if g, err := ReadBinaryGraph(bytes.NewReader(wspg.Bytes())); err == nil {
+		t.Errorf("ReadBinaryGraph accepted %v", g)
+		fp = g.WeightFingerprint() // judge the bundle paths on the graph alone
+	} else if !strings.Contains(err.Error(), "no twin") {
+		t.Errorf("ReadBinaryGraph: %v, want the missing twin named", err)
+	}
+
+	// A bundle framed by hand: header, then manifest and graph sections
+	// of kind | flags | length | payload | CRC-32.
+	var data bytes.Buffer
+	data.WriteString("WSPB")
+	binary.Write(&data, binary.LittleEndian, []uint32{1, 2}) // format version, sections
+	manifest := fmt.Sprintf(`{"name":"asym","version":1,"vertices":3,"edges":5,"directed":false,"weight_fp":%d}`, fp)
+	for i, payload := range [][]byte{[]byte(manifest), wspg.Bytes()} {
+		var frame [16]byte
+		binary.LittleEndian.PutUint32(frame[0:], uint32(i+1)) // kinds 1 manifest, 2 graph
+		binary.LittleEndian.PutUint64(frame[8:], uint64(len(payload)))
+		crc := crc32.NewIEEE()
+		crc.Write(frame[:])
+		crc.Write(payload)
+		data.Write(frame[:])
+		data.Write(payload)
+		binary.Write(&data, binary.LittleEndian, crc.Sum32())
+	}
+	if _, err := ReadBundle(bytes.NewReader(data.Bytes())); err == nil || !strings.Contains(err.Error(), "no twin") {
+		t.Errorf("ReadBundle: %v, want the missing twin named", err)
+	}
+
+	r := testRegistry(t)
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "asym.wspb")
+	if err := os.WriteFile(path, data.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.LoadFile(ctx, path); err == nil || !strings.Contains(err.Error(), "no twin") {
+		t.Errorf("LoadFile: %v, want the missing twin named", err)
+	}
+	if res, err := r.Run(ctx, "asym", 0); err == nil {
+		t.Fatalf("the asymmetric graph serves: %v", res.Dist)
+	}
+	if stats := r.ReloadStats(); stats.Rejected != 1 || stats.Loaded != 0 {
+		t.Fatalf("ReloadStats = %+v, want one rejection", stats)
 	}
 }
 

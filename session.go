@@ -85,7 +85,7 @@ func NewSession(g *Graph, opt Options) (*Session, error) {
 		var set *metrics.Set
 		s.tl, set = s.obs.attach(opt.Workers)
 		s.m = set
-	} else if opt.CollectMetrics || opt.QueueTiming {
+	} else if opt.CollectMetrics {
 		s.m = metrics.NewSet(opt.Workers)
 	}
 	if opt.Algorithm == AlgoWasp {

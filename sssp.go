@@ -207,9 +207,6 @@ type Options struct {
 
 	// CollectMetrics attaches per-worker counters to the Result.
 	CollectMetrics bool
-	// QueueTiming records time spent in shared-queue operations
-	// (AlgoMultiQueue; the paper's Figure 2 breakdown).
-	QueueTiming bool
 	// Verify re-checks the output against the SSSP certificate before
 	// returning (O(V+E); intended for tests and examples).
 	Verify bool
@@ -418,7 +415,7 @@ func solveOnce(g *Graph, source Vertex, opt Options, m *metrics.Set, tok *parall
 	case AlgoMultiQueue:
 		r := mqsssp.Run(g, source, mqsssp.Options{
 			Workers: opt.Workers, Stickiness: opt.Stickiness,
-			Timing: opt.QueueTiming, Metrics: m, Cancel: tok,
+			Metrics: m, Cancel: tok,
 		})
 		dist = r.Dist
 	case AlgoGalois:
