@@ -85,27 +85,56 @@ func TestGoldenWorkloadsAndDistances(t *testing.T) {
 	}
 }
 
-// TestGoldenPinnedValues pins a handful of absolute checksums across
-// process boundaries (the in-process test above cannot catch
-// platform- or compiler-dependent drift in the generators).
+// TestGoldenPinnedValues pins the absolute checksum of every workload
+// across process boundaries: the in-process test above cannot catch
+// platform- or compiler-dependent drift in the generators, nor a change
+// in how graph.Builder lays out the CSR. Workloads sharing a generator
+// share a pin.
 func TestGoldenPinnedValues(t *testing.T) {
 	// Pinned on linux/amd64, Go 1.24. The generators use only integer
-	// arithmetic and the portable rng package for structure, so these
-	// must hold on every platform. (The weight streams of WeightNormal
-	// use float math; the pinned workloads below use WeightUniform.)
+	// arithmetic and the portable rng package for structure, apart from
+	// the power-law models' float degree table, so these must hold on
+	// every platform. (The weight streams of WeightNormal use float
+	// math; every workload here uses the default WeightUniform.)
 	pins := map[string]uint64{
-		"urand":    0x669a1f802a5793e5,
-		"kron":     0x0eb8096492606fc1,
-		"road-usa": 0xa8c8df897ac465b0,
-		"mawi":     0xd2145260f687fea8,
+		"friendster":     0x61c9b0f139b2979f,
+		"kmer":           0x5a73e677ac29c1cd,
+		"kron":           0x0eb8096492606fc1,
+		"mawi":           0xd2145260f687fea8,
+		"moliere":        0xd8e1d1daf8c7007d,
+		"orkut":          0x99e1d75623f8843c,
+		"road-eu":        0xa8c8df897ac465b0,
+		"road-usa":       0xa8c8df897ac465b0,
+		"sk2005":         0x38138dfb811a77a4,
+		"twitter":        0xde3e4a7cb20b9ce7,
+		"uk2007":         0x0eb8096492606fc1,
+		"ukunion":        0x38138dfb811a77a4,
+		"urand":          0x669a1f802a5793e5,
+		"circuit":        0x99cf2194ec8dc877,
+		"delaunay":       0xb6f9cfee9a81bb15,
+		"hypercube":      0xd4c05de17a31171c,
+		"kkt":            0xb6f9cfee9a81bb15,
+		"nlpkkt":         0xe12122ecce129687,
+		"random-regular": 0x8f45567db24c4441,
+		"spielman":       0xa8c8df897ac465b0,
+		"stokes":         0x99cf2194ec8dc877,
+		"webbase":        0x38138dfb811a77a4,
 	}
-	for name, want := range pins {
+	if len(pins) != len(wasp.Workloads(true)) {
+		t.Errorf("%d pins for %d workloads", len(pins), len(wasp.Workloads(true)))
+	}
+	for _, name := range wasp.Workloads(true) {
+		want, ok := pins[name]
+		if !ok {
+			t.Errorf("%s: no pinned checksum", name)
+			continue
+		}
 		g, err := wasp.GenerateWorkload(name, wasp.WorkloadConfig{N: goldenN, Seed: 99})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := graphChecksum(g); got != want {
-			t.Errorf("%s: checksum %#016x, pinned %#016x — generator stream changed",
+			t.Errorf("%s: checksum %#016x, pinned %#016x — generator stream or CSR layout changed",
 				name, got, want)
 		}
 	}

@@ -49,6 +49,13 @@ func rmatEdges(n, m int, seed uint64) []graph.Edge {
 }
 
 func kron(cfg Config, directed bool) *graph.Graph {
+	n, edges := kronEdges(cfg, directed)
+	return graph.FromEdges(n, directed, edges)
+}
+
+// kronEdges returns kron's vertex count and weighted edge stream, the
+// list it hands to the builder, parallel edges included.
+func kronEdges(cfg Config, directed bool) (int, []graph.Edge) {
 	cfg = normalize(cfg, 1<<15, 16)
 	levels := 0
 	for 1<<(levels+1) <= cfg.N {
@@ -64,7 +71,7 @@ func kron(cfg Config, directed bool) *graph.Graph {
 	for i := range edges {
 		edges[i].W = w.next()
 	}
-	return graph.FromEdges(n, directed, edges)
+	return n, edges
 }
 
 // kronUndirected models Kron and uk-2007 class graphs.

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates edges and produces an immutable CSR Graph.
@@ -66,65 +66,90 @@ func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
 
 // Build finalizes the graph. Parallel edges are deduplicated keeping the
 // minimum weight, which is the only weight that can matter for SSSP.
+// Build does not modify the added edges.
+//
+// It makes the CSR the way GAP does, in O(n + m + Σ d_u log d_u) time:
+// count each source's arcs into the offsets, scatter every arc (both
+// directions of an undirected edge) into its source's segment, then sort
+// each segment by (target, weight) and keep the first arc of each run of
+// equal targets. The result is the same as sorting the whole arc list by
+// (source, target, weight) and keeping the first arc of each
+// (source, target) run.
 func (b *Builder) Build() *Graph {
-	edges := b.edges
-	if !b.directed {
-		sym := make([]Edge, 0, 2*len(edges))
-		for _, e := range edges {
-			sym = append(sym, e, Edge{From: e.To, To: e.From, W: e.W})
+	n := b.n
+	off := make([]int64, n+1)
+	for _, e := range b.edges {
+		off[e.From+1]++
+		if !b.directed {
+			off[e.To+1]++
 		}
-		edges = sym
 	}
-	edges = dedupe(edges)
+	maxSeg := int64(0)
+	for u := 0; u < n; u++ {
+		maxSeg = max(maxSeg, off[u+1])
+		off[u+1] += off[u]
+	}
+	m := off[n]
+	dst, w := make([]Vertex, m), make([]Weight, m)
+	// off[u] serves as u's write cursor, so afterwards it holds the end
+	// of u's segment; shifting the offsets up by one restores the starts.
+	put := func(u, v Vertex, wt Weight) {
+		p := off[u]
+		off[u]++
+		dst[p], w[p] = v, wt
+	}
+	for _, e := range b.edges {
+		put(e.From, e.To, e.W)
+		if !b.directed {
+			put(e.To, e.From, e.W)
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
 
-	g := &Graph{n: b.n, directed: b.directed}
-	g.outOff, g.outDst, g.outW = toCSR(b.n, edges)
+	keys := make([]uint64, 0, maxSeg) // sortArcs' scratch, sized once for the longest segment
+	k, lo := int64(0), int64(0)
+	for u := 0; u < n; u++ {
+		hi := off[u+1]
+		sortArcs(dst[lo:hi], w[lo:hi], keys)
+		off[u] = k
+		for p := lo; p < hi; p++ {
+			if k > off[u] && dst[k-1] == dst[p] {
+				continue // sorted by weight: the kept arc is minimal
+			}
+			dst[k], w[k] = dst[p], w[p]
+			k++
+		}
+		lo = hi
+	}
+	off[n] = k
+	dst, w = dst[:k], w[:k]
+	if k < m {
+		// Parallel arcs folded. Copy the kept arcs into arrays of exact
+		// size, or the graph would hold the folded slots for its lifetime.
+		exactDst, exactW := make([]Vertex, k), make([]Weight, k)
+		copy(exactDst, dst)
+		copy(exactW, w)
+		dst, w = exactDst, exactW
+	}
+
+	g := &Graph{n: n, directed: b.directed, outOff: off, outDst: dst, outW: w}
 	g.deriveIn()
 	return g
 }
 
-// dedupe sorts edges by (From, To) and keeps the minimum weight among
-// parallel edges.
-func dedupe(edges []Edge) []Edge {
-	if len(edges) == 0 {
-		return edges
+// sortArcs sorts one segment's arcs by (target, weight): it packs them
+// into keys, as uint64(target)<<32 | weight, sorts those with
+// slices.Sort and unpacks them.
+func sortArcs(dst []Vertex, w []Weight, keys []uint64) {
+	keys = keys[:0]
+	for i, v := range dst {
+		keys = append(keys, uint64(v)<<32|uint64(w[i]))
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		if edges[i].To != edges[j].To {
-			return edges[i].To < edges[j].To
-		}
-		return edges[i].W < edges[j].W
-	})
-	out := edges[:1]
-	for _, e := range edges[1:] {
-		last := &out[len(out)-1]
-		if e.From == last.From && e.To == last.To {
-			continue // sorted by weight: the kept one is minimal
-		}
-		out = append(out, e)
+	slices.Sort(keys)
+	for i, key := range keys {
+		dst[i], w[i] = Vertex(key>>32), Weight(key)
 	}
-	return out
-}
-
-// toCSR converts a deduplicated edge list, sorted by (From, To), into
-// offset/target/weight arrays whose per-vertex lists ascend.
-func toCSR(n int, edges []Edge) ([]int64, []Vertex, []Weight) {
-	off := make([]int64, n+1)
-	for _, e := range edges {
-		off[e.From+1]++
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	dst := make([]Vertex, len(edges))
-	w := make([]Weight, len(edges))
-	for i, e := range edges {
-		dst[i], w[i] = e.To, e.W
-	}
-	return off, dst, w
 }
 
 // deriveIn sets the in-adjacency from the out-CSR: the transpose on a
@@ -164,6 +189,7 @@ func (g *Graph) deriveIn() {
 // an edge list.
 func FromEdges(n int, directed bool, edges []Edge) *Graph {
 	b := NewBuilder(n, directed)
+	b.Grow(len(edges))
 	b.AddEdges(edges)
 	return b.Build()
 }

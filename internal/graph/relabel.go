@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // RelabelByDegree returns a copy of g whose vertex ids are assigned in
 // order of decreasing out-degree, plus the mapping oldToNew. High-degree
 // vertices end up with small, cache-adjacent ids — the vertex-reordering
@@ -15,16 +13,23 @@ import "sort"
 // on g from src and reading dist[v].
 func RelabelByDegree(g *Graph) (*Graph, []Vertex) {
 	n := g.NumVertices()
-	order := make([]Vertex, n)
-	for i := range order {
-		order[i] = Vertex(i)
+	// A counting sort on out-degree: start[d] becomes the first new id
+	// of degree d, after every vertex of higher degree, and scanning old
+	// ids in ascending order breaks ties by old id.
+	_, maxDeg := g.MaxOutDegree()
+	start := make([]Vertex, maxDeg+1)
+	for u := 0; u < n; u++ {
+		start[g.OutDegree(Vertex(u))]++
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return g.OutDegree(order[a]) > g.OutDegree(order[b])
-	})
+	next := Vertex(0)
+	for d := maxDeg; d >= 0; d-- {
+		next, start[d] = next+start[d], next
+	}
 	oldToNew := make([]Vertex, n)
-	for newID, oldID := range order {
-		oldToNew[oldID] = Vertex(newID)
+	for u := range oldToNew {
+		d := g.OutDegree(Vertex(u))
+		oldToNew[u] = start[d]
+		start[d]++
 	}
 
 	b := NewBuilder(n, g.Directed())
