@@ -214,9 +214,7 @@ func TestRunManyResultsIndependent(t *testing.T) {
 
 func TestRunManyCollectsMetrics(t *testing.T) {
 	g, _ := wasp.GenerateWorkload("urand", wasp.WorkloadConfig{N: 800, Seed: 9})
-	batch, err := wasp.RunMany(g, []wasp.Vertex{0, 1}, wasp.Options{
-		Algorithm: wasp.AlgoWasp, Workers: 2, CollectMetrics: true,
-	})
+	batch, err := wasp.RunMany(g, []wasp.Vertex{0, 1}, wasp.Options{Algorithm: wasp.AlgoWasp, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,9 +118,12 @@ func TestCacheHitExact(t *testing.T) {
 	}
 
 	// On a hit this process did no solver work: all of Elapsed is
-	// inherited.
+	// inherited, and there are no work counters.
 	if second.PriorElapsed != second.Elapsed {
 		t.Fatalf("hit PriorElapsed %v != Elapsed %v", second.PriorElapsed, second.Elapsed)
+	}
+	if first.Metrics == nil || second.Metrics != nil {
+		t.Fatalf("Metrics: miss %v, hit %v; want counters on the miss only", first.Metrics, second.Metrics)
 	}
 
 	// Hits share the entry's read-only array: no copy per hit.

@@ -53,7 +53,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "per-solve latency budget (whole-batch with -sources); an expired budget prints the partial result with a 'partial' marker and exits 0")
 		sources  = flag.Int("sources", 1, "batch mode: solve from this many distinct sources instead of repeating one")
 		doVerify = flag.Bool("verify", false, "verify outputs against the SSSP certificate")
-		metrics  = flag.Bool("metrics", false, "print work counters")
+		metrics  = flag.Bool("metrics", false, "with -trace, also time steal rounds and idle waits in the scheduler summary")
 		pathTo   = flag.Int("path", -1, "also print the shortest path to this vertex")
 		steal    = flag.String("steal", "wasp", "wasp steal policy: wasp, random or two-choice")
 		tracing  = flag.String("trace", "", "write the final trial's scheduler trace to this file (Chrome trace JSON, open in chrome://tracing or ui.perfetto.dev) and print a scheduler summary")
@@ -95,11 +95,10 @@ func main() {
 	}
 
 	opt := wasp.Options{
-		Workers:        *workers,
-		Delta:          uint32(*delta),
-		Rho:            *rho,
-		CollectMetrics: *metrics,
-		Verify:         *doVerify,
+		Workers: *workers,
+		Delta:   uint32(*delta),
+		Rho:     *rho,
+		Verify:  *doVerify,
 	}
 	switch *steal {
 	case "wasp":
@@ -240,11 +239,7 @@ func main() {
 			}
 			continue // partial row already printed; exit stays 0
 		}
-		relax := "-"
-		if last.Metrics != nil {
-			relax = fmt.Sprint(last.Metrics.Relaxations)
-		}
-		fmt.Printf("%-12s %12v %10d %14s\n", a, best, last.Progress.Reached, relax)
+		fmt.Printf("%-12s %12v %10d %14d\n", a, best, last.Progress.Reached, last.Metrics.Relaxations)
 
 		if obs != nil {
 			if err := exportTrace(obs, *tracing); err != nil {
@@ -317,16 +312,12 @@ func runBatch(ctx context.Context, g *wasp.Graph, names []string, nSources int, 
 		fmt.Printf("%s:\n%-4s %10s %12s %10s %14s\n", a, "#", "source", "time", "reached", "relaxations")
 		total := time.Duration(0)
 		for i, res := range results {
-			relax := "-"
-			if res.Metrics != nil {
-				relax = fmt.Sprint(res.Metrics.Relaxations)
-			}
 			note := ""
 			if !res.Complete {
 				note = fmt.Sprintf("  partial (%.1f%% settled)", res.Progress.Settled*100)
 			}
-			fmt.Printf("%-4d %10d %12v %10d %14s%s\n",
-				i, srcs[i], res.Elapsed, res.Progress.Reached, relax, note)
+			fmt.Printf("%-4d %10d %12v %10d %14d%s\n",
+				i, srcs[i], res.Elapsed, res.Progress.Reached, res.Metrics.Relaxations, note)
 			total += res.Elapsed
 		}
 		switch {

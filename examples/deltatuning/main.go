@@ -27,9 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 	src := wasp.SourceInLargestComponent(g, 1)
-	ref, err := wasp.Run(g, src, wasp.Options{
-		Algorithm: wasp.AlgoDijkstra, CollectMetrics: true,
-	})
+	ref, err := wasp.Run(g, src, wasp.Options{Algorithm: wasp.AlgoDijkstra})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +42,7 @@ func main() {
 		var deltaOneTime time.Duration
 		for _, delta := range sweep {
 			res, err := wasp.Run(g, src, wasp.Options{
-				Algorithm: algo, Workers: *workers, Delta: delta, CollectMetrics: true,
+				Algorithm: algo, Workers: *workers, Delta: delta,
 			})
 			if err != nil {
 				log.Fatal(err)

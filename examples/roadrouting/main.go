@@ -33,9 +33,7 @@ func main() {
 
 	src := wasp.SourceInLargestComponent(g, 7)
 
-	ref, err := wasp.Run(g, src, wasp.Options{
-		Algorithm: wasp.AlgoDijkstra, CollectMetrics: true,
-	})
+	ref, err := wasp.Run(g, src, wasp.Options{Algorithm: wasp.AlgoDijkstra})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,11 +45,10 @@ func main() {
 		wasp.AlgoDeltaStar, wasp.AlgoGalois,
 	} {
 		res, err := wasp.Run(g, src, wasp.Options{
-			Algorithm:      algo,
-			Workers:        *workers,
-			Delta:          uint32(*delta),
-			CollectMetrics: true,
-			Verify:         true,
+			Algorithm: algo,
+			Workers:   *workers,
+			Delta:     uint32(*delta),
+			Verify:    true,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -98,7 +98,6 @@ func main() {
 	for _, delta := range []uint32{1, 8, 64, 512, 4096} {
 		r, err := wasp.Run(g, hub, wasp.Options{
 			Algorithm: wasp.AlgoWasp, Workers: *workers, Delta: delta,
-			CollectMetrics: true,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -55,7 +55,6 @@ func main() {
 		c.opt.Workers = *workers
 		c.opt.Delta = 8
 		c.opt.Theta = 1 << 10 // decompose the hub aggressively at this scale
-		c.opt.CollectMetrics = true
 		c.opt.Verify = true
 		res, err := wasp.Run(g, src, c.opt)
 		if err != nil {
@@ -67,7 +66,7 @@ func main() {
 
 	// Contrast with a baseline that has no answer to the hub.
 	res, err := wasp.Run(g, src, wasp.Options{
-		Algorithm: wasp.AlgoMultiQueue, Workers: *workers, CollectMetrics: true,
+		Algorithm: wasp.AlgoMultiQueue, Workers: *workers,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -1,16 +1,12 @@
 // Package barrier provides the reusable synchronization barrier used by
-// the synchronous Δ-stepping baselines (GAP, GBBS, Δ*-/ρ-stepping). It
-// is a sense-reversing barrier over an atomic counter with a channel
-// fallback for long waits, and it records per-worker wait time: the
-// paper's Figure 1 reports exactly this barrier overhead for the GAP
-// implementation across the graph suite.
+// GAP's synchronous Δ-stepping baseline: a mutex and condition variable
+// over a phase counter, breakable so that a panicking party cannot
+// strand its siblings. The barrier keeps no clock; gapds times each
+// Wait into its workers' metrics (BarrierNS), the overhead the paper's
+// Figure 1 reports for the GAP implementation.
 package barrier
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "sync"
 
 // Barrier is a reusable barrier for a fixed number of parties.
 type Barrier struct {
@@ -20,26 +16,22 @@ type Barrier struct {
 	count   int
 	phase   uint64
 	broken  bool
-
-	waitNS []atomic.Int64 // per-party cumulative wait, nanoseconds
 }
 
 // New returns a Barrier for n parties.
 func New(n int) *Barrier {
-	b := &Barrier{parties: n, waitNS: make([]atomic.Int64, n)}
+	b := &Barrier{parties: n}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-// Wait blocks party id until all parties have called Wait, then releases
-// them all. The time spent blocked is accumulated per party. On a
-// broken barrier Wait returns immediately (see Break).
-func (b *Barrier) Wait(id int) {
-	start := time.Now()
+// Wait blocks the calling party until all parties have called Wait,
+// then releases them all. On a broken barrier Wait returns immediately
+// (see Break).
+func (b *Barrier) Wait() {
 	b.mu.Lock()
 	if b.broken {
 		b.mu.Unlock()
-		b.waitNS[id].Add(int64(time.Since(start)))
 		return
 	}
 	phase := b.phase
@@ -54,7 +46,6 @@ func (b *Barrier) Wait(id int) {
 		}
 	}
 	b.mu.Unlock()
-	b.waitNS[id].Add(int64(time.Since(start)))
 }
 
 // Break permanently breaks the barrier: every current waiter is
@@ -77,25 +68,4 @@ func (b *Barrier) Broken() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.broken
-}
-
-// WaitTime returns party id's cumulative time blocked in Wait.
-func (b *Barrier) WaitTime(id int) time.Duration {
-	return time.Duration(b.waitNS[id].Load())
-}
-
-// TotalWaitTime sums the wait time across all parties.
-func (b *Barrier) TotalWaitTime() time.Duration {
-	var total int64
-	for i := range b.waitNS {
-		total += b.waitNS[i].Load()
-	}
-	return time.Duration(total)
-}
-
-// ResetStats zeroes the accumulated wait times.
-func (b *Barrier) ResetStats() {
-	for i := range b.waitNS {
-		b.waitNS[i].Store(0)
-	}
 }

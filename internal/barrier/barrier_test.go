@@ -23,11 +23,11 @@ func TestBarrierSynchronizes(t *testing.T) {
 			if int(phase.Load()) != r {
 				fail.Store(true)
 			}
-			b.Wait(id)
+			b.Wait()
 			if id == 0 {
 				phase.Add(1)
 			}
-			b.Wait(id)
+			b.Wait()
 		}
 	})
 	if fail.Load() {
@@ -38,31 +38,12 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-func TestWaitTimeAccumulates(t *testing.T) {
-	b := New(2)
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		b.Wait(1)
-	}()
-	b.Wait(0) // blocks ~20ms
-	if b.WaitTime(0) < 10*time.Millisecond {
-		t.Fatalf("party 0 wait = %v, expected >= 10ms", b.WaitTime(0))
-	}
-	if b.TotalWaitTime() < b.WaitTime(0) {
-		t.Fatal("total < single party")
-	}
-	b.ResetStats()
-	if b.TotalWaitTime() != 0 {
-		t.Fatal("reset did not clear stats")
-	}
-}
-
 func TestSinglePartyNeverBlocks(t *testing.T) {
 	b := New(1)
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 1000; i++ {
-			b.Wait(0)
+			b.Wait()
 		}
 		close(done)
 	}()

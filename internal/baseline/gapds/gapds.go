@@ -166,7 +166,7 @@ func Run(g *graph.Graph, source graph.Vertex, opt Options) *Result {
 				}
 			}
 
-			waitTimed(bar, w, mw)
+			waitTimed(bar, mw)
 			if w == 0 {
 				steps++
 				bucket, frontier, done = gather(bins, bucket)
@@ -175,7 +175,7 @@ func Run(g *graph.Graph, source graph.Vertex, opt Options) *Result {
 					done = true // synchronized exit for all workers
 				}
 			}
-			waitTimed(bar, w, mw)
+			waitTimed(bar, mw)
 			if bar.Broken() {
 				return
 			}
@@ -188,9 +188,9 @@ func Run(g *graph.Graph, source graph.Vertex, opt Options) *Result {
 }
 
 // waitTimed records the barrier wait in the worker's metrics.
-func waitTimed(bar *barrier.Barrier, w int, mw *metrics.Worker) {
+func waitTimed(bar *barrier.Barrier, mw *metrics.Worker) {
 	start := time.Now()
-	bar.Wait(w)
+	bar.Wait()
 	mw.BarrierNS += int64(time.Since(start))
 }
 

@@ -85,9 +85,6 @@ func (c *Chunk) SetRange(v uint32, begin, end uint32, prio uint64) {
 // Next returns the next chunk in the intrusive list.
 func (c *Chunk) Next() *Chunk { return c.next }
 
-// SetNext links n after c.
-func (c *Chunk) SetNext(n *Chunk) { c.next = n }
-
 // List is an intrusive LIFO list of chunks, the representation of a
 // single thread-local bucket (paper §4.3 "Thread-local Buckets": a
 // bucket is a linked list of chunks managed as a stack).

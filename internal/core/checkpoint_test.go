@@ -103,7 +103,9 @@ func TestWarmStartExactAllPolicies(t *testing.T) {
 						warm[i] = graph.Infinity
 					}
 				}
-				res := NewSolver(g, Options{Workers: 4, Policy: policy}).SolveFrom(src, warm, nil)
+				s := NewSolver(g, Options{Workers: 4, Policy: policy})
+				s.PrepareWarm(src, warm)
+				res := s.Launch(nil)
 				if err := verify.Equal(res.Dist, ref); err != nil {
 					t.Fatalf("policy %v seed %d keep %v: %v", policy, seed, keep, err)
 				}
@@ -134,7 +136,9 @@ func TestCheckpointThenResumeRoundTrip(t *testing.T) {
 	s.Launch(tok)
 	snap := s.Checkpoint(nil)
 
-	r := NewSolver(g, Options{Workers: 4}).SolveFrom(src, snap.Dist, nil)
+	warm := NewSolver(g, Options{Workers: 4})
+	warm.PrepareWarm(src, snap.Dist)
+	r := warm.Launch(nil)
 	if err := verify.Equal(r.Dist, ref); err != nil {
 		t.Fatalf("resumed solve diverged: %v", err)
 	}

@@ -16,7 +16,6 @@
 package core
 
 import (
-	"wasp/internal/graph"
 	"wasp/internal/metrics"
 	"wasp/internal/numa"
 	"wasp/internal/parallel"
@@ -91,11 +90,6 @@ type Options struct {
 	// Metrics, when non-nil, receives per-worker counters. Must have
 	// at least Workers entries.
 	Metrics *metrics.Set
-
-	// Leaves, when non-nil, supplies a precomputed shortest-path-tree
-	// leaf bitmap, letting batch callers amortize the preprocessing
-	// across sources. Ignored when NoLeafPruning is set.
-	Leaves *graph.Bitmap
 
 	// Timing records time spent in steal rounds and in the idle loop
 	// into Metrics (the Wasp execution breakdown, the analogue of the

@@ -28,9 +28,8 @@ import (
 // and Reset reclaims whatever a cancelled run left behind.
 type Solver struct {
 	g      *graph.Graph
-	opt    Options // defaults applied; opt.Leaves holds the shared bitmap
+	opt    Options // defaults applied
 	d      *dist.Array
-	m      *metrics.Set
 	ops    atomic.Int64
 	_      [56]byte
 	idle   atomic.Int32 // workers idling at priority ∞, read at every advance (pour)
@@ -52,25 +51,21 @@ func NewSolver(g *graph.Graph, opt Options) *Solver {
 	if m == nil || len(m.Workers) < p {
 		m = metrics.NewSet(p)
 	}
-	if !opt.NoLeafPruning && opt.Leaves == nil {
-		opt.Leaves = graph.LeafBitmap(g)
+	var leaves *graph.Bitmap // shared by every worker, computed once per solver
+	if !opt.NoLeafPruning {
+		leaves = graph.LeafBitmap(g)
 	}
 	s := &Solver{
 		g:   g,
 		opt: opt,
 		d:   dist.New(g.NumVertices(), 0),
-		m:   m,
 	}
 	s.ws = make([]*worker, p)
 	for i := 0; i < p; i++ {
-		s.ws[i] = newWorker(i, g, s.d, opt.Leaves, opt, s.ws, &s.ops, &s.idle, &m.Workers[i])
+		s.ws[i] = newWorker(i, g, s.d, leaves, opt, s.ws, &s.ops, &s.idle, &m.Workers[i])
 	}
 	return s
 }
-
-// Metrics returns the per-worker metrics set the solver writes into —
-// the one passed via Options.Metrics, or the solver-owned set.
-func (s *Solver) Metrics() *metrics.Set { return s.m }
 
 // Solve computes SSSP from source, reusing every preallocated
 // structure. cancel, when non-nil, is polled at chunk and bucket
@@ -80,21 +75,6 @@ func (s *Solver) Metrics() *metrics.Set { return s.m }
 // distance array: it is valid until the next Solve call.
 func (s *Solver) Solve(source graph.Vertex, cancel *parallel.Token) *Result {
 	s.Prepare(source)
-	return s.Launch(cancel)
-}
-
-// SolveFrom computes SSSP from source warm-started from seed, a
-// distance snapshot in which every finite entry is a valid upper bound
-// on the true distance from source (e.g. a Checkpoint of an earlier,
-// interrupted solve from the same source on the same graph). The solve
-// converges to exact distances: label correction only ever lowers
-// distances, so correct upper bounds plus a frontier covering every
-// violated triangle inequality reach the same fixed point a cold solve
-// does, skipping the work the snapshot already paid for. Seeds that are
-// NOT valid upper bounds yield garbage out — callers resume only from
-// snapshots they (or Checkpoint) produced.
-func (s *Solver) SolveFrom(source graph.Vertex, seed []uint32, cancel *parallel.Token) *Result {
-	s.PrepareWarm(source, seed)
 	return s.Launch(cancel)
 }
 
@@ -114,6 +94,13 @@ func (s *Solver) Prepare(source graph.Vertex) {
 // it during Launch with a repair scan over its vertex range, queueing
 // every vertex with an out-edge that violates the triangle inequality
 // under the seeded distances.
+//
+// Every finite seed entry must be a valid upper bound on the true
+// distance from source (e.g. a Checkpoint of an earlier, interrupted
+// solve from the same source on the same graph). Label correction only
+// ever lowers distances, so such a seed plus that frontier reaches the
+// fixed point a cold solve does, skipping the work the seed already
+// paid for; a seed below the true distances yields garbage.
 func (s *Solver) PrepareWarm(source graph.Vertex, seed []uint32) {
 	s.Reset(source)
 	s.d.Load(seed, source)
@@ -154,7 +141,7 @@ type Snapshot struct {
 	// Dist is the copied distance array: every finite entry is the
 	// length of a real path from Source, hence a valid upper bound on
 	// the true distance — the property that makes any mid-solve
-	// snapshot a correct restart state (see SolveFrom).
+	// snapshot a correct restart state (see PrepareWarm).
 	Dist []uint32
 	// Relaxations is the approximate number of edge relaxations
 	// attempted so far (workers publish at chunk granularity).

@@ -20,7 +20,7 @@ import (
 // algorithm (paper Algorithm 1). It is the one-shot entry point: a
 // fresh Solver is built and used once. Callers solving many sources
 // over one graph should build a Solver (or a wasp.Session) and reuse
-// it — see solver.go, which also holds the warm-started SolveFrom.
+// it — see solver.go, which also holds the warm start (PrepareWarm).
 func Run(g *graph.Graph, source graph.Vertex, opt Options) *Result {
 	return NewSolver(g, opt).Solve(source, opt.Cancel)
 }

@@ -60,10 +60,6 @@ func (b *Builder) Grow(m int) {
 	}
 }
 
-// NumEdgesAdded returns the number of edges added so far (before
-// symmetrization and deduplication).
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
-
 // Build finalizes the graph. Parallel edges are deduplicated keeping the
 // minimum weight, which is the only weight that can matter for SSSP.
 // Build does not modify the added edges.

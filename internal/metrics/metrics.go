@@ -40,9 +40,6 @@ type Worker struct {
 	_ [32]byte // pad to reduce false sharing between adjacent workers
 }
 
-// AddQueueOp accrues shared-queue time.
-func (w *Worker) AddQueueOp(d time.Duration) { w.QueueOpNS += int64(d) }
-
 // Add sums o's counters into w.
 func (w *Worker) Add(o *Worker) {
 	w.Relaxations += o.Relaxations

@@ -12,7 +12,7 @@ func TestTotals(t *testing.T) {
 	s.Workers[2].Relaxations = 30
 	s.Workers[0].StealHits = 1
 	s.Workers[2].BarrierNS = int64(2 * time.Millisecond)
-	s.Workers[1].AddQueueOp(3 * time.Millisecond)
+	s.Workers[1].QueueOpNS = int64(3 * time.Millisecond)
 
 	tot := s.Totals()
 	if tot.Relaxations != 60 {
@@ -62,7 +62,7 @@ func TestSetReset(t *testing.T) {
 	s.Workers[0].Relaxations = 5
 	s.Workers[0].StealHits = 2
 	s.Workers[1].IdleNS = 99
-	s.Workers[1].AddQueueOp(3 * time.Millisecond)
+	s.Workers[1].QueueOpNS = int64(3 * time.Millisecond)
 	s.Reset()
 	tot := s.Totals()
 	if tot != (Worker{}) {

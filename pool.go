@@ -84,7 +84,7 @@ type PoolOptions struct {
 	// never overwritten, but their Dist must be cloned before writing.
 	// One Cache may front many pools; entries are keyed by CacheScope
 	// plus the graph's content fingerprint, so distinct graphs never
-	// alias.
+	// alias. A Registry sets it from RegistryOptions.Cache.
 	Cache *Cache
 	// CacheScope partitions this pool's cache entries from other pools
 	// sharing the same Cache (the Registry sets "name@version"). Pools
@@ -101,7 +101,8 @@ type PoolOptions struct {
 	// Cache hits are never re-audited (they serve a result that was
 	// itself subject to sampling when first solved). The unsampled
 	// cost is one atomic increment; sampled results are certified off
-	// the serving path when the auditor is Async.
+	// the serving path when the auditor is Async. A Registry sets it
+	// from RegistryOptions.Audit.
 	Auditor *Auditor
 
 	// Governor, when non-nil, puts the pool under adaptive overload

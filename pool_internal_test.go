@@ -169,20 +169,19 @@ func TestPoolQueuedCallerDeadlineExpiry(t *testing.T) {
 	}
 }
 
-// TestSessionFallbackUsesSessionMetrics pins the satellite bugfix: on
-// the s.solver == nil fallback path, Run must route through the
-// session-owned metrics set rather than letting each call allocate a
-// fresh one.
+// TestSessionFallbackUsesSessionMetrics: on the s.solver == nil
+// fallback path, Run must route through the session-owned metrics set
+// rather than letting each call allocate a fresh one.
 func TestSessionFallbackUsesSessionMetrics(t *testing.T) {
 	g := FromEdges(3, true, []Edge{
 		{From: 0, To: 1, W: 1}, {From: 1, To: 2, W: 1},
 	})
-	sess, err := NewSession(g, Options{Algorithm: AlgoDijkstra, CollectMetrics: true})
+	sess, err := NewSession(g, Options{Algorithm: AlgoDijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sess.solver != nil || sess.m == nil {
-		t.Fatalf("want a fallback session with an owned metrics set, got solver=%v m=%v", sess.solver, sess.m)
+		t.Fatalf("want a fallback session with a metrics set, got solver=%v m=%v", sess.solver, sess.m)
 	}
 	for run := 0; run < 2; run++ {
 		res, err := sess.Run(context.Background(), 0)

@@ -58,11 +58,16 @@ const (
 type RegistryOptions struct {
 	// Options configures the sessions of every per-graph pool.
 	Options Options
-	// Pool configures every per-graph pool's admission behavior.
+	// Pool configures every per-graph pool's admission behavior. The
+	// registry sets each pool's Cache, CacheScope and Auditor itself,
+	// from Cache and Audit below; a load fails when Pool.Cache or
+	// Pool.Auditor is set, since no swap would invalidate such a cache
+	// and no failed audit of such an auditor would quarantine.
 	Pool PoolOptions
 	// Cache, when non-nil, fronts every per-graph pool with one shared
-	// result-reuse layer (see Cache). Each version's entries are scoped
-	// to "name@version" and additionally keyed by the graph's content
+	// result-reuse layer (see Cache); it is the only way to give a
+	// registry's pools a cache. Each version's entries are scoped to
+	// "name@version" and additionally keyed by the graph's content
 	// fingerprint, so a hot reload — even to a bundle identical in
 	// shape — can never serve a predecessor's distances; retiring a
 	// version (reload, rollback, removal) invalidates its scope
@@ -92,12 +97,13 @@ type RegistryOptions struct {
 	// inside the query path.
 	OnEvent func(RegistryEvent)
 	// Audit, when non-nil, builds a registry-owned Auditor spanning
-	// every per-graph pool: the configured fraction of served results
-	// is certified from first principles, and a failed audit
-	// quarantines the failing version — pool drained, cache scope
-	// invalidated, state GraphQuarantined, queries ErrQuarantined —
-	// before the configured OnFailure hook (if any) runs. The auditor
-	// is closed by Registry.Close.
+	// every per-graph pool; it is the only way to audit a registry's
+	// pools. The configured fraction of served results is certified
+	// from first principles, and a failed audit quarantines the failing
+	// version — pool drained, cache scope invalidated, state
+	// GraphQuarantined, queries ErrQuarantined — before the configured
+	// OnFailure hook (if any) runs. The auditor is closed by
+	// Registry.Close.
 	Audit *AuditorOptions
 }
 
@@ -432,21 +438,25 @@ func (r *Registry) deploy(ctx context.Context, e *graphEntry, v *graphVersion, k
 // checkpoint options); pool construction itself (newPool preallocates
 // and validates every session) covers the admission machinery.
 func (r *Registry) build(ctx context.Context, e *graphEntry, v *graphVersion) (*Pool, error) {
+	// Only a registry-owned cache is invalidated on a swap and harvested
+	// by Mutate, and only a registry-owned auditor quarantines.
+	switch {
+	case r.conf.Pool.Cache != nil:
+		return nil, fmt.Errorf("wasp: a Registry does not take PoolOptions.Cache (no swap would invalidate it); set RegistryOptions.Cache")
+	case r.conf.Pool.Auditor != nil:
+		return nil, fmt.Errorf("wasp: a Registry does not take PoolOptions.Auditor (no failed audit would quarantine); set RegistryOptions.Audit")
+	}
 	opt := r.conf.Options
 	if r.conf.ConfigureOptions != nil {
 		opt = r.conf.ConfigureOptions(e.name, v.version, opt)
 	}
 	popt := r.conf.Pool
-	// The scope is set unconditionally: it keys cache entries when a
-	// cache is attached and names the deployment in audit failures
-	// (the identity quarantineScope resolves) either way.
+	popt.Cache = r.conf.Cache
+	// The scope keys cache entries when a cache is attached and names
+	// the deployment in audit failures (the identity quarantineScope
+	// resolves) either way.
 	popt.CacheScope = cacheScopeFor(e.name, v.version)
-	if r.conf.Cache != nil {
-		popt.Cache = r.conf.Cache
-	}
-	if r.auditor != nil {
-		popt.Auditor = r.auditor
-	}
+	popt.Auditor = r.auditor
 	pool, err := newPool(v.g, opt, popt, &e.counters)
 	if err != nil {
 		return nil, fmt.Errorf("building pool: %w", err)
@@ -455,9 +465,7 @@ func (r *Registry) build(ctx context.Context, e *graphEntry, v *graphVersion) (*
 	res, err := RunContext(sctx, v.g, 0, opt)
 	cancel()
 	if err != nil || res == nil {
-		dctx, dcancel := context.WithTimeout(context.Background(), r.conf.DrainTimeout)
-		_ = pool.Close(dctx)
-		dcancel()
+		r.retire(pool, popt.CacheScope)
 		return nil, fmt.Errorf("smoke solve: %w", err)
 	}
 	return pool, nil
@@ -486,7 +494,7 @@ func (r *Registry) activate(e *graphEntry, v *graphVersion, pool *Pool, kind Reg
 		if old.quarantined {
 			// A quarantined version served wrong answers: dropping it
 			// instead of retiring it keeps Rollback from ever rolling
-			// forward onto it.
+			// forward onto it. Its quarantine already retired its pool.
 			old = nil
 		} else {
 			// History keeps what Rollback redeploys, the graph and the
@@ -500,24 +508,35 @@ func (r *Registry) activate(e *graphEntry, v *graphVersion, pool *Pool, kind Reg
 	}
 	r.mu.Unlock()
 
-	if old != nil && r.conf.Cache != nil {
-		// Invalidate the retired version's cache scope with the swap:
-		// its entries were already unreachable by v (scope and content
-		// fingerprint both differ), so this frees their memory and
-		// marks the old pool's in-flight cache solves do-not-store.
-		r.conf.Cache.InvalidateScope(cacheScopeFor(e.name, old.version))
-	}
-	if oldPool != nil {
-		// Drain in the background: in-flight queries finish on the old
-		// pool (Pool.Close waits for them); the bound only stops this
-		// goroutine from waiting forever on a wedged solve.
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), r.conf.DrainTimeout)
-			defer cancel()
-			_ = oldPool.Close(ctx)
-		}()
+	if old != nil {
+		// The retired version's entries were already unreachable by v
+		// (scope and content fingerprint both differ); invalidating
+		// them with the swap frees their memory.
+		r.retire(oldPool, cacheScopeFor(e.name, old.version))
 	}
 	r.event(RegistryEvent{Graph: e.name, Version: v.version, Kind: kind})
+}
+
+// retire takes a pool that no route reaches any more out of service:
+// it drops the cache entries of the pool's scope, marks the scope's
+// in-flight cache solves do-not-store, and drains the pool in the
+// background. In-flight queries finish on it (Pool.Close waits for
+// them); DrainTimeout only stops the goroutine from waiting forever on
+// a wedged solve. activate, quarantineScope and build's rejected
+// candidate all retire through it. A nil pool only has its scope
+// invalidated.
+func (r *Registry) retire(pool *Pool, scope string) {
+	if r.conf.Cache != nil {
+		r.conf.Cache.InvalidateScope(scope)
+	}
+	if pool == nil {
+		return
+	}
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), r.conf.DrainTimeout)
+		defer cancel()
+		_ = pool.Close(ctx)
+	}()
 }
 
 // cacheScopeFor is the cache-entry scope of one deployment: embedding
@@ -559,19 +578,9 @@ func (r *Registry) quarantineScope(scope string, cause error) {
 	r.mu.Unlock()
 
 	r.quarantined.Add(1)
-	if r.conf.Cache != nil {
-		// The corrupt result may already be cached (the flip lands
-		// before the cache insert); every entry of the version is now
-		// suspect.
-		r.conf.Cache.InvalidateScope(scope)
-	}
-	if oldPool != nil {
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), r.conf.DrainTimeout)
-			defer cancel()
-			_ = oldPool.Close(ctx)
-		}()
-	}
+	// The corrupt result may already be cached (the flip lands before
+	// the cache insert); every entry of the version is now suspect.
+	r.retire(oldPool, scope)
 	r.event(RegistryEvent{Graph: e.name, Version: v.version, Kind: EventQuarantined, Err: cause})
 }
 

@@ -418,6 +418,35 @@ func TestRegistryRejectInvalidBundle(t *testing.T) {
 	}
 }
 
+// TestRegistryRejectsPoolCacheAndAuditor: a registry's pools get their
+// cache and auditor from RegistryOptions alone. A cache set through
+// RegistryOptions.Pool would never be invalidated on a swap nor
+// harvested by Mutate, and an auditor set there would never quarantine,
+// so the load fails naming the field to set instead.
+func TestRegistryRejectsPoolCacheAndAuditor(t *testing.T) {
+	aud := NewAuditor(AuditorOptions{})
+	t.Cleanup(aud.Close)
+	for _, tc := range []struct {
+		pool PoolOptions
+		want string
+	}{
+		{PoolOptions{Cache: NewCache(CacheOptions{})}, "RegistryOptions.Cache"},
+		{PoolOptions{Auditor: aud}, "RegistryOptions.Audit"},
+	} {
+		r := NewRegistry(RegistryOptions{Pool: tc.pool})
+		err := r.LoadGraph(context.Background(), "g", chain(8, 1))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("LoadGraph error %v, want one naming %s", err, tc.want)
+		}
+		if r.Servable() {
+			t.Errorf("%s: a graph serves after the rejected load", tc.want)
+		}
+		if err := r.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestRegistryRollback: rolling back re-activates the previous version
 // with a fresh pool; rolling back again moves forward through history.
 func TestRegistryRollback(t *testing.T) {

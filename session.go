@@ -50,7 +50,7 @@ type Session struct {
 	g        *Graph
 	opt      Options      // defaults applied
 	solver   *core.Solver // non-nil on the preallocated Wasp path
-	m        *metrics.Set // session-owned, reset per run; nil unless collecting
+	m        *metrics.Set // the observer's when observing, else session-owned; reset per run
 	obs      *Observer    // bound at NewSession; nil when not observing
 	tl       *trace.Log   // the observer's live event log (nil without one)
 	snapBuf  []uint32     // checkpoint destination, reused across captures
@@ -82,10 +82,8 @@ func NewSession(g *Graph, opt Options) (*Session, error) {
 			return nil, err
 		}
 		s.obs = opt.Observer
-		var set *metrics.Set
-		s.tl, set = s.obs.attach(opt.Workers)
-		s.m = set
-	} else if opt.CollectMetrics {
+		s.tl, s.m = s.obs.attach(opt.Workers)
+	} else {
 		s.m = metrics.NewSet(opt.Workers)
 	}
 	if opt.Algorithm == AlgoWasp {
@@ -145,18 +143,10 @@ func (s *Session) run(ctx context.Context, source Vertex, warm *Checkpoint) (*Re
 	}
 	defer s.inFlight.Store(false)
 
-	// Reset the run's metrics set — the solver-owned one on the
-	// preallocated path, s.m (when collecting or observing) otherwise —
-	// and the observer's event log, so Progress.Relaxations,
-	// Result.Metrics and the trace describe this run alone, even one
-	// that never starts.
-	m := s.m
-	if s.solver != nil {
-		m = s.solver.Metrics()
-	}
-	if m != nil {
-		m.Reset()
-	}
+	// Reset the metrics set and the observer's event log, so
+	// Progress.Relaxations, Result.Metrics and the trace describe this
+	// run alone, even one that never starts.
+	s.m.Reset()
 	s.tl.Reset()
 
 	if err := ctx.Err(); err != nil {
@@ -193,16 +183,12 @@ func (s *Session) run(ctx context.Context, source Vertex, warm *Checkpoint) (*Re
 		}
 		res.Dist = r.Dist
 	} else {
-		res.Dist, res.Steps = solveOnce(s.g, source, s.opt, m, tok)
+		res.Dist, res.Steps = solveOnce(s.g, source, s.opt, s.m, tok)
 	}
 
 	res.Elapsed = base + time.Since(start)
 	res.PriorElapsed = base
-	res.fillProgress(m)
-	if s.m != nil {
-		t := s.m.Totals()
-		res.Metrics = &t
-	}
+	res.fillMetrics(s.m)
 	if pe := tok.Err(); pe != nil {
 		return nil, fmt.Errorf("wasp: %s solver panicked: %w", s.opt.Algorithm, pe)
 	}
@@ -340,11 +326,7 @@ func (s *Session) preCancelled(source Vertex) *Result {
 		d[source] = 0
 		res.Dist = d
 	}
-	if s.m != nil {
-		t := s.m.Totals()
-		res.Metrics = &t
-	}
-	res.fillProgress(nil)
+	res.fillMetrics(s.m)
 	return res
 }
 

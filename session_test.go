@@ -147,9 +147,7 @@ func TestSessionMetricsPerRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := wasp.NewSession(g, wasp.Options{
-		Algorithm: wasp.AlgoWasp, Workers: 1, CollectMetrics: true,
-	})
+	sess, err := wasp.NewSession(g, wasp.Options{Algorithm: wasp.AlgoWasp, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,10 +345,8 @@ func TestSessionConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestSessionProgress: a complete solve reports the reachable fraction
-// and a positive relaxation count — on the preallocated path even
-// without CollectMetrics, since the solver owns a metrics set either
-// way.
+// TestSessionProgress: a complete solve on the preallocated path
+// reports the reachable fraction and a positive relaxation count.
 func TestSessionProgress(t *testing.T) {
 	g := wasp.FromEdges(4, true, []wasp.Edge{
 		{From: 0, To: 1, W: 1}, {From: 1, To: 2, W: 1},

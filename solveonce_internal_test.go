@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wasp/internal/core"
+	"wasp/internal/metrics"
 	"wasp/internal/parallel"
 	"wasp/internal/verify"
 )
@@ -47,7 +48,7 @@ func TestSolveOnceTrippedToken(t *testing.T) {
 						done <- core.NewSolver(gc.g, coreOptions(opt, nil, nil)).Solve(gc.src, tok).Dist
 						return
 					}
-					d, _ := solveOnce(gc.g, gc.src, opt, nil, tok)
+					d, _ := solveOnce(gc.g, gc.src, opt, metrics.NewSet(opt.Workers), tok)
 					done <- d
 				}()
 				var d []uint32

@@ -138,7 +138,9 @@ var (
 )
 
 // Options configures a Run. The zero value runs Wasp with Δ=1 and one
-// worker.
+// worker. Every solve counts its work (Result.Metrics). The MultiQueue
+// baseline's stickiness is fixed at 4, and the random steal policies
+// make one attempt per steal round.
 type Options struct {
 	// Algorithm selects the implementation (default AlgoWasp).
 	Algorithm Algorithm
@@ -152,14 +154,9 @@ type Options struct {
 	// Rho is the per-step vertex budget for AlgoRho (default 4096)
 	// and the preprocessing ball size for AlgoRadius (default 8).
 	Rho int
-	// Stickiness is the MultiQueue stickiness parameter s, tuned per
-	// graph in the paper (default 4). AlgoMultiQueue only.
-	Stickiness int
 
-	// Steal selects Wasp's steal policy; StealRetries bounds retries
-	// for the random policies. AlgoWasp only.
-	Steal        StealPolicy
-	StealRetries int
+	// Steal selects Wasp's steal policy. AlgoWasp only.
+	Steal StealPolicy
 	// Topology declares the NUMA hierarchy for Wasp's tiered stealing.
 	// The zero value sizes a small hierarchy to Workers.
 	Topology Topology
@@ -195,18 +192,17 @@ type Options struct {
 	// One-shot Run/RunContext zero it.
 	StallTimeout time.Duration
 
-	// Observer, when non-nil, collects the solve's scheduler internals:
-	// per-worker work counters on every algorithm, plus the event trace
-	// (bucket advances, steal outcomes per NUMA tier, idle transitions)
-	// on AlgoWasp. The absent-observer hot path stays a nil check — no
-	// interface dispatch, no allocation. One Observer serves one solve
+	// Observer, when non-nil, exposes the solve's scheduler internals:
+	// the per-worker work counters on every algorithm (Result.Metrics
+	// holds only their sum), plus the event trace (bucket advances,
+	// steal outcomes per NUMA tier, idle transitions) on AlgoWasp. The
+	// absent-observer hot path stays a nil check — no interface
+	// dispatch, no allocation. One Observer serves one solve
 	// at a time: NewSession binds it for the session's lifetime, Run
 	// binds it per call, and a second concurrent user is rejected.
 	// NewPool rejects it; a pool observes through PoolOptions.Observe.
 	Observer *Observer
 
-	// CollectMetrics attaches per-worker counters to the Result.
-	CollectMetrics bool
 	// Verify re-checks the output against the SSSP certificate before
 	// returning (O(V+E); intended for tests and examples).
 	Verify bool
@@ -242,11 +238,10 @@ type Progress struct {
 	// at the moment the solve returned — the count Settled is the
 	// fraction of. A serving layer reads it instead of scanning Dist.
 	Reached int
-	// Relaxations is the number of edge relaxations attempted, plumbed
-	// from the per-worker counters in internal/metrics. It is always
-	// available for AlgoWasp, one-shot Run included (the preallocated
-	// solver owns a metrics set); for the other algorithms it is
-	// nonzero only when CollectMetrics was set or an Observer is bound.
+	// Relaxations is the number of edge relaxations attempted, summed
+	// over the per-worker counters in internal/metrics; it equals
+	// Result.Metrics.Relaxations. Every solve of every algorithm fills
+	// it, except that AlgoBellmanFord counts no relaxations and reads 0.
 	Relaxations int64
 }
 
@@ -269,7 +264,9 @@ type Result struct {
 	PriorElapsed time.Duration
 	// Algorithm that produced the result.
 	Algorithm Algorithm
-	// Metrics holds aggregated counters when CollectMetrics was set.
+	// Metrics holds the solve's per-worker counters summed over the
+	// workers. Every solve fills it, a cancelled or pre-cancelled one
+	// included; it is nil only on a cache hit, where no solve ran.
 	Metrics *metrics.Worker
 	// Steps is the number of synchronous steps, for the synchronous
 	// algorithms (0 otherwise).
@@ -283,9 +280,11 @@ type Result struct {
 	Progress Progress
 }
 
-// fillProgress computes the progress signal from the distance snapshot
-// and the run's metrics set (nil when none was collected).
-func (r *Result) fillProgress(m *metrics.Set) {
+// fillMetrics sets Metrics to the totals of the run's metrics set and
+// derives Progress from them and the distance snapshot.
+func (r *Result) fillMetrics(m *metrics.Set) {
+	t := m.Totals()
+	r.Metrics = &t
 	n := 0
 	for _, d := range r.Dist {
 		if d != Infinity {
@@ -296,9 +295,7 @@ func (r *Result) fillProgress(m *metrics.Set) {
 	if len(r.Dist) > 0 {
 		r.Progress.Settled = float64(n) / float64(len(r.Dist))
 	}
-	if m != nil {
-		r.Progress.Relaxations = m.Totals().Relaxations
-	}
+	r.Progress.Relaxations = t.Relaxations
 }
 
 // ErrCancelled is returned (wrapped) by RunContext when the context is
@@ -362,7 +359,6 @@ func coreOptions(opt Options, m *metrics.Set, tl *trace.Log) core.Options {
 		Workers:         opt.Workers,
 		Topology:        opt.Topology,
 		Policy:          opt.Steal,
-		Retries:         opt.StealRetries,
 		NoLeafPruning:   opt.NoLeafPruning,
 		NoDecomposition: opt.NoDecomposition,
 		NoBidirectional: opt.NoBidirectional,
@@ -378,16 +374,13 @@ func coreOptions(opt Options, m *metrics.Set, tl *trace.Log) core.Options {
 // the session's preallocated solver, and owns everything around it
 // (clock, progress, metrics, observer, panics, cancellation, Verify).
 // opt has defaults applied and an algorithm NewSession accepted; m is
-// the session's metrics set (nil when not collecting) and tok the run's
-// cancellation token.
+// the session's metrics set and tok the run's cancellation token.
 func solveOnce(g *Graph, source Vertex, opt Options, m *metrics.Set, tok *parallel.Token) (dist []uint32, steps int64) {
 	switch opt.Algorithm {
 	case AlgoDijkstra:
 		r := dijkstra.RunToken(g, source, tok)
 		dist = r.Dist
-		if m != nil {
-			m.Workers[0].Relaxations = r.Relaxations
-		}
+		m.Workers[0].Relaxations = r.Relaxations
 	case AlgoBellmanFord:
 		dist = bellmanford.RunToken(g, source, tok)
 	case AlgoGAP:
@@ -414,8 +407,7 @@ func solveOnce(g *Graph, source Vertex, opt Options, m *metrics.Set, tok *parall
 		dist, steps = r.Dist, r.Steps
 	case AlgoMultiQueue:
 		r := mqsssp.Run(g, source, mqsssp.Options{
-			Workers: opt.Workers, Stickiness: opt.Stickiness,
-			Metrics: m, Cancel: tok,
+			Workers: opt.Workers, Metrics: m, Cancel: tok,
 		})
 		dist = r.Dist
 	case AlgoGalois:
@@ -437,9 +429,7 @@ func solveOnce(g *Graph, source Vertex, opt Options, m *metrics.Set, tok *parall
 	case AlgoSeqDelta:
 		r := seqdelta.Run(g, source, seqdelta.Options{Delta: opt.Delta, Cancel: tok})
 		dist, steps = r.Dist, r.Buckets
-		if m != nil {
-			m.Workers[0].Relaxations = r.LightRelaxations + r.HeavyRelaxations
-		}
+		m.Workers[0].Relaxations = r.LightRelaxations + r.HeavyRelaxations
 	case AlgoAlgebraic:
 		r := algebra.Run(g, source, algebra.Options{
 			Delta: opt.Delta, Workers: opt.Workers, Metrics: m, Cancel: tok,

@@ -2,6 +2,9 @@ package wasp_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -118,17 +121,47 @@ func TestParallelFlag(t *testing.T) {
 	}
 }
 
+// TestCollectMetrics: every algorithm counts its work with zero-value
+// options — no observer, nothing to switch on. Result.Metrics is set
+// and Progress.Relaxations is its total, on a pre-cancelled run (zero
+// work) as on a full one; every algorithm but Bellman-Ford counts
+// relaxations.
 func TestCollectMetrics(t *testing.T) {
 	g, _ := wasp.GenerateWorkload("urand", wasp.WorkloadConfig{N: 2000, Seed: 3})
 	src := wasp.SourceInLargestComponent(g, 1)
-	res, err := wasp.Run(g, src, wasp.Options{
-		Algorithm: wasp.AlgoWasp, Workers: 2, CollectMetrics: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics == nil || res.Metrics.Relaxations == 0 {
-		t.Fatal("metrics missing")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range wasp.Algorithms() {
+		a, err := wasp.ParseAlgorithm(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", a, workers), func(t *testing.T) {
+				opt := wasp.Options{Algorithm: a, Workers: workers}
+				res, err := wasp.Run(g, src, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Metrics == nil {
+					t.Fatal("Result.Metrics is nil")
+				}
+				if res.Progress.Relaxations != res.Metrics.Relaxations {
+					t.Fatalf("Progress.Relaxations %d, Metrics.Relaxations %d",
+						res.Progress.Relaxations, res.Metrics.Relaxations)
+				}
+				if a != wasp.AlgoBellmanFord && res.Metrics.Relaxations == 0 {
+					t.Fatal("no relaxations counted")
+				}
+				res, err = wasp.RunContext(cancelled, g, src, opt)
+				if !errors.Is(err, wasp.ErrCancelled) {
+					t.Fatalf("pre-cancelled run: %v", err)
+				}
+				if res.Metrics == nil || res.Metrics.Relaxations != 0 || res.Progress.Relaxations != 0 {
+					t.Fatalf("pre-cancelled run: Metrics %+v, Progress %+v", res.Metrics, res.Progress)
+				}
+			})
+		}
 	}
 }
 
