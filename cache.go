@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"wasp/internal/graph"
 )
 
 // CacheOptions configures a Cache. The zero value caches up to 256 MiB
@@ -103,24 +105,20 @@ type cacheKey struct {
 type cacheEntry struct {
 	key   cacheKey
 	cp    *Checkpoint // complete exact distances; Elapsed is the cumulative solve cost
-	sum   uint64      // FNV-1a over cp.Dist at insert; ScrubEntries re-checks it
+	sum   uint64      // distSum(cp.Dist) at insert; ScrubEntries re-checks it
 	algo  Algorithm
 	steps int64
 	prog  Progress
 	size  int64
 }
 
-// distSum is the integrity hash recorded per cache entry: FNV-1a over
-// the distance words. Entries are immutable after insert, so a scrub
-// re-hash that disagrees means the memory rotted underneath or a
-// caller wrote through a shared result.
+// distSum is the integrity hash recorded per cache entry: the content
+// hash WeightFingerprint uses (graph.HashWords), over the distance
+// words. Entries are immutable after insert, so a scrub re-hash that
+// disagrees means the memory rotted underneath or a caller wrote
+// through a shared result; a write of one word always disagrees.
 func distSum(dist []uint32) uint64 {
-	h := uint64(1469598103934665603)
-	for _, d := range dist {
-		h ^= uint64(d)
-		h *= 1099511628211
-	}
-	return h
+	return graph.HashWords(0, dist)
 }
 
 // entryOverhead approximates per-entry bookkeeping (entry struct,

@@ -154,6 +154,37 @@ func TestCacheHitExact(t *testing.T) {
 	}
 }
 
+// TestCacheScrubOneWordWrite: a write of one word through a shared
+// hit — at the first, a middle or the last index, the last in the
+// hash's tail — changes the entry's integrity sum, so ScrubEntries
+// evicts the entry and the next query solves again.
+func TestCacheScrubOneWordWrite(t *testing.T) {
+	const n = 515 // 64 rounds of eight words over four lanes, then a tail of three
+	g := uchain(n, 3)
+	for _, at := range []int{0, n / 2, n - 1} {
+		cache := NewCache(CacheOptions{})
+		p := cachedPool(t, g, cache, PoolOptions{})
+		ctx := context.Background()
+		if _, err := p.Run(ctx, 7); err != nil {
+			t.Fatal(err)
+		}
+		hit, err := p.Run(ctx, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scanned, corrupt := cache.ScrubEntries(); scanned != 1 || corrupt != 0 {
+			t.Fatalf("index %d: clean ScrubEntries = scanned %d, corrupt %d", at, scanned, corrupt)
+		}
+		hit.Dist[at] ^= 1 << 31
+		if scanned, corrupt := cache.ScrubEntries(); scanned != 1 || corrupt != 1 {
+			t.Fatalf("index %d: ScrubEntries = scanned %d, corrupt %d; want 1, 1", at, scanned, corrupt)
+		}
+		if st := cache.Stats(); st.Entries != 0 {
+			t.Fatalf("index %d: %d entries after the scrub, want 0", at, st.Entries)
+		}
+	}
+}
+
 // TestCacheMissSolvesCold: the cache never seeds a miss from another
 // source's entry. Whatever is cached, a query it does not hold solves
 // cold on every configuration — including an undirected Wasp pool,

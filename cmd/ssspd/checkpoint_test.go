@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"hash/crc32"
+	"log"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -215,6 +218,57 @@ func TestRecoverCheckpoints(t *testing.T) {
 	getJSON(t, ts.URL+"/stats", http.StatusOK, &st)
 	if st.Recovered != 1 || st.RecoverySkipped != 2 || st.Completed != 1 {
 		t.Fatalf("stats after recovery = %+v", st)
+	}
+}
+
+// TestRecoverRefusesVersion1Checkpoint: a checkpoint left by a build
+// that wrote WSCK version 1 names its graph by the retired FNV-1a
+// fingerprint. Recovery removes it with a log line that names the
+// version, resumes nothing, and the daemon becomes ready.
+func TestRecoverRefusesVersion1Checkpoint(t *testing.T) {
+	g := testGraph()
+	dir := t.TempDir()
+	tracker := newCkptTracker(dir)
+	reg := newRegistry(t, "test", g, wasp.RegistryOptions{
+		Options: wasp.Options{Workers: 2},
+		Pool:    wasp.PoolOptions{Sessions: 1},
+	})
+	s := &server{reg: reg, ckpt: tracker}
+	old := tracker.path("test", 0)
+	if err := wasp.SaveCheckpoint(old, testCheckpoint(g)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[4:8], 1)
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[4:len(data)-4]))
+	if err := os.WriteFile(old, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+	s.recoverCheckpoints(context.Background())
+	log.SetOutput(os.Stderr)
+
+	if _, err := os.Stat(old); !os.IsNotExist(err) {
+		t.Fatalf("version-1 checkpoint not removed: %v", err)
+	}
+	if !strings.Contains(logs.String(), "recovery: removing "+old) ||
+		!strings.Contains(logs.String(), "unsupported format version: 1") {
+		t.Fatalf("recovery log does not name the removal and the version:\n%s", logs.String())
+	}
+	if n := tracker.recovered.Load(); n != 0 {
+		t.Fatalf("recovered = %d, want 0", n)
+	}
+	ts := newHTTPServer(t, s)
+	var ready readyResponse
+	getJSON(t, ts.URL+"/healthz/ready", http.StatusOK, &ready)
+	if !ready.Ready {
+		t.Fatalf("ready = %+v", ready)
 	}
 }
 

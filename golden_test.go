@@ -139,3 +139,26 @@ func TestGoldenPinnedValues(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenFingerprints pins Graph.WeightFingerprint, the content hash
+// bundles and checkpoints store on disk, for four generators. The hash
+// reads word values, not memory bytes, so these hold on every
+// platform. A changed value is a format change: bump the bundle and
+// checkpoint versions with it.
+func TestGoldenFingerprints(t *testing.T) {
+	pins := map[string]uint64{
+		"road-usa": 0x65bd11ed22f6abf7,
+		"kron":     0x655a8e9284f55235,
+		"twitter":  0x30fa352e4c1d4ebf,
+		"mawi":     0x397704a66a2d8269,
+	}
+	for name, want := range pins {
+		g, err := wasp.GenerateWorkload(name, wasp.WorkloadConfig{N: goldenN, Seed: 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.WeightFingerprint(); got != want {
+			t.Errorf("%s: fingerprint %#016x, pinned %#016x — the content hash changed", name, got, want)
+		}
+	}
+}

@@ -12,7 +12,8 @@ import (
 
 // Run computes single-source shortest paths from source.
 func Run(g *graph.Graph, source graph.Vertex) []uint32 {
-	return RunToken(g, source, nil)
+	dist, _ := RunToken(g, source, nil)
+	return dist
 }
 
 // cancelStride bounds the queue pops between cancellation polls.
@@ -20,10 +21,12 @@ const cancelStride = 1024
 
 // RunToken is Run with cooperative cancellation: the token is polled
 // every ~thousand queue pops, and a cancelled run returns the partial
-// (possibly non-final) distances computed so far.
-func RunToken(g *graph.Graph, source graph.Vertex, tok *parallel.Token) []uint32 {
+// (possibly non-final) distances computed so far. It also returns the
+// number of edge relaxations performed: every out-edge of every popped
+// vertex, as Dijkstra counts them.
+func RunToken(g *graph.Graph, source graph.Vertex, tok *parallel.Token) (dist []uint32, relaxations int64) {
 	n := g.NumVertices()
-	dist := make([]uint32, n)
+	dist = make([]uint32, n)
 	for i := range dist {
 		dist[i] = graph.Infinity
 	}
@@ -45,6 +48,7 @@ func RunToken(g *graph.Graph, source graph.Vertex, tok *parallel.Token) []uint32
 		inQueue[u] = false
 		du := dist[u]
 		dst, wts := g.OutNeighbors(u)
+		relaxations += int64(len(dst))
 		for i, v := range dst {
 			if nd := sdist.SatAdd(du, wts[i]); nd < dist[v] {
 				dist[v] = nd
@@ -60,5 +64,5 @@ func RunToken(g *graph.Graph, source graph.Vertex, tok *parallel.Token) []uint32
 			head = -1
 		}
 	}
-	return dist
+	return dist, relaxations
 }

@@ -12,7 +12,7 @@
 // Layout (all integers little-endian):
 //
 //	[0:4]  magic "WSPB"
-//	[4:8]  format version (currently 1)
+//	[4:8]  format version (currently 2)
 //	[8:12] section count
 //	then count sections, each:
 //	  [0:4]    section kind
@@ -49,8 +49,12 @@ import (
 // Magic identifies a Wasp graph bundle stream.
 const Magic = "WSPB"
 
-// Version is the current format version.
-const Version = 1
+// Version is the current format version, the only one Read accepts.
+// Version 2 changed no byte of the layout: it marks the manifest's
+// weight_fp as graph.WeightFingerprint's word-at-a-time hash, where
+// version 1 stored byte-wise FNV-1a. A version-1 bundle is refused with
+// ErrVersion, not migrated; graphgen writes its replacement.
+const Version = 2
 
 // Section kinds.
 const (
@@ -85,8 +89,10 @@ type Manifest struct {
 	// versions of the same logical graph.
 	Name string `json:"name"`
 	// Version distinguishes successive bundles of the same graph. A
-	// registry treats an equal version as "already loaded" and anything
-	// else as a new deployment, so producers should increment it.
+	// registry treats the active version with the same content as
+	// "already loaded", refuses a version it has deployed with other
+	// content, and deploys anything else, so producers should increment
+	// it.
 	Version uint64 `json:"version"`
 	// Description is free-form provenance (generator, date, tuning
 	// notes). Optional.

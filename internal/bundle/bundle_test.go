@@ -2,6 +2,7 @@ package bundle
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -100,6 +101,17 @@ func TestRejectCorruption(t *testing.T) {
 		if _, err := Read(bytes.NewReader(mut)); err == nil {
 			t.Fatalf("flipped byte %d accepted", i)
 		}
+	}
+}
+
+// TestRejectVersion1: a version-1 header is refused with ErrVersion
+// before any section is read. Version 1 stored the manifest's weight_fp
+// as byte-wise FNV-1a, which no graph hashes to any more.
+func TestRejectVersion1(t *testing.T) {
+	v1 := encode(t, testBundle(t))
+	binary.LittleEndian.PutUint32(v1[4:8], 1)
+	if _, err := Read(bytes.NewReader(v1)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 bundle: %v, want ErrVersion", err)
 	}
 }
 

@@ -8,7 +8,7 @@
 // Layout (all integers little-endian):
 //
 //	[0:4]    magic "WSCK"
-//	[4:8]    format version (currently 1)
+//	[4:8]    format version (currently 2)
 //	[8:12]   flags (bit 0: graph is directed; bit 1: fingerprint present)
 //	[12:16]  source vertex
 //	[16:24]  graph vertex count
@@ -46,9 +46,13 @@ import (
 // Magic identifies a Wasp checkpoint stream.
 const Magic = "WSCK"
 
-// Version is the current format version. Decoders reject anything
-// newer; older versions would be migrated here if the format evolves.
-const Version = 1
+// Version is the current format version, the only one Decode accepts.
+// Version 2 changed no byte of the layout: it marks the content
+// fingerprint at [56:64] as graph.WeightFingerprint's word-at-a-time
+// hash, where version 1 stored byte-wise FNV-1a. A version-1 stream
+// names its graph by a value no graph hashes to any more, so it is
+// refused with ErrVersion rather than migrated.
+const Version = 2
 
 const headerSize = 64
 

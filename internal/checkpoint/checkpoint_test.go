@@ -97,13 +97,31 @@ const legacyHex = "5753434b" + // "WSCK"
 	"0a000000" + "14000000" + "ffffffff" + "00000000" + "1e000000" +
 	"564cbc49" // crc32 IEEE over bytes [4:76)
 
+// v1Hex is sample() as version 1 wrote it, fingerprint and all: the
+// same bytes as version 2 but for the version word and the CRC. Its
+// fingerprint was byte-wise FNV-1a, which no graph hashes to any more,
+// so Decode must refuse it by version.
+const v1Hex = "5753434b" + // "WSCK"
+	"01000000" + // version 1
+	"03000000" + // flags: directed, fingerprint present
+	"03000000" + // source 3
+	"0500000000000000" + // 5 vertices
+	"0700000000000000" + // 7 edges
+	"002f685900000000" + // 1.5s in ns
+	"2a00000000000000" + // 42 relaxations
+	"0500000000000000" + // 5 dist entries
+	"0df0fecaefbeadde" + // content fingerprint 0xdeadbeefcafef00d
+	"0a000000" + "14000000" + "ffffffff" + "00000000" + "1e000000" +
+	"13264d89" // crc32 IEEE over bytes [4:84)
+
 // TestGoldenFormat pins the on-disk byte layout every producer writes.
-// If this test breaks, the format changed: bump Version and add a
-// migration, do not just update the hex.
+// If this test breaks, the format changed: bump Version and keep the
+// old bytes as a fixture Decode refuses (as v1Hex), do not just update
+// the hex.
 func TestGoldenFormat(t *testing.T) {
 	got := hex.EncodeToString(encode(t, sample()))
 	want := "5753434b" + // "WSCK"
-		"01000000" + // version 1
+		"02000000" + // version 2
 		"03000000" + // flags: directed, fingerprint present
 		"03000000" + // source 3
 		"0500000000000000" + // 5 vertices
@@ -113,9 +131,27 @@ func TestGoldenFormat(t *testing.T) {
 		"0500000000000000" + // 5 dist entries
 		"0df0fecaefbeadde" + // content fingerprint 0xdeadbeefcafef00d
 		"0a000000" + "14000000" + "ffffffff" + "00000000" + "1e000000" +
-		"13264d89" // crc32 IEEE over bytes [4:84)
+		"2c8e25ad" // crc32 IEEE over bytes [4:84)
 	if got != want {
 		t.Fatalf("encoding changed:\n got %s\nwant %s", got, want)
+	}
+	if got[16:] != v1Hex[16:len(v1Hex)-8]+got[len(got)-8:] {
+		t.Fatal("version 2 differs from version 1 beyond the version word and the CRC")
+	}
+}
+
+// TestDecodeRefusesVersion1: both streams version 1 wrote — with the
+// FNV-1a fingerprint, and the older one without any — are refused
+// with ErrVersion, though each has an intact CRC.
+func TestDecodeRefusesVersion1(t *testing.T) {
+	for name, h := range map[string]string{"fingerprinted": v1Hex, "fingerprint-less": legacyHex} {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(bytes.NewReader(b)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("%s: err = %v, want ErrVersion", name, err)
+		}
 	}
 }
 
@@ -187,11 +223,14 @@ func TestDecodeErrors(t *testing.T) {
 	})
 	t.Run("fingerprint-less legacy stream", func(t *testing.T) {
 		// Intact CRC, known version: only the missing fingerprint is
-		// wrong, and that alone must refuse the stream.
+		// wrong, and that alone must refuse the stream. legacyHex is a
+		// version-1 stream, so it is restamped with the current version.
 		b, err := hex.DecodeString(legacyHex)
 		if err != nil {
 			t.Fatal(err)
 		}
+		binary.LittleEndian.PutUint32(b[4:8], Version)
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[4:len(b)-4]))
 		if _, err := Decode(bytes.NewReader(b)); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("err = %v, want ErrMalformed", err)
 		}

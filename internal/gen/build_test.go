@@ -81,3 +81,32 @@ func BenchmarkBuild(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkContentHash times the content hash behind
+// Graph.WeightFingerprint and the result cache's entry sum, recomputed
+// on every iteration (Graph.ContentHash skips the memo), on two inputs:
+// road-usa 2^18's CSR and one 2^18-word distance array, the size of a
+// result on that graph. Run it with -benchmem: the hash allocates
+// nothing.
+func BenchmarkContentHash(b *testing.B) {
+	g := roadGrid(Config{N: 1 << 18, Seed: 1})
+	b.Run("road-usa-csr", func(b *testing.B) {
+		b.SetBytes(8*int64(g.NumVertices()+1) + 8*g.NumEdges())
+		b.ReportAllocs()
+		for b.Loop() {
+			g.ContentHash()
+		}
+	})
+	dist := make([]uint32, 1<<18)
+	r := rng.NewXoshiro256(1)
+	for i := range dist {
+		dist[i] = r.Uint32()
+	}
+	b.Run("dist", func(b *testing.B) {
+		b.SetBytes(4 * int64(len(dist)))
+		b.ReportAllocs()
+		for b.Loop() {
+			graph.HashWords(0, dist)
+		}
+	})
+}

@@ -129,7 +129,8 @@ const (
 	EventRolledBack RegistryEventKind = "rolled-back"
 	// EventRemoved: the graph was removed from the registry.
 	EventRemoved RegistryEventKind = "removed"
-	// EventNoop: a load carried the version already active.
+	// EventNoop: a load carried the version already active, with the
+	// same content fingerprint.
 	EventNoop RegistryEventKind = "noop"
 	// EventQuarantined: a failed result audit took the active version
 	// out of rotation. Err carries the certificate violation.
@@ -236,6 +237,10 @@ type Registry struct {
 	mu     sync.RWMutex
 	graphs map[string]*graphEntry
 	closed bool
+	// deployed remembers, per graph name, every version this registry
+	// has activated. It outlives Remove: within a registry's lifetime
+	// one (name, version) pair names one graph.
+	deployed map[string]*deployRecord
 
 	loaded      atomic.Int64
 	rejected    atomic.Int64
@@ -243,6 +248,38 @@ type Registry struct {
 	noop        atomic.Int64
 	quarantined atomic.Int64
 	mutated     atomic.Int64
+}
+
+// deployRecord is what a Registry keeps of one graph name's
+// deployments: the highest version it activated and the content
+// fingerprint (Graph.WeightFingerprint) each activated version served.
+// LoadGraph and Mutate number their versions from top, and deploy
+// refuses a version whose recorded fingerprint differs.
+type deployRecord struct {
+	top uint64
+	fps map[uint64]uint64
+}
+
+// next is the version LoadGraph and Mutate give a new deployment: one
+// past the highest this registry has activated under the name.
+func (d *deployRecord) next() uint64 {
+	if d == nil {
+		return 1
+	}
+	return d.top + 1
+}
+
+// conflict reports a candidate that would give an activated version
+// number a second graph.
+func (d *deployRecord) conflict(name string, version, fp uint64) error {
+	if d == nil {
+		return nil
+	}
+	if prior, ok := d.fps[version]; ok && prior != fp {
+		return fmt.Errorf("wasp: graph %q v%d was deployed with content fingerprint %016x; the candidate's is %016x (a version number names one graph: ship it as a new version)",
+			name, version, prior, fp)
+	}
+	return nil
 }
 
 // NewRegistry returns an empty registry.
@@ -253,7 +290,7 @@ func NewRegistry(conf RegistryOptions) *Registry {
 	if conf.DrainTimeout <= 0 {
 		conf.DrainTimeout = 30 * time.Second
 	}
-	r := &Registry{conf: conf, graphs: make(map[string]*graphEntry)}
+	r := &Registry{conf: conf, graphs: make(map[string]*graphEntry), deployed: make(map[string]*deployRecord)}
 	if conf.Audit != nil {
 		// The registry interposes on OnFailure: quarantine first, then
 		// the user's hook observes a failure already acted upon.
@@ -285,7 +322,9 @@ func (r *Registry) event(ev RegistryEvent) {
 // its graph. On any failure — manifest, structure, artifact binding,
 // pool construction, smoke solve — the bundle is rejected, the error
 // returned, and the previously active version (if any) keeps serving
-// untouched. A bundle carrying the already-active version is a no-op.
+// untouched. A bundle carrying the already-active version with the
+// active graph's content fingerprint is a no-op; one carrying a
+// version this registry has deployed with other content is rejected.
 func (r *Registry) Load(ctx context.Context, b *Bundle) error {
 	return r.load(ctx, b, false)
 }
@@ -303,14 +342,16 @@ func (r *Registry) LoadFile(ctx context.Context, path string) (name string, vers
 
 // LoadGraph activates g under name without an on-disk bundle — the
 // single-graph and testing convenience. The version is one past the
-// currently active one (1 for a new name).
+// highest this registry has deployed under name, removed or rolled
+// back ones included (1 for a new name).
 func (r *Registry) LoadGraph(ctx context.Context, name string, g *Graph) error {
 	return r.load(ctx, &Bundle{Manifest: BundleManifest{Name: name}, Graph: g}, true)
 }
 
 // load validates b and deploys it under its graph's load lock. With
 // next set the version is chosen under that lock too — one past the
-// active one — so concurrent LoadGraph calls never pick the same one.
+// highest deployed — so concurrent LoadGraph calls never pick the same
+// one.
 func (r *Registry) load(ctx context.Context, b *Bundle, next bool) error {
 	if b == nil {
 		return fmt.Errorf("wasp: Load of nil bundle")
@@ -331,19 +372,19 @@ func (r *Registry) load(ctx context.Context, b *Bundle, next bool) error {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
 
+	fp := b.Graph.WeightFingerprint() // hashed off the registry lock
 	r.mu.Lock()
 	if next {
-		b.Manifest.Version = 1
-		if e.active != nil {
-			b.Manifest.Version = e.active.version + 1
-		}
+		b.Manifest.Version = r.deployed[name].next()
 	}
 	version := b.Manifest.Version
 	// Re-loading the active version is a no-op — unless that version is
 	// quarantined, in which case the same bundle is a legitimate heal:
 	// the corruption was runtime state, not the artifact, and a fresh
-	// build replaces the poisoned pool.
-	if e.active != nil && e.active.version == version && e.state != GraphQuarantined {
+	// build replaces the poisoned pool. The same version number with
+	// other content is no re-load: deploy rejects it.
+	if e.active != nil && e.active.version == version && e.active.g.WeightFingerprint() == fp &&
+		e.state != GraphQuarantined {
 		r.mu.Unlock()
 		r.noop.Add(1)
 		r.event(RegistryEvent{Graph: name, Version: version, Kind: EventNoop})
@@ -392,14 +433,21 @@ const smokeTimeout = 5 * time.Second
 // previous state: a serving graph becomes degraded-last-good (its
 // newest deployment never activated), while a quarantined graph stays
 // quarantined and a never-activated one stays reloading, since in
-// neither case does anything serve.
+// neither case does anything serve. A candidate whose version this
+// registry has activated with another content fingerprint fails before
+// any pool is built.
 func (r *Registry) deploy(ctx context.Context, e *graphEntry, v *graphVersion, kind RegistryEventKind) error {
+	fp := v.g.WeightFingerprint() // hashed off the registry lock; activate records it
 	r.mu.Lock()
 	prev := e.state
 	e.state = GraphReloading
+	err := r.deployed[e.name].conflict(e.name, v.version, fp)
 	r.mu.Unlock()
 
-	pool, err := r.build(ctx, e, v)
+	var pool *Pool
+	if err == nil {
+		pool, err = r.build(ctx, e, v)
+	}
 	if err != nil {
 		r.mu.Lock()
 		e.lastErr = err
@@ -480,6 +528,13 @@ func (r *Registry) build(ctx context.Context, e *graphEntry, v *graphVersion) (*
 // retries); a query routing after the swap only ever sees v.
 func (r *Registry) activate(e *graphEntry, v *graphVersion, pool *Pool, kind RegistryEventKind) {
 	r.mu.Lock()
+	rec := r.deployed[e.name]
+	if rec == nil {
+		rec = &deployRecord{fps: make(map[uint64]uint64)}
+		r.deployed[e.name] = rec
+	}
+	rec.fps[v.version] = v.g.WeightFingerprint()
+	rec.top = max(rec.top, v.version)
 	old := e.active
 	var oldPool *Pool
 	v.pool = pool
@@ -665,6 +720,9 @@ func (r *Registry) Mutate(ctx context.Context, name string, batch []Mutation) (u
 		r.mu.Unlock()
 		return 0, nil, fmt.Errorf("wasp: graph %q v%d serves relabeled vertex ids; mutations address original ids and are not supported on relabeled deployments", name, v.version)
 	}
+	// One past the highest version deployed, not the active one: after
+	// a Rollback, active+1 may already name another graph.
+	version := r.deployed[name].next()
 	r.mu.Unlock()
 
 	ng, delta, err := ApplyMutations(v.g, batch)
@@ -686,7 +744,7 @@ func (r *Registry) Mutate(ctx context.Context, name string, batch []Mutation) (u
 			}
 		}
 	}
-	next := &graphVersion{version: v.version + 1, g: ng, warm: warm}
+	next := &graphVersion{version: version, g: ng, warm: warm}
 	if err := r.deploy(ctx, e, next, EventMutated); err != nil {
 		return 0, nil, fmt.Errorf("wasp: mutation of %q to v%d rejected: %w", name, next.version, err)
 	}

@@ -121,14 +121,15 @@ func TestRegistryHotSwap(t *testing.T) {
 	}
 }
 
-// TestRegistryLoadNoop: re-loading the active version changes nothing.
+// TestRegistryLoadNoop: re-loading the active version — the same
+// bundle again — changes nothing.
 func TestRegistryLoadNoop(t *testing.T) {
 	r := testRegistry(t)
 	ctx := context.Background()
 	if err := r.Load(ctx, chainBundle("g", 1, 8, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Load(ctx, chainBundle("g", 1, 8, 9)); err != nil {
+	if err := r.Load(ctx, chainBundle("g", 1, 8, 1)); err != nil {
 		t.Fatalf("noop Load: %v", err)
 	}
 	res, err := r.Run(ctx, "g", 0)
@@ -140,6 +141,151 @@ func TestRegistryLoadNoop(t *testing.T) {
 	}
 	if stats := r.ReloadStats(); stats.Noop != 1 || stats.Loaded != 1 {
 		t.Fatalf("ReloadStats = %+v", stats)
+	}
+}
+
+// TestRegistryLoadVersionConflict: a different graph shipped under the
+// active version number is no no-op. It is rejected with an error that
+// names both fingerprints, and the graph that version already names
+// keeps serving.
+func TestRegistryLoadVersionConflict(t *testing.T) {
+	var events []RegistryEventKind
+	r := NewRegistry(RegistryOptions{OnEvent: func(ev RegistryEvent) { events = append(events, ev.Kind) }})
+	defer r.Close(context.Background())
+	ctx := context.Background()
+	v1, other := chainBundle("g", 1, 8, 1), chainBundle("g", 1, 8, 9)
+	if err := r.Load(ctx, v1); err != nil {
+		t.Fatal(err)
+	}
+	err := r.Load(ctx, other)
+	if err == nil {
+		t.Fatal("a second graph under v1 loaded")
+	}
+	for _, fp := range []uint64{v1.Graph.WeightFingerprint(), other.Graph.WeightFingerprint()} {
+		if !strings.Contains(err.Error(), fmt.Sprintf("%016x", fp)) {
+			t.Fatalf("error %q does not name fingerprint %016x", err, fp)
+		}
+	}
+	res, err := r.Run(ctx, "g", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Dist[7] != 7 {
+		t.Fatalf("the rejected graph serves: dist[7] = %d", res.Dist[7])
+	}
+	if stats := r.ReloadStats(); stats.Noop != 0 || stats.Loaded != 1 || stats.Rejected != 1 {
+		t.Fatalf("ReloadStats = %+v", stats)
+	}
+	if len(events) != 2 || events[1] != EventRejected {
+		t.Fatalf("events = %v, want loaded then rejected", events)
+	}
+	if st, _ := r.Status("g"); st.Version != 1 || st.WeightFP != v1.Graph.WeightFingerprint() {
+		t.Fatalf("Status = %+v", st)
+	}
+}
+
+// identityLedger checks, after each step, that a Registry's
+// (name, version) pairs name one content fingerprint each.
+type identityLedger map[uint64]uint64
+
+func (l identityLedger) check(t *testing.T, r *Registry, name string) GraphStatus {
+	t.Helper()
+	st, ok := r.Status(name)
+	if !ok {
+		t.Fatalf("no status for %q", name)
+	}
+	if fp, seen := l[st.Version]; seen && fp != st.WeightFP {
+		t.Fatalf("v%d names two graphs: %016x and %016x", st.Version, fp, st.WeightFP)
+	}
+	l[st.Version] = st.WeightFP
+	return st
+}
+
+// TestRegistryVersionsNeverRepeat: a mutation after a rollback gets a
+// version number no earlier deployment used. Numbering from the
+// active version gave both mutations below "v2", one serving [0 1 6]
+// and the other [0 5 6], with the first still in the rollback history.
+func TestRegistryVersionsNeverRepeat(t *testing.T) {
+	r := NewRegistry(RegistryOptions{History: 4})
+	defer r.Close(context.Background())
+	ctx := context.Background()
+	ledger := identityLedger{}
+	if err := r.LoadGraph(ctx, "g", chain(3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ledger.check(t, r, "g")
+	v2, _, err := r.Mutate(ctx, "g", []Mutation{{Kind: MutSetWeight, From: 1, To: 2, W: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger.check(t, r, "g")
+	if _, err := r.Rollback(ctx, "g"); err != nil {
+		t.Fatal(err)
+	}
+	ledger.check(t, r, "g")
+	v3, _, err := r.Mutate(ctx, "g", []Mutation{{Kind: MutSetWeight, From: 0, To: 1, W: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ledger.check(t, r, "g")
+	if v2 != 2 || v3 != 3 {
+		t.Fatalf("mutations numbered v%d and v%d, want v2 and v3", v2, v3)
+	}
+	seen := map[uint64]bool{st.Version: true}
+	for _, h := range st.History {
+		if seen[h] {
+			t.Fatalf("version %d repeats: active %d, history %v", h, st.Version, st.History)
+		}
+		seen[h] = true
+	}
+	if len(st.History) != 2 {
+		t.Fatalf("history %v, want v1 and v2", st.History)
+	}
+	res, err := r.Run(ctx, "g", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameDist(res.Dist, []uint32{0, 5, 6}) {
+		t.Fatalf("v3 serves %v, want [0 5 6]", res.Dist)
+	}
+}
+
+// TestRegistryLoadAfterMutateConflict: a bundle shipped as v2 after a
+// mutation already made v2 is rejected, not a no-op, and the mutated
+// graph keeps serving.
+func TestRegistryLoadAfterMutateConflict(t *testing.T) {
+	var events []RegistryEventKind
+	r := NewRegistry(RegistryOptions{OnEvent: func(ev RegistryEvent) { events = append(events, ev.Kind) }})
+	defer r.Close(context.Background())
+	ctx := context.Background()
+	ledger := identityLedger{}
+	if err := r.Load(ctx, chainBundle("g", 1, 3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ledger.check(t, r, "g")
+	if v, _, err := r.Mutate(ctx, "g", []Mutation{{Kind: MutSetWeight, From: 1, To: 2, W: 5}}); err != nil || v != 2 {
+		t.Fatalf("Mutate = v%d, %v", v, err)
+	}
+	ledger.check(t, r, "g")
+	if err := r.Load(ctx, chainBundle("g", 2, 3, 9)); err == nil {
+		t.Fatal("a shipped v2 loaded over the mutated v2")
+	}
+	st := ledger.check(t, r, "g")
+	if st.Version != 2 {
+		t.Fatalf("serving v%d, want the mutated v2", st.Version)
+	}
+	res, err := r.Run(ctx, "g", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameDist(res.Dist, []uint32{0, 1, 6}) {
+		t.Fatalf("serves %v, want the mutated graph's [0 1 6]", res.Dist)
+	}
+	if stats := r.ReloadStats(); stats.Noop != 0 || stats.Rejected != 1 {
+		t.Fatalf("ReloadStats = %+v", stats)
+	}
+	if events[len(events)-1] != EventRejected {
+		t.Fatalf("events = %v, want a trailing rejection", events)
 	}
 }
 
@@ -335,8 +481,11 @@ func TestRegistryRejectCorruptFile(t *testing.T) {
 // — is refused by ReadBinaryGraph, by ReadBundle and by the registry's
 // file load path, and never serves.
 func TestRegistryRejectAsymmetricGraph(t *testing.T) {
-	var honest bytes.Buffer
+	var honest, honestBundle bytes.Buffer
 	if err := WriteBinaryGraph(&honest, chain(2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBundle(&honestBundle, chainBundle("honest", 1, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
 	var wspg bytes.Buffer
@@ -361,7 +510,9 @@ func TestRegistryRejectAsymmetricGraph(t *testing.T) {
 	// of kind | flags | length | payload | CRC-32.
 	var data bytes.Buffer
 	data.WriteString("WSPB")
-	binary.Write(&data, binary.LittleEndian, []uint32{1, 2}) // format version, sections
+	binary.Write(&data, binary.LittleEndian, []uint32{
+		binary.LittleEndian.Uint32(honestBundle.Bytes()[4:8]), 2, // format version, sections
+	})
 	manifest := fmt.Sprintf(`{"name":"asym","version":1,"vertices":3,"edges":5,"directed":false,"weight_fp":%d}`, fp)
 	for i, payload := range [][]byte{[]byte(manifest), wspg.Bytes()} {
 		var frame [16]byte

@@ -241,7 +241,7 @@ type Progress struct {
 	// Relaxations is the number of edge relaxations attempted, summed
 	// over the per-worker counters in internal/metrics; it equals
 	// Result.Metrics.Relaxations. Every solve of every algorithm fills
-	// it, except that AlgoBellmanFord counts no relaxations and reads 0.
+	// it.
 	Relaxations int64
 }
 
@@ -382,7 +382,7 @@ func solveOnce(g *Graph, source Vertex, opt Options, m *metrics.Set, tok *parall
 		dist = r.Dist
 		m.Workers[0].Relaxations = r.Relaxations
 	case AlgoBellmanFord:
-		dist = bellmanford.RunToken(g, source, tok)
+		dist, m.Workers[0].Relaxations = bellmanford.RunToken(g, source, tok)
 	case AlgoGAP:
 		r := gapds.Run(g, source, gapds.Options{
 			Delta: opt.Delta, Workers: opt.Workers, Metrics: m, Cancel: tok,
