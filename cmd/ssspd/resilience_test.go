@@ -263,3 +263,35 @@ func TestScannerQuarantineBackoff(t *testing.T) {
 		t.Fatal("healed bundle not registered")
 	}
 }
+
+// TestScannerForgetsRemovedFiles rejects a corrupt bundle, deletes it
+// and rescans: the deleted file's rejection leaves errors() (the
+// /admin/reload response) and its stamp and quarantine are dropped.
+func TestScannerForgetsRemovedFiles(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bad.wspb")
+	if err := os.WriteFile(path, []byte("not a bundle"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := newRegistry(t, "seed", wasp.FromEdges(2, true, []wasp.Edge{{From: 0, To: 1, W: 1}}),
+		wasp.RegistryOptions{Options: wasp.Options{Workers: 2}, Pool: wasp.PoolOptions{Sessions: 1}})
+	sc := newBundleScanner(reg, dir)
+	ctx := context.Background()
+	if loaded, rejected := sc.rescan(ctx); loaded != 0 || rejected != 1 {
+		t.Fatalf("corrupt rescan: loaded %d rejected %d, want 0/1", loaded, rejected)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, rejected := sc.rescan(ctx); loaded != 0 || rejected != 0 {
+		t.Fatalf("rescan after delete: loaded %d rejected %d, want 0/0", loaded, rejected)
+	}
+	if errs := sc.errors(); len(errs) != 0 {
+		t.Fatalf("errors() after delete = %v, want empty", errs)
+	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if len(sc.seen) != 0 || len(sc.quar) != 0 {
+		t.Fatalf("after delete: %d seen and %d quarantined entries, want none", len(sc.seen), len(sc.quar))
+	}
+}

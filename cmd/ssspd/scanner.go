@@ -81,6 +81,7 @@ func (sc *bundleScanner) rescan(ctx context.Context) (loaded, rejected int) {
 		log.Printf("bundle scan: %v", err)
 		return 0, 0
 	}
+	sc.forgetMissing(files)
 	now := time.Now()
 	for _, f := range files {
 		fi, err := os.Stat(f)
@@ -138,6 +139,25 @@ func (sc *bundleScanner) rescan(ctx context.Context) (loaded, rejected int) {
 		}
 	}
 	return loaded, rejected
+}
+
+// forgetMissing drops the stamp, rejection and quarantine of every
+// path the scan no longer finds, so a deleted bundle's rejection
+// leaves errors() and the maps stay bounded by the directory.
+func (sc *bundleScanner) forgetMissing(files []string) {
+	found := make(map[string]bool, len(files))
+	for _, f := range files {
+		found[f] = true
+	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	for f := range sc.seen { // lastErr and quar only hold seen paths
+		if !found[f] {
+			delete(sc.seen, f)
+			delete(sc.lastErr, f)
+			delete(sc.quar, f)
+		}
+	}
 }
 
 // backoff computes the jittered quarantine period after the n-th

@@ -3,13 +3,13 @@ package experiments
 import (
 	"time"
 
-	"wasp/internal/baseline/galois"
 	"wasp/internal/baseline/gapds"
 	"wasp/internal/baseline/gbbs"
-	"wasp/internal/baseline/mqsssp"
+	"wasp/internal/baseline/relaxed"
 	"wasp/internal/baseline/stepping"
 	"wasp/internal/core"
 	"wasp/internal/metrics"
+	"wasp/internal/mq"
 	"wasp/internal/numa"
 )
 
@@ -32,7 +32,7 @@ var (
 		}).Dist
 	}}
 	AlgoGalois = AlgoSpec{"galois", true, func(w *Workload, delta uint32, p int, m *metrics.Set) []uint32 {
-		return galois.Run(w.G, w.Src, galois.Options{Delta: delta, Workers: p, Metrics: m}).Dist
+		return relaxed.RunOBIM(w.G, w.Src, delta, relaxed.Options{Workers: p, Metrics: m})
 	}}
 	AlgoGAP = AlgoSpec{"gap", true, func(w *Workload, delta uint32, p int, m *metrics.Set) []uint32 {
 		return gapds.Run(w.G, w.Src, gapds.Options{Delta: delta, Workers: p, Metrics: m}).Dist
@@ -41,7 +41,7 @@ var (
 		return gbbs.Run(w.G, w.Src, gbbs.Options{Delta: delta, Workers: p, Metrics: m}).Dist
 	}}
 	AlgoMQ = AlgoSpec{"multiqueue", false, func(w *Workload, _ uint32, p int, m *metrics.Set) []uint32 {
-		return mqsssp.Run(w.G, w.Src, mqsssp.Options{Workers: p, Metrics: m}).Dist
+		return relaxed.RunMQ(w.G, w.Src, mq.Config{}, relaxed.Options{Workers: p, Metrics: m})
 	}}
 	AlgoRho = AlgoSpec{"rho", false, func(w *Workload, _ uint32, p int, m *metrics.Set) []uint32 {
 		return stepping.Run(w.G, w.Src, stepping.Options{

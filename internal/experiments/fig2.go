@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"wasp/internal/baseline/mqsssp"
+	"wasp/internal/baseline/relaxed"
 	"wasp/internal/metrics"
+	"wasp/internal/mq"
 )
 
 // RunFig2 regenerates Figure 2: the share of execution time the
@@ -22,7 +23,7 @@ func RunFig2(r *Runner) error {
 	for _, w := range ws {
 		m := metrics.NewSet(r.Cfg.Workers)
 		elapsed := Timed(func() {
-			mqsssp.Run(w.G, w.Src, mqsssp.Options{
+			relaxed.RunMQ(w.G, w.Src, mq.Config{}, relaxed.Options{
 				Workers: r.Cfg.Workers, Timing: true, Metrics: m,
 			})
 		})

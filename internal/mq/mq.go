@@ -122,15 +122,6 @@ func (h *Handle) Push(it heap.Item) {
 	}
 }
 
-// Flush pushes any buffered insertions into the shared queues. Workers
-// call it before stalling on an empty queue so buffered work is visible
-// to others.
-func (h *Handle) Flush() {
-	if len(h.insBuf) > 0 {
-		h.flushInsertions()
-	}
-}
-
 func (h *Handle) flushInsertions() {
 	q := h.m.queues[h.r.IntN(len(h.m.queues))]
 	q.mu.Lock()

@@ -95,7 +95,6 @@ func TestConcurrentPushPopConservesItems(t *testing.T) {
 				}
 			}
 		}
-		h.Flush()
 		// Drain phase: every worker pops until it sees empty twice.
 		empties := 0
 		for empties < 2 {
@@ -134,7 +133,6 @@ func TestPopPrefersLowerPriorities(t *testing.T) {
 	for i := 0; i < n; i++ {
 		h.Push(heap.Item{Prio: uint64(i), Vertex: uint32(i)})
 	}
-	h.Flush()
 	var sum uint64
 	const k = n / 4
 	for i := 0; i < k; i++ {
@@ -158,20 +156,5 @@ func TestDefaultsApplied(t *testing.T) {
 	m := New(Config{Threads: 3})
 	if len(m.queues) != 6 {
 		t.Fatalf("queue count = %d, want c*p = 6", len(m.queues))
-	}
-}
-
-func TestFlushMakesBufferedVisible(t *testing.T) {
-	m := New(Config{Threads: 2, BufferSize: 16})
-	a := m.NewHandle(0)
-	b := m.NewHandle(1)
-	a.Push(heap.Item{Prio: 1, Vertex: 42}) // stays in a's buffer
-	if _, ok := b.Pop(); ok {
-		t.Fatal("buffered item visible before flush")
-	}
-	a.Flush()
-	it, ok := b.Pop()
-	if !ok || it.Vertex != 42 {
-		t.Fatalf("pop after flush = %v %v", it, ok)
 	}
 }

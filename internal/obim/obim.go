@@ -206,15 +206,3 @@ func (h *Handle) Pop() (v uint32, prio uint64, ok bool) {
 		return 0, 0, false
 	}
 }
-
-// LocalLen returns the number of vertices buffered locally (unpublished).
-func (h *Handle) LocalLen() int {
-	total := 0
-	for _, c := range h.local {
-		total += c.Len()
-	}
-	if h.curr != nil {
-		total += h.curr.Len()
-	}
-	return total
-}

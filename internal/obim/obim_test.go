@@ -109,23 +109,6 @@ func TestDrainConservesVertices(t *testing.T) {
 	}
 }
 
-func TestLocalLen(t *testing.T) {
-	s := New()
-	h := s.NewHandle()
-	if h.LocalLen() != 0 {
-		t.Fatal("fresh handle has local work")
-	}
-	h.Push(1, 4)
-	h.Push(2, 6)
-	if h.LocalLen() != 2 {
-		t.Fatalf("LocalLen = %d", h.LocalLen())
-	}
-	h.Pop()
-	if h.LocalLen() != 1 {
-		t.Fatalf("LocalLen = %d after pop", h.LocalLen())
-	}
-}
-
 func TestPushToCurrentChunkFastPath(t *testing.T) {
 	s := New()
 	h := s.NewHandle()

@@ -9,10 +9,8 @@ import (
 	"wasp/internal/algebra"
 	"wasp/internal/baseline/bellmanford"
 	"wasp/internal/baseline/dijkstra"
-	"wasp/internal/baseline/galois"
 	"wasp/internal/baseline/gapds"
 	"wasp/internal/baseline/gbbs"
-	"wasp/internal/baseline/mqsssp"
 	"wasp/internal/baseline/radius"
 	"wasp/internal/baseline/relaxed"
 	"wasp/internal/baseline/seqdelta"
@@ -20,6 +18,7 @@ import (
 	"wasp/internal/core"
 	"wasp/internal/mbq"
 	"wasp/internal/metrics"
+	"wasp/internal/mq"
 	"wasp/internal/numa"
 	"wasp/internal/parallel"
 	"wasp/internal/smq"
@@ -376,6 +375,7 @@ func coreOptions(opt Options, m *metrics.Set, tl *trace.Log) core.Options {
 // opt has defaults applied and an algorithm NewSession accepted; m is
 // the session's metrics set and tok the run's cancellation token.
 func solveOnce(g *Graph, source Vertex, opt Options, m *metrics.Set, tok *parallel.Token) (dist []uint32, steps int64) {
+	ropt := relaxed.Options{Workers: opt.Workers, Metrics: m, Cancel: tok}
 	switch opt.Algorithm {
 	case AlgoDijkstra:
 		r := dijkstra.RunToken(g, source, tok)
@@ -406,21 +406,13 @@ func solveOnce(g *Graph, source Vertex, opt Options, m *metrics.Set, tok *parall
 		})
 		dist, steps = r.Dist, r.Steps
 	case AlgoMultiQueue:
-		r := mqsssp.Run(g, source, mqsssp.Options{
-			Workers: opt.Workers, Metrics: m, Cancel: tok,
-		})
-		dist = r.Dist
+		dist = relaxed.RunMQ(g, source, mq.Config{}, ropt)
 	case AlgoGalois:
-		r := galois.Run(g, source, galois.Options{
-			Delta: opt.Delta, Workers: opt.Workers, Metrics: m, Cancel: tok,
-		})
-		dist = r.Dist
+		dist = relaxed.RunOBIM(g, source, opt.Delta, ropt)
 	case AlgoSMQ:
-		dist = relaxed.RunSMQ(g, source, smq.Config{},
-			relaxed.Options{Workers: opt.Workers, Metrics: m, Cancel: tok})
+		dist = relaxed.RunSMQ(g, source, smq.Config{}, ropt)
 	case AlgoMBQ:
-		dist = relaxed.RunMBQ(g, source, mbq.Config{Delta: uint64(opt.Delta)},
-			relaxed.Options{Workers: opt.Workers, Metrics: m, Cancel: tok})
+		dist = relaxed.RunMBQ(g, source, mbq.Config{Delta: uint64(opt.Delta)}, ropt)
 	case AlgoRadius:
 		r := radius.Run(g, source, radius.Options{
 			Rho: opt.Rho, Workers: opt.Workers, Metrics: m, Cancel: tok,
