@@ -48,7 +48,7 @@ func main() {
 		algos    = flag.Bool("algos", false, "list algorithms and exit")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker count")
 		delta    = flag.Uint("delta", 1, "Δ-coarsening factor")
-		rho      = flag.Int("rho", 4096, "ρ for rho-stepping")
+		rho      = flag.Int("rho", 4096, "ρ-stepping's per-step vertex budget (-algo rho only)")
 		trials   = flag.Int("trials", 3, "trials per algorithm (best time reported)")
 		timeout  = flag.Duration("timeout", 0, "per-solve latency budget (whole-batch with -sources); an expired budget prints the partial result with a 'partial' marker and exits 0")
 		sources  = flag.Int("sources", 1, "batch mode: solve from this many distinct sources instead of repeating one")

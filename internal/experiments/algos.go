@@ -78,13 +78,13 @@ func (r *Runner) Tune(w *Workload, a AlgoSpec, workers int) Tuned {
 	}
 	best := Tuned{Delta: sweep[0], Time: 1<<63 - 1}
 	for _, delta := range sweep {
-		d := Timed(func() { a.Run(w, delta, workers, nil) })
+		d := r.timeSolve(w, a.Name, delta, func() []uint32 { return a.Run(w, delta, workers, nil) })
 		if d < best.Time {
 			best = Tuned{Delta: delta, Time: d}
 		}
 	}
-	best.Time = r.Best(func() time.Duration {
-		return Timed(func() { a.Run(w, best.Delta, workers, nil) })
+	best.Time = r.Best(w, a.Name, best.Delta, func() []uint32 {
+		return a.Run(w, best.Delta, workers, nil)
 	})
 	r.tuned[key] = best
 	return best

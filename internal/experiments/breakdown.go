@@ -27,10 +27,10 @@ func RunBreakdown(r *Runner) error {
 	for _, w := range ws {
 		delta := r.Tune(w, AlgoWasp, r.Cfg.Workers).Delta
 		m := metrics.NewSet(r.Cfg.Workers)
-		elapsed := Timed(func() {
-			core.Run(w.G, w.Src, core.Options{
+		elapsed := r.timeSolve(w, AlgoWasp.Name, delta, func() []uint32 {
+			return core.Run(w.G, w.Src, core.Options{
 				Delta: delta, Workers: r.Cfg.Workers, Metrics: m, Timing: true,
-			})
+			}).Dist
 		})
 		tot := m.Totals()
 		workerTime := float64(time.Duration(r.Cfg.Workers) * elapsed)

@@ -19,6 +19,7 @@ import (
 	"wasp/internal/baseline/dijkstra"
 	"wasp/internal/gen"
 	"wasp/internal/graph"
+	"wasp/internal/verify"
 )
 
 // Config parameterizes a harness run.
@@ -77,6 +78,7 @@ type Runner struct {
 	Cfg   Config
 	cache map[string]*Workload
 	tuned map[tuneKey]Tuned
+	wrong error // the running experiment's first solve with wrong distances
 }
 
 // NewRunner returns a Runner with the given config.
@@ -139,15 +141,26 @@ func (r *Runner) workloads(names []string) ([]*Workload, error) {
 	return out, nil
 }
 
-// Best runs f Trials times and returns the minimum duration.
-func (r *Runner) Best(f func() time.Duration) time.Duration {
+// Best times Trials solves of w, each checked as timeSolve checks it,
+// and returns the fastest.
+func (r *Runner) Best(w *Workload, algo string, delta uint32, solve func() []uint32) time.Duration {
 	best := time.Duration(math.MaxInt64)
 	for i := 0; i < r.Cfg.Trials; i++ {
-		if d := f(); d < best {
-			best = d
-		}
+		best = min(best, r.timeSolve(w, algo, delta, solve))
 	}
 	return best
+}
+
+// timeSolve times one solve of w. Outside the timed region it compares
+// the distances with w's Dijkstra reference: a mismatch fails the
+// running experiment, naming algo, the workload and delta.
+func (r *Runner) timeSolve(w *Workload, algo string, delta uint32, solve func() []uint32) time.Duration {
+	var dist []uint32
+	elapsed := Timed(func() { dist = solve() })
+	if err := verify.Equal(dist, w.Ref.Dist); err != nil && r.wrong == nil {
+		r.wrong = fmt.Errorf("%s on %s at Δ=%d: %w", algo, w.Name, delta, err)
+	}
+	return elapsed
 }
 
 // Timed measures one invocation of f.
@@ -248,7 +261,17 @@ func (t *Table) Render(w io.Writer) {
 type Experiment struct {
 	ID    string // e.g. "fig5"
 	Title string // the paper element it regenerates
-	Run   func(*Runner) error
+	run   func(*Runner) error
+}
+
+// Run runs the experiment on r. It fails when a solve it timed returned
+// distances other than the workload's Dijkstra reference.
+func (e Experiment) Run(r *Runner) error {
+	r.wrong = nil
+	if err := e.run(r); err != nil {
+		return err
+	}
+	return r.wrong
 }
 
 // All returns the experiment registry in paper order.

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wasp/internal/metrics"
 )
 
 // tinyRunner returns a Runner sized so every experiment completes in
@@ -31,6 +33,36 @@ func TestAllExperimentsRun(t *testing.T) {
 		if !strings.Contains(out, "==") {
 			t.Fatalf("%s output missing header: %q", e.ID, out[:40])
 		}
+	}
+}
+
+// TestWrongDistancesFailTheExperiment: a timed solve whose distances
+// differ from the Dijkstra reference fails the experiment that timed
+// it, naming the algorithm, workload and Δ; the next experiment starts
+// clean.
+func TestWrongDistancesFailTheExperiment(t *testing.T) {
+	r := tinyRunner(&bytes.Buffer{})
+	w, err := r.Workload("urand")
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := AlgoSpec{"planted", true, func(w *Workload, delta uint32, p int, m *metrics.Set) []uint32 {
+		d := AlgoWasp.Run(w, delta, p, m)
+		d[w.Src]++
+		return d
+	}}
+	tune := func(a AlgoSpec) Experiment {
+		return Experiment{ID: "tune-" + a.Name, run: func(r *Runner) error {
+			r.Tune(w, a, 2)
+			return nil
+		}}
+	}
+	err = tune(planted).Run(r)
+	if err == nil || !strings.HasPrefix(err.Error(), "planted on urand at Δ=1: ") {
+		t.Fatalf("planted wrong distance: err = %v", err)
+	}
+	if err := tune(AlgoWasp).Run(r); err != nil {
+		t.Fatalf("correct solver after a failed experiment: %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"wasp/internal/baseline/relaxed"
 	"wasp/internal/mbq"
@@ -24,19 +23,20 @@ func RunExtensions(r *Runner) error {
 		return err
 	}
 	type sub struct {
-		name string
-		run  func(w *Workload, m *metrics.Set) []uint32
+		name  string
+		delta uint32
+		run   func(w *Workload, delta uint32, m *metrics.Set) []uint32
 	}
 	p := r.Cfg.Workers
 	subs := []sub{
-		{"multiqueue", func(w *Workload, m *metrics.Set) []uint32 {
+		{"multiqueue", 1, func(w *Workload, _ uint32, m *metrics.Set) []uint32 {
 			return relaxed.RunMQ(w.G, w.Src, mq.Config{}, relaxed.Options{Workers: p, Metrics: m})
 		}},
-		{"smq", func(w *Workload, m *metrics.Set) []uint32 {
+		{"smq", 1, func(w *Workload, _ uint32, m *metrics.Set) []uint32 {
 			return relaxed.RunSMQ(w.G, w.Src, smq.Config{}, relaxed.Options{Workers: p, Metrics: m})
 		}},
-		{"mbq", func(w *Workload, m *metrics.Set) []uint32 {
-			return relaxed.RunMBQ(w.G, w.Src, mbq.Config{Delta: 8}, relaxed.Options{Workers: p, Metrics: m})
+		{"mbq", 8, func(w *Workload, delta uint32, m *metrics.Set) []uint32 {
+			return relaxed.RunMBQ(w.G, w.Src, mbq.Config{Delta: uint64(delta)}, relaxed.Options{Workers: p, Metrics: m})
 		}},
 	}
 	header := []string{"graph", "wasp"}
@@ -49,9 +49,7 @@ func RunExtensions(r *Runner) error {
 		waspT := r.Tune(w, AlgoWasp, p).Time
 		row := []string{w.Abbr, fmt.Sprintf("%.2fms", float64(waspT)/1e6)}
 		for si, s := range subs {
-			d := r.Best(func() time.Duration {
-				return Timed(func() { s.run(w, nil) })
-			})
+			d := r.Best(w, s.name, s.delta, func() []uint32 { return s.run(w, s.delta, nil) })
 			ratio := float64(d) / float64(waspT)
 			ratios[si] = append(ratios[si], ratio)
 			row = append(row, fmt.Sprintf("%.2fx", ratio))

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"wasp/internal/algebra"
 	"wasp/internal/baseline/gapds"
@@ -58,9 +57,7 @@ func RunExtensions2(r *Runner) error {
 			// Δ-stepping relative, and a full per-algorithm sweep here
 			// would dominate harness time.
 			delta := r.Tune(w, AlgoGAP, p).Delta
-			d := r.Best(func() time.Duration {
-				return Timed(func() { s.run(w, delta, nil) })
-			})
+			d := r.Best(w, s.name, delta, func() []uint32 { return s.run(w, delta, nil) })
 			ratio := float64(d) / float64(tuned.Time)
 			ratios[si] = append(ratios[si], ratio)
 			row = append(row, fmt.Sprintf("%.2fx", ratio))

@@ -24,11 +24,12 @@ func RunFig1(r *Runner) error {
 		tuned := r.Tune(w, AlgoGAP, r.Cfg.Workers)
 		m := metrics.NewSet(r.Cfg.Workers)
 		var steps int64
-		elapsed := Timed(func() {
+		elapsed := r.timeSolve(w, AlgoGAP.Name, tuned.Delta, func() []uint32 {
 			res := gapds.Run(w.G, w.Src, gapds.Options{
 				Delta: tuned.Delta, Workers: r.Cfg.Workers, Metrics: m,
 			})
 			steps = res.Steps
+			return res.Dist
 		})
 		// Barrier share: summed wait time over total worker time.
 		share := float64(m.BarrierTime()) / float64(time.Duration(r.Cfg.Workers)*elapsed)

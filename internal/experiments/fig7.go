@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"wasp/internal/core"
 )
@@ -57,8 +56,8 @@ func RunFig7(r *Runner) error {
 			opt.Delta = waspDelta
 			opt.Workers = r.Cfg.Workers
 			opt.Theta = thetaForScale(r.Cfg.Scale)
-			d := r.Best(func() time.Duration {
-				return Timed(func() { core.Run(w.G, w.Src, opt) })
+			d := r.Best(w, AlgoWasp.Name+"/"+v.Label, waspDelta, func() []uint32 {
+				return core.Run(w.G, w.Src, opt).Dist
 			})
 			speedup := float64(base.Time) / float64(d)
 			perVariant[vi] = append(perVariant[vi], speedup)

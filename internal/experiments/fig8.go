@@ -42,7 +42,9 @@ func RunFig8(r *Runner) error {
 			timeRow := []string{a.Name + " ms"}
 			for _, delta := range Fig8Deltas {
 				m := metrics.NewSet(r.Cfg.Workers)
-				elapsed := Timed(func() { a.Run(w, delta, r.Cfg.Workers, m) })
+				elapsed := r.timeSolve(w, a.Name, delta, func() []uint32 {
+					return a.Run(w, delta, r.Cfg.Workers, m)
+				})
 				ratio := float64(m.Totals().Relaxations) / float64(w.Ref.Relaxations)
 				relaxRow = append(relaxRow, fmt.Sprintf("%.2f", ratio))
 				timeRow = append(timeRow, fmt.Sprintf("%.2f", float64(elapsed)/1e6))

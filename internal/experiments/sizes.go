@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"wasp/internal/baseline/dijkstra"
 	"wasp/internal/gen"
@@ -43,9 +42,7 @@ func RunSizes(r *Runner) error {
 				src := graph.SourceInLargestComponent(g, r.Cfg.Seed)
 				w := &Workload{Name: class, Abbr: base.Abbr, G: g, Src: src,
 					Ref: dijkstra.Run(g, src)}
-				d := r.Best(func() time.Duration {
-					return Timed(func() { a.Run(w, delta, r.Cfg.Workers, nil) })
-				})
+				d := r.Best(w, a.Name, delta, func() []uint32 { return a.Run(w, delta, r.Cfg.Workers, nil) })
 				row = append(row, fmt.Sprintf("%.1f", float64(d)/float64(g.NumEdges())))
 			}
 			t.Add(row...)

@@ -32,14 +32,12 @@ func RunStealPolicies(r *Runner) error {
 		{"two-choice/64-retries", core.PolicyTwoChoice, 64},
 	}
 
-	timeWith := func(w *Workload, delta uint32, pol core.StealPolicy, retries int) time.Duration {
-		return r.Best(func() time.Duration {
-			return Timed(func() {
-				core.Run(w.G, w.Src, core.Options{
-					Delta: delta, Workers: r.Cfg.Workers,
-					Policy: pol, Retries: retries,
-				})
-			})
+	timeWith := func(w *Workload, algo string, delta uint32, pol core.StealPolicy, retries int) time.Duration {
+		return r.Best(w, algo, delta, func() []uint32 {
+			return core.Run(w.G, w.Src, core.Options{
+				Delta: delta, Workers: r.Cfg.Workers,
+				Policy: pol, Retries: retries,
+			}).Dist
 		})
 	}
 
@@ -48,19 +46,17 @@ func RunStealPolicies(r *Runner) error {
 	var flatSlow []float64
 	for _, w := range ws {
 		delta := r.Tune(w, AlgoWasp, r.Cfg.Workers).Delta
-		waspT := timeWith(w, delta, core.PolicyWasp, 1)
+		waspT := timeWith(w, AlgoWasp.Name, delta, core.PolicyWasp, 1)
 		for vi, v := range variants {
-			vt := timeWith(w, delta, v.policy, v.retries)
+			vt := timeWith(w, AlgoWasp.Name+"/"+v.label, delta, v.policy, v.retries)
 			slow[vi] = append(slow[vi], float64(vt)/float64(waspT))
 		}
 		// NUMA-tier ablation: the Wasp protocol over a flat topology
 		// (every victim in one tier) isolates the hierarchy's value.
-		ft := r.Best(func() time.Duration {
-			return Timed(func() {
-				core.Run(w.G, w.Src, core.Options{
-					Delta: delta, Workers: r.Cfg.Workers, Topology: numa.Flat,
-				})
-			})
+		ft := r.Best(w, AlgoWasp.Name+"/flat-topology", delta, func() []uint32 {
+			return core.Run(w.G, w.Src, core.Options{
+				Delta: delta, Workers: r.Cfg.Workers, Topology: numa.Flat,
+			}).Dist
 		})
 		flatSlow = append(flatSlow, float64(ft)/float64(waspT))
 	}

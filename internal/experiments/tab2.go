@@ -32,12 +32,10 @@ func RunTable2(r *Runner) error {
 		waspTime := map[string]time.Duration{}
 		for _, w := range ws {
 			delta := r.Tune(w, AlgoWasp, r.Cfg.Workers).Delta
-			waspTime[w.Name] = r.Best(func() time.Duration {
-				return Timed(func() {
-					core.Run(w.G, w.Src, core.Options{
-						Delta: delta, Workers: r.Cfg.Workers, Topology: top,
-					})
-				})
+			waspTime[w.Name] = r.Best(w, AlgoWasp.Name+"/"+machine, delta, func() []uint32 {
+				return core.Run(w.G, w.Src, core.Options{
+					Delta: delta, Workers: r.Cfg.Workers, Topology: top,
+				}).Dist
 			})
 		}
 		row := []string{machine}

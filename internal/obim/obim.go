@@ -6,122 +6,91 @@
 // highest-priority local bag and then synchronize with the global bag
 // to find higher-priority work."
 //
-// Each priority level has a global bag (a mutex-protected list of
-// chunks) and per-thread local chunk stacks. A thread fills a local
-// chunk; when the chunk is full it is published to the global bag. Pops
-// come from the best local level, after consulting the globally
-// advertised best level so threads migrate toward high-priority work.
+// A thread fills one local chunk per priority level; a full chunk is
+// published to its level's global bag. Both sides keep their levels
+// ordered in a min-heap, so finding the best level never scans or sorts:
+// the global heap's root is advertised in one atomic word, and a thread
+// takes a published chunk only when the advertised level beats its best
+// local one (the OBIM synchronization step). A level leaves the global
+// bags and heap as soon as it is drained.
 package obim
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"wasp/internal/chunk"
+	"wasp/internal/heap"
 )
 
-// globalLevel is one priority level's shared bag.
-type globalLevel struct {
-	mu     sync.Mutex
-	chunks chunk.List
-}
+// none is the level advertised when nothing is published.
+const none = ^uint64(0)
 
-// Scheduler is an OBIM-like priority scheduler over vertex chunks.
+// Scheduler is an OBIM-like priority scheduler over vertex chunks. One
+// mutex guards the global bags and their heap. It is held only for a
+// list push or pop and at most one heap update, and every take must read
+// the heap's root anyway, so a lock per level would add locking without
+// taking contention off the root.
 type Scheduler struct {
 	mu     sync.Mutex
-	levels map[uint64]*globalLevel
-	best   atomic.Uint64 // advertised lowest level with global work
-	size   atomic.Int64  // global chunk count (not counting local ones)
+	levels map[uint64]*chunk.List // global bag per level holding chunks
+	order  heap.DAry              // the keys of levels, lowest first
+	best   atomic.Uint64          // order's root, or none
+	size   atomic.Int64           // published chunks (not counting local ones)
 }
 
 // New returns an empty scheduler.
 func New() *Scheduler {
-	s := &Scheduler{levels: make(map[uint64]*globalLevel)}
-	s.best.Store(^uint64(0))
+	s := &Scheduler{levels: make(map[uint64]*chunk.List)}
+	s.best.Store(none)
 	return s
 }
 
 // GlobalLen returns the number of globally visible chunks.
 func (s *Scheduler) GlobalLen() int { return int(s.size.Load()) }
 
-func (s *Scheduler) level(prio uint64) *globalLevel {
-	s.mu.Lock()
-	l, ok := s.levels[prio]
-	if !ok {
-		l = &globalLevel{}
-		s.levels[prio] = l
+// advertise stores order's root in best; s.mu must be held.
+func (s *Scheduler) advertise() {
+	best := none
+	if top, ok := s.order.Top(); ok {
+		best = top.Prio
 	}
-	s.mu.Unlock()
-	return l
+	s.best.Store(best)
 }
 
 // publish moves a full chunk into the global bag for its priority.
-// Once pushed the chunk belongs to whoever pops it — a thief may drain
-// and recycle it (chunk.Pool.Get resets Prio) before the push returns —
-// so the priority is read once, before the push.
 func (s *Scheduler) publish(c *chunk.Chunk) {
-	prio := c.Prio
-	l := s.level(prio)
-	l.mu.Lock()
-	l.chunks.Push(c)
-	l.mu.Unlock()
-	s.size.Add(1)
-	// Advertise if this is better than the current best. Lossy (CAS
-	// loop without retry on races) as in OBIM: the advertisement is a
-	// hint, not a guarantee.
-	for {
-		best := s.best.Load()
-		if prio >= best || s.best.CompareAndSwap(best, prio) {
-			return
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	bag := s.levels[c.Prio]
+	if bag == nil {
+		bag = new(chunk.List)
+		s.levels[c.Prio] = bag
+		s.order.Push(heap.Item{Prio: c.Prio})
+		s.advertise()
 	}
+	bag.Push(c)
+	s.size.Add(1)
 }
 
-// takeGlobal pops one chunk at exactly prio from the global bag.
-func (s *Scheduler) takeGlobal(prio uint64) *chunk.Chunk {
+// take pops a chunk from the lowest published level if that level lies
+// below bound, and otherwise returns nil.
+func (s *Scheduler) take(bound uint64) *chunk.Chunk {
 	s.mu.Lock()
-	l, ok := s.levels[prio]
-	s.mu.Unlock()
-	if !ok {
+	defer s.mu.Unlock()
+	top, ok := s.order.Top()
+	if !ok || top.Prio >= bound {
 		return nil
 	}
-	l.mu.Lock()
-	c := l.chunks.Pop()
-	l.mu.Unlock()
-	if c != nil {
-		s.size.Add(-1)
+	bag := s.levels[top.Prio]
+	c := bag.Pop()
+	if bag.Empty() {
+		delete(s.levels, top.Prio)
+		s.order.Pop()
+		s.advertise()
 	}
+	s.size.Add(-1)
 	return c
-}
-
-// takeGlobalBest scans the global levels in priority order and pops a
-// chunk from the first non-empty bag. Levels are snapshotted under the
-// map lock, then probed under their own locks (a level's emptiness can
-// only be read while holding its lock).
-func (s *Scheduler) takeGlobalBest() *chunk.Chunk {
-	s.mu.Lock()
-	type cand struct {
-		prio  uint64
-		level *globalLevel
-	}
-	cands := make([]cand, 0, len(s.levels))
-	for prio, l := range s.levels {
-		cands = append(cands, cand{prio, l})
-	}
-	s.mu.Unlock()
-	sort.Slice(cands, func(i, j int) bool { return cands[i].prio < cands[j].prio })
-	for _, c := range cands {
-		c.level.mu.Lock()
-		ck := c.level.chunks.Pop()
-		c.level.mu.Unlock()
-		if ck != nil {
-			s.size.Add(-1)
-			s.best.Store(c.prio)
-			return ck
-		}
-	}
-	return nil
 }
 
 // Handle is a per-thread view of the scheduler.
@@ -129,7 +98,11 @@ type Handle struct {
 	s     *Scheduler
 	pool  chunk.Pool
 	local map[uint64]*chunk.Chunk // partially filled local chunk per level
-	curr  *chunk.Chunk            // chunk being drained
+	// order holds the level of every local chunk, lowest first, plus
+	// levels whose chunk has since been published or taken: Pop skips
+	// those when they reach the top.
+	order heap.DAry
+	curr  *chunk.Chunk // chunk being drained
 }
 
 // NewHandle returns a handle for one worker.
@@ -150,6 +123,7 @@ func (h *Handle) Push(v uint32, prio uint64) {
 		c = h.pool.Get()
 		c.Prio = prio
 		h.local[prio] = c
+		h.order.Push(heap.Item{Prio: prio})
 	}
 	c.Push(v)
 	if c.Full() {
@@ -159,12 +133,11 @@ func (h *Handle) Push(v uint32, prio uint64) {
 }
 
 // Pop returns the next vertex to process and its priority. It drains
-// the current chunk, then picks the best local level — checking the
-// globally advertised best level first, so the thread migrates to
-// higher-priority work when it exists (the OBIM synchronization step).
-// ok is false when neither local nor global work was found; because
-// other threads may still publish, callers pair this with a
-// termination protocol.
+// the current chunk, then takes a published chunk if one lies below the
+// best local level — so the thread migrates to higher-priority work
+// when it exists — and otherwise the best local chunk. ok is false when
+// neither local nor global work was found; because other threads may
+// still publish, callers pair this with a termination protocol.
 func (h *Handle) Pop() (v uint32, prio uint64, ok bool) {
 	for {
 		if h.curr != nil {
@@ -174,35 +147,25 @@ func (h *Handle) Pop() (v uint32, prio uint64, ok bool) {
 			h.pool.Put(h.curr)
 			h.curr = nil
 		}
-		// Find the best local level.
-		bestLocal := ^uint64(0)
-		for p := range h.local {
-			if p < bestLocal {
-				bestLocal = p
+		local := none
+		for top, has := h.order.Top(); has; top, has = h.order.Top() {
+			if h.local[top.Prio] != nil {
+				local = top.Prio
+				break
 			}
+			h.order.Pop()
 		}
-		// Synchronize with the global bag: take globally advertised
-		// higher-priority work when it beats our best local level.
-		if g := h.s.best.Load(); g < bestLocal {
-			if c := h.s.takeGlobal(g); c != nil {
-				h.curr = c
-				continue
-			}
-			// Advertisement was stale; fall through to a full scan.
-			if c := h.s.takeGlobalBest(); c != nil {
+		if h.s.best.Load() < local {
+			if c := h.s.take(local); c != nil {
 				h.curr = c
 				continue
 			}
 		}
-		if bestLocal != ^uint64(0) {
-			h.curr = h.local[bestLocal]
-			delete(h.local, bestLocal)
-			continue
+		if local == none {
+			return 0, 0, false
 		}
-		if c := h.s.takeGlobalBest(); c != nil {
-			h.curr = c
-			continue
-		}
-		return 0, 0, false
+		h.curr = h.local[local]
+		delete(h.local, local)
+		h.order.Pop()
 	}
 }

@@ -124,3 +124,34 @@ func TestPushToCurrentChunkFastPath(t *testing.T) {
 		t.Fatalf("fast-path pop = (%d,%d,%v)", v, p, ok)
 	}
 }
+
+// TestDrainedLevelsLeave drains 1,000 levels, each with published and
+// local chunks: the scheduler must keep none of them afterwards, so a
+// failed Pop finds nothing to scan and allocates nothing.
+func TestDrainedLevelsLeave(t *testing.T) {
+	const levels, each = 1000, 300
+	s := New()
+	h := s.NewHandle()
+	for p := uint64(0); p < levels; p++ {
+		for i := 0; i < each; i++ {
+			h.Push(uint32(i), p)
+		}
+	}
+	popped := 0
+	for {
+		if _, _, ok := h.Pop(); !ok {
+			break
+		}
+		popped++
+	}
+	if popped != levels*each {
+		t.Fatalf("popped %d of %d", popped, levels*each)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h.Pop() }); allocs != 0 {
+		t.Fatalf("a failed Pop allocates %v times", allocs)
+	}
+	if len(s.levels) != 0 || s.GlobalLen() != 0 || s.best.Load() != ^uint64(0) {
+		t.Fatalf("after the drain the scheduler keeps %d levels, %d chunks, best %d",
+			len(s.levels), s.GlobalLen(), s.best.Load())
+	}
+}

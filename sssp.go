@@ -150,8 +150,8 @@ type Options struct {
 	// Workers is the number of parallel workers (default 1). Ignored
 	// by the sequential algorithms.
 	Workers int
-	// Rho is the per-step vertex budget for AlgoRho (default 4096)
-	// and the preprocessing ball size for AlgoRadius (default 8).
+	// Rho is the per-step vertex budget for AlgoRho (default 4096).
+	// AlgoRadius always precomputes balls of 8 vertices.
 	Rho int
 
 	// Steal selects Wasp's steal policy. AlgoWasp only.
@@ -415,7 +415,7 @@ func solveOnce(g *Graph, source Vertex, opt Options, m *metrics.Set, tok *parall
 		dist = relaxed.RunMBQ(g, source, mbq.Config{Delta: uint64(opt.Delta)}, ropt)
 	case AlgoRadius:
 		r := radius.Run(g, source, radius.Options{
-			Rho: opt.Rho, Workers: opt.Workers, Metrics: m, Cancel: tok,
+			Workers: opt.Workers, Metrics: m, Cancel: tok,
 		})
 		dist, steps = r.Dist, r.Steps
 	case AlgoSeqDelta:

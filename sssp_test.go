@@ -112,6 +112,29 @@ func TestOptionsDefaulting(t *testing.T) {
 	}
 }
 
+// TestRhoIsRhoSteppingsOnly: Options.Rho sets ρ-stepping's budget and
+// nothing else. Radius-stepping keeps its ball of 8 vertices, so sssp's
+// -rho default of 4096 cannot turn it into a few huge steps.
+func TestRhoIsRhoSteppingsOnly(t *testing.T) {
+	g, err := wasp.GenerateWorkload("road-usa", wasp.WorkloadConfig{N: 1 << 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := wasp.SourceInLargestComponent(g, 1)
+	var res [2]*wasp.Result
+	for i, rho := range []int{0, 4096} {
+		r, err := wasp.Run(g, src, wasp.Options{Algorithm: wasp.AlgoRadius, Workers: 1, Rho: rho})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res[i] = r
+	}
+	if res[0].Steps != res[1].Steps || res[0].Progress.Relaxations != res[1].Progress.Relaxations {
+		t.Fatalf("radius with Rho 4096: %d steps, %d relaxations; with Rho 0: %d steps, %d relaxations",
+			res[1].Steps, res[1].Progress.Relaxations, res[0].Steps, res[0].Progress.Relaxations)
+	}
+}
+
 func TestParallelFlag(t *testing.T) {
 	if wasp.AlgoDijkstra.Parallel() || wasp.AlgoBellmanFord.Parallel() {
 		t.Fatal("sequential algorithms marked parallel")
